@@ -7,11 +7,13 @@ is the unweighted mean over pairs.
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import StructureRecord
+from .corpus import ParseError, StructureRecord, annotation_records
 from .metrics import METRIC_FIELDS, EvalConfig, MetricReport, evaluate_corpus
 
 
@@ -45,6 +47,32 @@ class AgreementReport:
             },
             "skipped_pairs": [list(pair) for pair in sorted(self.skipped_pairs)],
         }
+
+
+def load_annotators(manifest: str | Path) -> list[AnnotatorBatch]:
+    """Read an agreement manifest (annotator id -> file) and every file in it.
+
+    A file holds one clip's annotation array (clip id = file stem) or an
+    object mapping clip ids to annotation arrays.
+    """
+    manifest_path = Path(manifest)
+    spec = json.loads(manifest_path.read_bytes().decode("utf-8"))
+    table = spec.get("annotators", spec) if isinstance(spec, dict) else None
+    if not isinstance(table, dict) or not table:
+        raise ParseError("agreement manifest must map annotator_id to file path")
+    batches = []
+    for annotator_id, rel in sorted(table.items()):
+        path = manifest_path.parent / rel
+        payload = json.loads(path.read_bytes().decode("utf-8"))
+        if isinstance(payload, list):
+            by_clip = {path.stem: annotation_records(payload, clip_id=path.stem)}
+        elif isinstance(payload, dict):
+            by_clip = {clip_id: annotation_records(records, clip_id=clip_id)
+                       for clip_id, records in sorted(payload.items())}
+        else:
+            raise ParseError(f"annotator file {path} must be a JSON array or object")
+        batches.append(AnnotatorBatch(annotator_id=annotator_id, records_by_clip=by_clip))
+    return batches
 
 
 def _mean_report(reports: Sequence[MetricReport], n_utterances: int,

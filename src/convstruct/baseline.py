@@ -10,7 +10,6 @@ the linking rule and needs no face data.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,6 +20,7 @@ from .corpus import (
     ParseError,
     Participant,
     StructureRecord,
+    _decode_json,
     normalize_name,
 )
 
@@ -62,10 +62,7 @@ class WordToken:
 
 def parse_face_tracks_json(data: bytes) -> list[FaceTrack]:
     """Parse `{"clip_id": ..., "faces": [{"name": ..., "spans": [[s, e], ...]}]}`."""
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"face track JSON is unreadable: {exc}") from None
+    payload = _decode_json(data, "face track")
     if not isinstance(payload, dict) or "faces" not in payload:
         raise ParseError("face track JSON must be an object with a 'faces' array")
     clip_id = str(payload.get("clip_id", ""))

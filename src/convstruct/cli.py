@@ -3,7 +3,8 @@
 Commands: validate, evaluate, agree, baseline, analyze {threads|roles|logodds|
 correlate}. Every report embeds a run manifest with input digests; identical
 inputs, flags, and seed produce byte-identical output. Exit codes: 0 success,
-1 domain error, 2 I/O error.
+1 domain error, 2 I/O error. The commands only parse arguments, call the
+library, and emit its reports.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .agreement import AgreementError, AnnotatorBatch, pairwise_agreement
+from .agreement import AgreementError, load_annotators, pairwise_agreement
 from .baseline import (
     parse_face_tracks_json,
     parse_word_tokens_tsv,
@@ -26,39 +27,23 @@ from .baseline import (
     run_reply_only_baseline,
 )
 from .corpus import (
-    BAD_NAME,
-    BAD_TYPE,
     ERROR,
-    MISSING_KEY,
-    UNKNOWN_KEY,
     WARNING,
-    Clip,
     CorpusError,
-    Diagnostic,
-    ParseError,
-    iter_clip_files,
     load_corpus,
     load_structures,
-    lookup_gender,
-    parse_annotation_json,
-    parse_cast_json,
     parse_gender_map_tsv,
-    parse_transcript_tsv,
-    scan_annotation_json,
     serialize_annotation_json,
-    validate_clip,
+    validate_paths,
 )
 from .metrics import METRIC_FIELDS, EvalConfig, MetricInputError, evaluate_corpus
 from .stats import (
     BootstrapConfig,
-    Document,
-    TermCounts,
+    feature_correlations,
     gender_thread_shares,
-    multinomial_logit,
-    role_distributions,
-    signed_rank_variance,
-    spearman,
-    weighted_logodds_analysis,
+    logodds_report,
+    role_report,
+    utterance_documents,
 )
 from .stats.bootstrap import StatsError
 
@@ -71,8 +56,6 @@ METRIC_LABELS = {
     "one_to_one": "1-1",
     "exact_match_f1": "EM F1",
 }
-
-_SCAN_ONLY_CODES = (MISSING_KEY, BAD_TYPE, BAD_NAME, UNKNOWN_KEY)
 
 
 def _digest_path(path: Path) -> str:
@@ -138,17 +121,12 @@ def _metric_table(report_dict: dict) -> list[str]:
     return lines
 
 
-def _bootstrap_config(args) -> BootstrapConfig | None:
-    if not args.bootstrap:
-        return None
-    return BootstrapConfig(resamples=args.bootstrap, level=args.level, seed=args.seed)
-
-
 def _eval_config(args) -> EvalConfig:
     return EvalConfig(
         aggregate=args.aggregate,
         filter_nondialogic=args.filter_nondialogic,
-        bootstrap=_bootstrap_config(args),
+        bootstrap=BootstrapConfig(resamples=args.bootstrap, level=args.level,
+                                  seed=args.seed) if args.bootstrap else None,
     )
 
 
@@ -156,50 +134,14 @@ def _eval_config(args) -> EvalConfig:
 
 
 def cmd_validate(args) -> int:
-    all_diags: list[Diagnostic] = []
-    for raw in args.paths:
-        root = Path(raw)
-        if not root.exists():
-            sys.stderr.write(f"error: no such path: {root}\n")
-            return 2
-        for clip_id, clip, scan_diags in _scan_path(root, args.strict):
-            all_diags.extend(d for d in scan_diags if d.code in _SCAN_ONLY_CODES)
-            if clip is not None:
-                all_diags.extend(validate_clip(clip))
-    all_diags.sort(key=lambda d: (d.clip_id, d.line_idx or 0, d.code))
-    for diag in all_diags:
+    diags = validate_paths(args.paths, args.strict)
+    for diag in diags:
         sys.stdout.write(json.dumps(diag.as_dict()) + "\n")
     has_error = any(
         d.severity == ERROR or (args.strict and d.severity == WARNING)
-        for d in all_diags
+        for d in diags
     )
     return 1 if has_error else 0
-
-
-def _scan_path(root: Path, strict: bool):
-    """Yield (clip_id, clip_or_none, scan_diagnostics) for validation."""
-    for files in iter_clip_files(root):
-        diags: list[Diagnostic] = []
-        records = None
-        utterances = ()
-        show_id, cast = "", ()
-        try:
-            if files.annotation is not None:
-                parsed, diags = scan_annotation_json(
-                    files.annotation.read_bytes(), strict, files.clip_id)
-                records = tuple(parsed)
-            if files.transcript is not None:
-                utterances = tuple(parse_transcript_tsv(
-                    files.transcript.read_bytes(), clip_id=files.clip_id))
-            if files.cast is not None:
-                _, show_id, cast_list = parse_cast_json(files.cast.read_bytes())
-                cast = tuple(cast_list)
-        except ParseError as exc:
-            diags = list(diags) + [Diagnostic("PARSE", ERROR, str(exc), files.clip_id)]
-            yield files.clip_id, None, diags
-            continue
-        yield files.clip_id, Clip(clip_id=files.clip_id, show_id=show_id, cast=cast,
-                                  utterances=utterances, gold=records), diags
 
 
 def cmd_evaluate(args) -> int:
@@ -224,36 +166,8 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _load_annotator_file(path: Path) -> dict[str, list]:
-    payload = json.loads(path.read_bytes().decode("utf-8"))
-    if isinstance(payload, list):
-        clip_id = path.stem
-        return {clip_id: parse_annotation_json(
-            json.dumps(payload).encode("utf-8"), clip_id=clip_id)}
-    if isinstance(payload, dict):
-        return {
-            clip_id: parse_annotation_json(
-                json.dumps(records).encode("utf-8"), clip_id=clip_id)
-            for clip_id, records in sorted(payload.items())
-        }
-    raise ParseError(f"annotator file {path} must be a JSON array or object")
-
-
 def cmd_agree(args) -> int:
-    manifest_path = Path(args.manifest)
-    spec = json.loads(manifest_path.read_bytes().decode("utf-8"))
-    table = spec.get("annotators", spec)
-    if not isinstance(table, dict) or not table:
-        raise ParseError("agreement manifest must map annotator_id to file path")
-    batches = []
-    for annotator_id, rel in sorted(table.items()):
-        path = Path(rel)
-        if not path.is_absolute():
-            path = manifest_path.parent / path
-        batches.append(AnnotatorBatch(
-            annotator_id=annotator_id,
-            records_by_clip=_load_annotator_file(path),
-        ))
+    batches = load_annotators(args.manifest)
     report = pairwise_agreement(batches, _eval_config(args))
     manifest = _manifest(
         "agree",
@@ -334,186 +248,47 @@ def _require(path: str | None, what: str) -> Path:
     return p
 
 
-def _analyze_threads(args, manifest_inputs) -> dict:
-    corpus = load_corpus(args.corpus)
+def _clips(args) -> list:
+    return list(load_corpus(args.corpus).values())  # in clip id order
+
+
+def _gender_map(args, manifest_inputs) -> dict:
     gender_path = _require(args.gender_map, "--gender-map")
-    gender_map = parse_gender_map_tsv(gender_path.read_bytes())
-    report = gender_thread_shares(
-        [corpus[c] for c in sorted(corpus)],
-        gender_map,
+    manifest_inputs["gender_map"] = args.gender_map
+    return parse_gender_map_tsv(gender_path.read_bytes())
+
+
+def _analyze_threads(args, manifest_inputs) -> dict:
+    return gender_thread_shares(
+        _clips(args),
+        _gender_map(args, manifest_inputs),
         include_nondialogic=args.include_nondialogic,
         config=BootstrapConfig(resamples=args.bootstrap or 10_000,
                                level=args.level, seed=args.seed),
         permutations=args.permutations,
-    )
-    manifest_inputs["gender_map"] = args.gender_map
-
-    def share_dict(s):
-        return {"female_share": s.share, "ci": list(s.ci), "n_events": s.n_events}
-
-    def delta_dict(d):
-        return {
-            "mean": d.mean,
-            "ci": list(d.ci),
-            "p_value": d.p_value,
-            "n_clips": d.n_clips,
-            "per_clip": {k: d.per_clip[k] for k in sorted(d.per_clip)},
-        }
-
-    return {
-        "start": share_dict(report.start),
-        "hold": share_dict(report.hold),
-        "delta_start": delta_dict(report.delta_start),
-        "delta_hold": delta_dict(report.delta_hold),
-    }
-
-
-def _role_observations(corpus, gender_map):
-    observations = []
-    for clip_id in sorted(corpus):
-        clip = corpus[clip_id]
-        if clip.gold is None:
-            continue
-        for record in sorted(clip.gold, key=lambda r: r.line_idx):
-            members = [("speaker", record.speaker)]
-            members += [("addressee", p) for p in sorted(
-                record.addressees, key=lambda p: p.token)]
-            members += [("side-participant", p) for p in sorted(
-                record.side_participants, key=lambda p: p.token)]
-            for role, participant in members:
-                gender = lookup_gender(gender_map, clip.show_id, participant)
-                if gender is not None:
-                    observations.append((role, gender, clip.show_id))
-    return observations
+    ).as_dict()
 
 
 def _analyze_roles(args, manifest_inputs) -> dict:
-    corpus = load_corpus(args.corpus)
-    gender_path = _require(args.gender_map, "--gender-map")
-    gender_map = parse_gender_map_tsv(gender_path.read_bytes())
-    manifest_inputs["gender_map"] = args.gender_map
-    observations = _role_observations(corpus, gender_map)
-    if not observations:
-        raise StatsError("no gendered role observations in the corpus")
-    dists = role_distributions((role, gender) for role, gender, _ in observations)
-    fit = multinomial_logit(
-        [(role, gender == "female", show) for role, gender, show in observations]
-    )
-    regression = {}
-    for outcome in sorted(fit.outcomes):
-        est = fit.outcomes[outcome]
-        regression[outcome] = {
-            "odds_ratio_female": est.odds_ratio,
-            "coef": {k: est.coef[k] for k in sorted(est.coef)},
-            "se": {k: est.se[k] for k in sorted(est.se)},
-            "p": {k: est.p[k] for k in sorted(est.p)},
-        }
-    return {
-        "n_observations": len(observations),
-        "p_gender_given_role": dists.p_gender_given_role,
-        "p_role_given_gender": dists.p_role_given_gender,
-        "regression": {
-            "reference": fit.reference,
-            "outcomes": regression,
-            "log_likelihood": fit.log_likelihood,
-            "n_iter": fit.n_iter,
-        },
-    }
+    return role_report(_clips(args), _gender_map(args, manifest_inputs)).as_dict()
 
 
 def _analyze_logodds(args, manifest_inputs) -> dict:
-    from .stats.logodds import tokenize
-
-    corpus = load_corpus(args.corpus)
-    docs = []
-    for clip_id in sorted(corpus):
-        clip = corpus[clip_id]
-        if clip.gold is None or not clip.utterances:
-            continue
-        records = {r.line_idx: r for r in clip.gold}
-        for u in sorted(clip.utterances, key=lambda u: u.line_idx):
-            record = records.get(u.line_idx)
-            if record is None:
-                continue
-            if args.filter_nondialogic and record.is_nondialogic:
-                continue
-            group = "a" if not record.side_participants else "b"
-            docs.append(Document(show_id=clip.show_id, group=group,
-                                 tokens=tuple(tokenize(u.text))))
-    if not docs:
-        raise StatsError("no documents with both annotations and transcript text")
-    counts = TermCounts.from_documents(docs, min_count=args.min_count)
-    grid = ([float(c) for c in args.grid.split(",")] if args.grid
-            else [float(c) for c in np.logspace(0, 4, 9)])
-    result = weighted_logodds_analysis(
-        counts,
+    return logodds_report(
+        utterance_documents(_clips(args), args.filter_nondialogic),
+        min_count=args.min_count,
         c_star=args.c_star,
-        grid=grid,
+        grid=[float(c) for c in args.grid.split(",")] if args.grid else None,
         permutations=args.permutations,
         seed=args.seed,
+        top=args.top,
     )
-    ranked = result.ranked_terms()
-    return {
-        "groups": {"a": "no side-participants (positive z)",
-                   "b": "side-participants present (negative z)"},
-        "c_star": result.c_star,
-        "calibration": {
-            "skipped": args.c_star is not None,
-            "grid": grid,
-            "permutations": args.permutations,
-            "permutation_unit": "document (one utterance's token bag), within show",
-            "seed": args.seed,
-        },
-        "n_documents": len(docs),
-        "n_terms": len(result.terms),
-        "shows": list(result.shows),
-        "top_group_a": [[t, z] for t, z in ranked[: args.top]],
-        "top_group_b": [[t, z] for t, z in ranked[-args.top:][::-1]],
-        "z": {t: z for t, z in sorted(ranked)},
-    }
 
 
 def _analyze_correlate(args, manifest_inputs) -> dict:
     features_path = _require(args.features, "features CSV")
     with features_path.open(newline="", encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
-    if not rows:
-        raise StatsError("features CSV has no data rows")
-    columns = list(rows[0].keys())
-    targets = [c for c in columns if c.startswith("f1_")]
-    features = [c for c in columns if c != "clip_id" and not c.startswith("f1_")]
-    if not targets or not features:
-        raise StatsError("features CSV needs feature columns and f1_* target columns")
-    def column(name):
-        values = []
-        for i, row in enumerate(rows, start=1):
-            cell = row.get(name)
-            if cell is None or cell == "":
-                raise StatsError(f"features CSV row {i} is missing column {name!r}")
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise StatsError(
-                    f"features CSV row {i}: column {name!r} is not numeric: {cell!r}"
-                ) from None
-        return values
-
-    results = []
-    for target in targets:
-        for feature in features:
-            entry = {"target": target, "feature": feature}
-            try:
-                rho, p = spearman(column(feature), column(target))
-                entry.update({
-                    "rho": rho,
-                    "p_value": p,
-                    "signed_r2": signed_rank_variance(rho),
-                    "significant": p < 0.05,
-                })
-            except StatsError as exc:
-                entry["error"] = str(exc)
-            results.append(entry)
-    return {"n_clips": len(rows), "correlations": results}
+        return feature_correlations(list(csv.DictReader(handle)))
 
 
 _ANALYZE_HANDLERS = {
@@ -526,24 +301,17 @@ _ANALYZE_HANDLERS = {
 
 def cmd_analyze(args) -> int:
     handler = _ANALYZE_HANDLERS[args.what]
-    inputs = {}
-    if getattr(args, "corpus", None):
-        inputs["corpus"] = args.corpus
-    if getattr(args, "features", None):
-        inputs["features"] = args.features
+    inputs = {name: getattr(args, name) for name in ("corpus", "features")
+              if getattr(args, name)}
     report = handler(args, inputs)
     manifest = _manifest(
         f"analyze {args.what}", inputs,
         {"filter_nondialogic": args.filter_nondialogic}, seed=args.seed)
-    payload = {"manifest": manifest, "report": report}
-    table_lines = _flatten_table(report)
-    _emit(payload, args.format, table_lines)
+    _emit({"manifest": manifest, "report": report}, args.format, _flatten_table(report))
     return 0
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.4f}"
     return str(value)
@@ -653,9 +421,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.handler(args)
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -5,7 +5,8 @@ A clip is an ordered list of utterances plus an optional per-line structure
 annotation (speaker, addressees, side-participants, reply-to). Everything here
 is immutable after construction and safe to share across workers. Parsing is
 strict by default; `scan_annotation_json` is the lenient variant that returns
-diagnostics instead of raising, which is what the `validate` command uses.
+diagnostics instead of raising, and `validate_paths` runs every check over a
+corpus path, which is what the `validate` command prints.
 """
 
 from __future__ import annotations
@@ -276,28 +277,25 @@ _ANNOTATION_KEYS = {
 }
 
 
-def scan_annotation_json(
-    data: bytes, strict: bool = False, clip_id: str = ""
-) -> tuple[list[StructureRecord], list[Diagnostic]]:
-    """Lenient annotation parse: returns (records, diagnostics).
-
-    Records are constructed even when they violate invariants (forward link,
-    role overlap, ...) so that validation can report every problem; records
-    whose fields cannot be read at all are dropped with a diagnostic.
-    """
+def _decode_json(data: bytes, what: str):
     try:
-        payload = json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"annotation JSON is unreadable: {exc}") from None
+        raise ParseError(f"{what} JSON is unreadable: {exc}") from None
+
+
+def _read_records(
+    payload, strict: bool, clip_id: str
+) -> tuple[list[StructureRecord], list[Diagnostic]]:
+    """Records from a decoded annotation array; unreadable entries are dropped
+    with a diagnostic, invariants are left to `check_records`."""
     if not isinstance(payload, list):
         raise ParseError("annotation JSON must be an array of objects")
-
     diags: list[Diagnostic] = []
     records: list[StructureRecord] = []
-    seen: dict[int, int] = {}
 
-    def bad(code, message, line_idx=None, severity=ERROR):
-        diags.append(Diagnostic(code, severity, message, clip_id, line_idx))
+    def bad(code, message, line_idx=None):
+        diags.append(Diagnostic(code, ERROR, message, clip_id, line_idx))
 
     for pos, obj in enumerate(payload):
         if not isinstance(obj, dict):
@@ -309,10 +307,9 @@ def scan_annotation_json(
             bad(MISSING_KEY, f"entry {pos} is missing keys {missing}")
             continue
         unknown = sorted(set(obj) - _ANNOTATION_KEYS)
-        if unknown:
-            if strict:
-                bad(UNKNOWN_KEY, f"entry {pos} has unknown keys {unknown}")
-                continue
+        if unknown and strict:
+            bad(UNKNOWN_KEY, f"entry {pos} has unknown keys {unknown}")
+            continue
         line_idx = obj["line_idx"]
         reply_to = obj["reply_to"]
         if not isinstance(line_idx, int) or isinstance(line_idx, bool) or line_idx < 1:
@@ -328,26 +325,6 @@ def scan_annotation_json(
         except (CorpusError, TypeError) as exc:
             bad(BAD_NAME, str(exc), line_idx)
             continue
-        extra = bool(obj.get("extra_diegetic", False))
-        mono = bool(obj.get("monologue", False))
-
-        if line_idx in seen:
-            bad(DUPLICATE_LINE, f"line_idx {line_idx} repeats entry {seen[line_idx]}",
-                line_idx)
-        else:
-            seen[line_idx] = pos
-        if reply_to > line_idx:
-            bad(FORWARD_LINK, f"reply_to {reply_to} is after line {line_idx}", line_idx)
-        elif reply_to < 1:
-            bad(BAD_REPLY_TO, f"reply_to {reply_to} is below 1", line_idx)
-        overlap = addressees & side
-        if overlap:
-            names = sorted(p.token for p in overlap)
-            bad(ROLE_OVERLAP, f"addressee and side_participant share {names}", line_idx)
-        if speaker in addressees or speaker in side:
-            bad(SPEAKER_IN_ROLES, f"speaker {speaker.token!r} appears in a role set",
-                line_idx)
-
         records.append(
             StructureRecord(
                 line_idx=line_idx,
@@ -355,22 +332,72 @@ def scan_annotation_json(
                 addressees=addressees,
                 side_participants=side,
                 reply_to=reply_to,
-                extra_diegetic=extra,
-                monologue=mono,
+                extra_diegetic=bool(obj.get("extra_diegetic", False)),
+                monologue=bool(obj.get("monologue", False)),
             )
         )
     return records, diags
+
+
+def check_records(records: Iterable[StructureRecord], clip_id: str = ""
+                  ) -> list[Diagnostic]:
+    """The record invariants, for `scan_annotation_json`, the strict parsers
+    and `validate_clip` alike: unique lines, backward links, disjoint roles."""
+    diags: list[Diagnostic] = []
+
+    def add(code, message, line_idx):
+        diags.append(Diagnostic(code, ERROR, message, clip_id, line_idx))
+
+    seen: set[int] = set()
+    for r in records:
+        if r.line_idx in seen:
+            add(DUPLICATE_LINE, f"line_idx {r.line_idx} annotated twice", r.line_idx)
+        seen.add(r.line_idx)
+        if r.reply_to > r.line_idx:
+            add(FORWARD_LINK, f"reply_to {r.reply_to} is after line {r.line_idx}",
+                r.line_idx)
+        elif r.reply_to < 1:
+            add(BAD_REPLY_TO, f"reply_to {r.reply_to} is below 1", r.line_idx)
+        overlap = r.addressees & r.side_participants
+        if overlap:
+            names = sorted(p.token for p in overlap)
+            add(ROLE_OVERLAP, f"addressee and side_participant share {names}",
+                r.line_idx)
+        if r.speaker in r.addressees or r.speaker in r.side_participants:
+            add(SPEAKER_IN_ROLES, f"speaker {r.speaker.token!r} appears in a role set",
+                r.line_idx)
+    return diags
+
+
+def scan_annotation_json(
+    data: bytes, strict: bool = False, clip_id: str = ""
+) -> tuple[list[StructureRecord], list[Diagnostic]]:
+    """Lenient annotation parse: returns (records, diagnostics).
+
+    Records are constructed even when they violate invariants (forward link,
+    role overlap, ...) so that validation can report every problem; records
+    whose fields cannot be read at all are dropped with a diagnostic.
+    """
+    records, diags = _read_records(_decode_json(data, "annotation"), strict, clip_id)
+    return records, diags + check_records(records, clip_id)
+
+
+def annotation_records(
+    payload, strict: bool = False, clip_id: str = ""
+) -> list[StructureRecord]:
+    """Strict parse of an already decoded annotation array (a JSON list)."""
+    records, errors = _read_records(payload, strict, clip_id)
+    errors += check_records(records, clip_id)  # every one is an error
+    if errors:
+        raise ValidationError(errors)
+    return records
 
 
 def parse_annotation_json(
     data: bytes, strict: bool = False, clip_id: str = ""
 ) -> list[StructureRecord]:
     """Strict annotation parse: raises ValidationError listing every violation."""
-    records, diags = scan_annotation_json(data, strict=strict, clip_id=clip_id)
-    errors = [d for d in diags if d.severity == ERROR]
-    if errors:
-        raise ValidationError(errors)
-    return records
+    return annotation_records(_decode_json(data, "annotation"), strict, clip_id)
 
 
 def serialize_annotation_json(records: Iterable[StructureRecord]) -> bytes:
@@ -398,10 +425,7 @@ def serialize_annotation_json(records: Iterable[StructureRecord]) -> bytes:
 
 def parse_cast_json(data: bytes) -> tuple[str, str, list[Participant]]:
     """Parse a cast list JSON: {"clip_id", "show_id", "cast": [names]}."""
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cast JSON is unreadable: {exc}") from None
+    payload = _decode_json(data, "cast")
     if not isinstance(payload, dict) or "cast" not in payload:
         raise ParseError("cast JSON must be an object with a 'cast' array")
     cast = [normalize_name(n) for n in payload["cast"]]
@@ -486,38 +510,18 @@ def validate_clip(clip: Clip) -> list[Diagnostic]:
     if clip.gold is None:
         return diags
 
-    cast_names = {p.canonical_name for p in clip.cast}
-
-    def resolves(p: Participant) -> bool:
-        return p.is_special or p.canonical_name in cast_names
-
-    gold_lines: dict[int, int] = {}
-    for r in clip.gold:
-        if r.line_idx in gold_lines:
-            add(DUPLICATE_LINE, f"line_idx {r.line_idx} annotated twice", r.line_idx)
-        gold_lines[r.line_idx] = gold_lines.get(r.line_idx, 0) + 1
-        if r.reply_to > r.line_idx:
-            add(FORWARD_LINK, f"reply_to {r.reply_to} is after line {r.line_idx}",
-                r.line_idx)
-        elif r.reply_to < 1:
-            add(BAD_REPLY_TO, f"reply_to {r.reply_to} is below 1", r.line_idx)
-        overlap = r.addressees & r.side_participants
-        if overlap:
-            names = sorted(p.token for p in overlap)
-            add(ROLE_OVERLAP, f"addressee and side_participant share {names}",
-                r.line_idx)
-        if r.speaker in r.addressees or r.speaker in r.side_participants:
-            add(SPEAKER_IN_ROLES, f"speaker {r.speaker.token!r} appears in a role set",
-                r.line_idx)
-        if clip.cast:
+    diags += check_records(clip.gold, clip.clip_id)
+    if clip.cast:
+        cast_names = {p.canonical_name for p in clip.cast}
+        for r in clip.gold:
             for p in (r.speaker, *r.addressees, *r.side_participants):
-                if not resolves(p):
+                if not (p.is_special or p.canonical_name in cast_names):
                     add(UNRESOLVED_NAME,
                         f"{p.token!r} is not in the cast list or a reserved token",
                         r.line_idx)
     if clip.utterances:
         expected = {u.line_idx for u in clip.utterances}
-        annotated = set(gold_lines)
+        annotated = {r.line_idx for r in clip.gold}
         if expected != annotated:
             missing = sorted(expected - annotated)
             extra = sorted(annotated - expected)
@@ -610,6 +614,20 @@ def load_structures(path: str | Path, strict: bool = False
     }
 
 
+def _clip(files: ClipFiles, gold: tuple[StructureRecord, ...] | None) -> Clip:
+    """A clip from its annotation records plus any transcript/cast on disk."""
+    utterances: tuple[Utterance, ...] = ()
+    if files.transcript is not None:
+        utterances = tuple(parse_transcript_tsv(
+            files.transcript.read_bytes(), clip_id=files.clip_id))
+    show_id, cast = "", ()
+    if files.cast is not None:
+        _, show_id, cast_list = parse_cast_json(files.cast.read_bytes())
+        cast = tuple(cast_list)
+    return Clip(clip_id=files.clip_id, show_id=show_id, cast=cast,
+                utterances=utterances, gold=gold)
+
+
 def load_corpus(path: str | Path, strict: bool = False) -> dict[str, Clip]:
     """Load full clips (annotations plus any transcripts/casts present)."""
     clips: dict[str, Clip] = {}
@@ -619,14 +637,29 @@ def load_corpus(path: str | Path, strict: bool = False) -> dict[str, Clip]:
             gold = tuple(parse_annotation_json(
                 files.annotation.read_bytes(), strict=strict,
                 clip_id=files.clip_id))
-        utterances: tuple[Utterance, ...] = ()
-        if files.transcript is not None:
-            utterances = tuple(parse_transcript_tsv(
-                files.transcript.read_bytes(), clip_id=files.clip_id))
-        show_id, cast = "", ()
-        if files.cast is not None:
-            _, show_id, cast_list = parse_cast_json(files.cast.read_bytes())
-            cast = tuple(cast_list)
-        clips[files.clip_id] = Clip(clip_id=files.clip_id, show_id=show_id,
-                                    cast=cast, utterances=utterances, gold=gold)
+        clips[files.clip_id] = _clip(files, gold)
     return clips
+
+
+def validate_paths(paths: Iterable[str | Path], strict: bool = False
+                   ) -> list[Diagnostic]:
+    """Every diagnostic for the clips under `paths`, sorted by clip, line, code;
+    a file that cannot be parsed at all yields one PARSE error."""
+    diags: list[Diagnostic] = []
+    for raw in paths:
+        root = Path(raw)
+        if not root.exists():
+            raise FileNotFoundError(f"no such path: {root}")
+        for files in iter_clip_files(root):
+            try:
+                gold = None
+                if files.annotation is not None:
+                    records, read_diags = _read_records(
+                        _decode_json(files.annotation.read_bytes(), "annotation"),
+                        strict, files.clip_id)
+                    diags += read_diags
+                    gold = tuple(records)
+                diags += validate_clip(_clip(files, gold))
+            except ParseError as exc:
+                diags.append(Diagnostic("PARSE", ERROR, str(exc), files.clip_id))
+    return sorted(diags, key=lambda d: (d.clip_id, d.line_idx or 0, d.code))

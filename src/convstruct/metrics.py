@@ -59,15 +59,25 @@ def _check_alignment(gold: Sequence[StructureRecord],
     return gold_lines
 
 
+def _speaker_matches(gold_by_line: Mapping[int, StructureRecord],
+                     pred_by_line: Mapping[int, StructureRecord],
+                     lines: Sequence[int]) -> int:
+    return sum(1 for i in lines
+               if _speaker_key(gold_by_line[i]) == _speaker_key(pred_by_line[i]))
+
+
+def _set_f1_sum(gold_sets: Sequence[frozenset], pred_sets: Sequence[frozenset]) -> float:
+    return sum(set_f1(g, p) for g, p in zip(gold_sets, pred_sets))
+
+
 def speaker_accuracy(gold: Sequence[StructureRecord],
                      pred: Sequence[StructureRecord]) -> float:
     """Fraction of lines whose predicted speaker matches gold (kind + name)."""
     lines = _check_alignment(gold, pred)
     if not lines:
         raise MetricInputError("cannot score an empty record list")
-    g = {r.line_idx: _speaker_key(r) for r in gold}
-    p = {r.line_idx: _speaker_key(r) for r in pred}
-    matches = sum(1 for i in lines if g[i] == p[i])
+    matches = _speaker_matches({r.line_idx: r for r in gold},
+                               {r.line_idx: r for r in pred}, lines)
     return matches / len(lines)
 
 
@@ -94,7 +104,13 @@ def role_set_f1(gold_sets: Sequence[frozenset],
         )
     if not gold_sets:
         raise MetricInputError("cannot score an empty set list")
-    return sum(set_f1(g, p) for g, p in zip(gold_sets, pred_sets)) / len(gold_sets)
+    return _set_f1_sum(gold_sets, pred_sets) / len(gold_sets)
+
+
+def _prf(precision: float, recall: float) -> PRF:
+    if precision + recall == 0:
+        return PRF(precision, recall, 0.0)
+    return PRF(precision, recall, 2 * precision * recall / (precision + recall))
 
 
 def link_f1(gold: LinkSet, pred: LinkSet) -> PRF:
@@ -102,11 +118,7 @@ def link_f1(gold: LinkSet, pred: LinkSet) -> PRF:
     if not gold and not pred:
         return PRF(1.0, 1.0, 1.0)
     tp = len(gold & pred)
-    precision = tp / len(pred) if pred else 0.0
-    recall = tp / len(gold) if gold else 0.0
-    if precision + recall == 0:
-        return PRF(precision, recall, 0.0)
-    return PRF(precision, recall, 2 * precision * recall / (precision + recall))
+    return _prf(tp / len(pred) if pred else 0.0, tp / len(gold) if gold else 0.0)
 
 
 def _check_same_elements(gold: ThreadPartition, pred: ThreadPartition) -> int:
@@ -170,11 +182,7 @@ def exact_match(gold: ThreadPartition, pred: ThreadPartition) -> PRF:
     """Precision/recall/F1 over clusters recovered identically."""
     _check_same_elements(gold, pred)
     matches = len(set(gold.clusters) & set(pred.clusters))
-    precision = matches / len(pred.clusters)
-    recall = matches / len(gold.clusters)
-    if precision + recall == 0:
-        return PRF(precision, recall, 0.0)
-    return PRF(precision, recall, 2 * precision * recall / (precision + recall))
+    return _prf(matches / len(pred.clusters), matches / len(gold.clusters))
 
 
 @dataclass
@@ -262,17 +270,11 @@ def score_clip(clip_id: str, gold: Sequence[StructureRecord],
         return None
     lines = sorted(kept)
 
-    matches = sum(
-        1 for i in lines
-        if _speaker_key(gold_by_line[i]) == _speaker_key(pred_by_line[i])
-    )
-    addr_sum = sum(
-        set_f1(gold_by_line[i].addressees, pred_by_line[i].addressees) for i in lines
-    )
-    side_sum = sum(
-        set_f1(gold_by_line[i].side_participants, pred_by_line[i].side_participants)
-        for i in lines
-    )
+    matches = _speaker_matches(gold_by_line, pred_by_line, lines)
+    addr_sum = _set_f1_sum([gold_by_line[i].addressees for i in lines],
+                           [pred_by_line[i].addressees for i in lines])
+    side_sum = _set_f1_sum([gold_by_line[i].side_participants for i in lines],
+                           [pred_by_line[i].side_participants for i in lines])
 
     gold_links = frozenset((c, p) for c, p in link_set(gold) if c in kept and p in kept)
     pred_links = frozenset((c, p) for c, p in link_set(pred) if c in kept and p in kept)

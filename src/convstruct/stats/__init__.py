@@ -3,14 +3,16 @@ Dirichlet log-odds with Stouffer aggregation, multinomial regression, and
 gendered thread-dynamics shares."""
 
 from .bootstrap import BootstrapConfig, BootstrapInterval, bootstrap_ci
-from .correlation import signed_rank_variance, spearman
+from .correlation import feature_correlations, signed_rank_variance, spearman
 from .logodds import (
     Document,
     LogOddsResult,
     TermCounts,
     calibrate_prior,
+    logodds_report,
     stouffer,
     tokenize,
+    utterance_documents,
     weighted_logodds,
     weighted_logodds_analysis,
 )
@@ -20,6 +22,8 @@ from .gender import (
     ThreadShareReport,
     gender_thread_shares,
     role_distributions,
+    role_observations,
+    role_report,
 )
 
 __all__ = [
@@ -28,12 +32,15 @@ __all__ = [
     "bootstrap_ci",
     "spearman",
     "signed_rank_variance",
+    "feature_correlations",
     "Document",
     "TermCounts",
     "LogOddsResult",
     "tokenize",
     "weighted_logodds",
     "weighted_logodds_analysis",
+    "utterance_documents",
+    "logodds_report",
     "calibrate_prior",
     "stouffer",
     "LogitResult",
@@ -43,4 +50,6 @@ __all__ = [
     "RoleDistributions",
     "gender_thread_shares",
     "role_distributions",
+    "role_observations",
+    "role_report",
 ]

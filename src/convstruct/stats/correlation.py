@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import stdtr
@@ -63,3 +63,46 @@ def signed_rank_variance(rho: float) -> float:
     if not -1.0 <= rho <= 1.0:
         raise StatsError(f"rho must lie in [-1, 1], got {rho}")
     return float(np.sign(rho) * rho * rho * 100.0)
+
+
+def feature_correlations(rows: Sequence[Mapping[str, str]]) -> dict:
+    """Spearman rho of every feature column against every `f1_*` column of a
+    clip-level feature CSV, given as `csv.DictReader` rows."""
+    if not rows:
+        raise StatsError("features CSV has no data rows")
+    columns = list(rows[0].keys())
+    targets = [c for c in columns if c.startswith("f1_")]
+    features = [c for c in columns if c != "clip_id" and not c.startswith("f1_")]
+    if not targets or not features:
+        raise StatsError("features CSV needs feature columns and f1_* target columns")
+
+    def column(name):
+        values = []
+        for i, row in enumerate(rows, start=1):
+            cell = row.get(name)
+            if cell is None or cell == "":
+                raise StatsError(f"features CSV row {i} is missing column {name!r}")
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise StatsError(
+                    f"features CSV row {i}: column {name!r} is not numeric: {cell!r}"
+                ) from None
+        return values
+
+    results = []
+    for target in targets:
+        for feature in features:
+            entry = {"target": target, "feature": feature}
+            try:
+                rho, p = spearman(column(feature), column(target))
+                entry.update({
+                    "rho": rho,
+                    "p_value": p,
+                    "signed_r2": signed_rank_variance(rho),
+                    "significant": p < 0.05,
+                })
+            except StatsError as exc:
+                entry["error"] = str(exc)
+            results.append(entry)
+    return {"n_clips": len(rows), "correlations": results}

@@ -8,7 +8,6 @@ permutation test; all reported means carry bootstrap CIs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -17,6 +16,7 @@ import numpy as np
 from ..corpus import Clip, lookup_gender
 from ..threads import thread_events
 from .bootstrap import BootstrapConfig, StatsError, bootstrap_ci
+from .regression import LogitResult, multinomial_logit
 
 ROLES = ("speaker", "addressee", "side-participant")
 
@@ -29,6 +29,9 @@ class ShareStats:
     ci: tuple[float, float]
     n_events: int
 
+    def as_dict(self) -> dict:
+        return {"female_share": self.share, "ci": list(self.ci), "n_events": self.n_events}
+
 
 @dataclass(frozen=True)
 class DeltaStats:
@@ -40,6 +43,15 @@ class DeltaStats:
     n_clips: int
     per_clip: dict[str, float]
 
+    def as_dict(self) -> dict:
+        return {
+            "mean": self.mean,
+            "ci": list(self.ci),
+            "p_value": self.p_value,
+            "n_clips": self.n_clips,
+            "per_clip": {k: self.per_clip[k] for k in sorted(self.per_clip)},
+        }
+
 
 @dataclass(frozen=True)
 class ThreadShareReport:
@@ -47,6 +59,11 @@ class ThreadShareReport:
     hold: ShareStats
     delta_start: DeltaStats
     delta_hold: DeltaStats
+
+    def as_dict(self) -> dict:
+        return {"start": self.start.as_dict(), "hold": self.hold.as_dict(),
+                "delta_start": self.delta_start.as_dict(),
+                "delta_hold": self.delta_hold.as_dict()}
 
 
 @dataclass(frozen=True)
@@ -184,8 +201,7 @@ def role_distributions(
 ) -> RoleDistributions:
     """Conditional frequency tables over (role, gender) observations.
 
-    Rows whose conditioning cell is empty are omitted with a warning rather
-    than raising, so partial corpora still report the populated cells.
+    Only observed roles and genders get a row, so no conditioning cell is empty.
     """
     counts: dict[str, dict[str, int]] = {}
     for role, gender in observations:
@@ -200,9 +216,6 @@ def role_distributions(
     p_gender_given_role: dict[str, dict[str, float]] = {}
     for role in roles:
         total = sum(counts[role].values())
-        if total == 0:
-            warnings.warn(f"role {role!r} has no observations; row omitted")
-            continue
         p_gender_given_role[role] = {
             g: counts[role].get(g, 0) / total for g in genders
         }
@@ -210,10 +223,70 @@ def role_distributions(
     p_role_given_gender: dict[str, dict[str, float]] = {}
     for g in genders:
         total = sum(counts[role].get(g, 0) for role in roles)
-        if total == 0:
-            warnings.warn(f"gender {g!r} has no observations; row omitted")
-            continue
         p_role_given_gender[g] = {
             role: counts[role].get(g, 0) / total for role in roles
         }
     return RoleDistributions(p_gender_given_role, p_role_given_gender, counts)
+
+
+def role_observations(
+    clips: Iterable[Clip], gender_map: Mapping[tuple[str, str], str]
+) -> list[tuple[str, str, str]]:
+    """(role, gender, show_id) for every gendered speaker, addressee and
+    side-participant of every gold line, in line order."""
+    observations = []
+    for clip in clips:
+        for record in sorted(clip.gold or (), key=lambda r: r.line_idx):
+            members = [("speaker", record.speaker)]
+            members += [("addressee", p) for p in sorted(
+                record.addressees, key=lambda p: p.token)]
+            members += [("side-participant", p) for p in sorted(
+                record.side_participants, key=lambda p: p.token)]
+            for role, participant in members:
+                gender = lookup_gender(gender_map, clip.show_id, participant)
+                if gender is not None:
+                    observations.append((role, gender, clip.show_id))
+    return observations
+
+
+@dataclass(frozen=True)
+class RoleReport:
+    """Role distributions by gender plus the multinomial logit on them."""
+
+    distributions: RoleDistributions
+    fit: LogitResult
+
+    def as_dict(self) -> dict:
+        fit = self.fit
+        outcomes = {}
+        for outcome in sorted(fit.outcomes):
+            est = fit.outcomes[outcome]
+            outcomes[outcome] = {"odds_ratio_female": est.odds_ratio,
+                                 "coef": dict(sorted(est.coef.items())),
+                                 "se": dict(sorted(est.se.items())),
+                                 "p": dict(sorted(est.p.items()))}
+        return {
+            "n_observations": fit.n_obs,
+            "p_gender_given_role": self.distributions.p_gender_given_role,
+            "p_role_given_gender": self.distributions.p_role_given_gender,
+            "regression": {
+                "reference": fit.reference,
+                "outcomes": outcomes,
+                "log_likelihood": fit.log_likelihood,
+                "n_iter": fit.n_iter,
+            },
+        }
+
+
+def role_report(
+    clips: Iterable[Clip], gender_map: Mapping[tuple[str, str], str]
+) -> RoleReport:
+    """Who holds which role, by gender: distributions and the female odds ratios."""
+    observations = role_observations(clips, gender_map)
+    if not observations:
+        raise StatsError("no gendered role observations in the corpus")
+    return RoleReport(
+        distributions=role_distributions((role, g) for role, g, _ in observations),
+        fit=multinomial_logit(
+            [(role, g == "female", show) for role, g, show in observations]),
+    )

@@ -20,14 +20,17 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..corpus import Clip
 from .bootstrap import StatsError
 
 GROUP_A = "a"
 GROUP_B = "b"
+# prior strengths tried by calibration unless a grid is given: 1 to 10^4
+DEFAULT_GRID = tuple(float(c) for c in np.logspace(0, 4, 9))
 
 _APOSTROPHES = str.maketrans({"’": "'", "ʼ": "'"})
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:'[a-z0-9]+)*")
@@ -49,6 +52,23 @@ class Document:
     def __post_init__(self):
         if self.group not in (GROUP_A, GROUP_B):
             raise StatsError(f"group must be '{GROUP_A}' or '{GROUP_B}', got {self.group!r}")
+
+
+def utterance_documents(clips: Iterable[Clip], filter_nondialogic: bool = False
+                        ) -> list[Document]:
+    """One document per annotated transcript line: group a without
+    side-participants, group b with them."""
+    docs = []
+    for clip in clips:
+        records = {r.line_idx: r for r in clip.gold or ()}
+        for u in sorted(clip.utterances, key=lambda u: u.line_idx):
+            record = records.get(u.line_idx)
+            if record is None or (filter_nondialogic and record.is_nondialogic):
+                continue
+            group = GROUP_A if not record.side_participants else GROUP_B
+            docs.append(Document(show_id=clip.show_id, group=group,
+                                 tokens=tuple(tokenize(u.text))))
+    return docs
 
 
 @dataclass(frozen=True)
@@ -153,7 +173,7 @@ class TermCounts:
 
 def _zeta_core(
     y_a: np.ndarray, y_b: np.ndarray, p: np.ndarray, c_star: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """delta, sigma2, zeta arrays; cells with bad denominators come back NaN."""
     alpha = c_star * p
     alpha0 = c_star  # sum of alpha since p sums to 1
@@ -285,12 +305,11 @@ def weighted_logodds_analysis(
 ) -> LogOddsResult:
     """Full pipeline: calibrate C* (unless given), score terms, aggregate shows.
 
-    The default grid is logarithmic from 1 to 10^4.
+    The default grid is `DEFAULT_GRID`, logarithmic from 1 to 10^4.
     """
     if c_star is None:
-        if grid is None:
-            grid = np.logspace(0, 4, 9)
-        c_star = calibrate_prior(counts, grid, permutations, seed)
+        c_star = calibrate_prior(counts, DEFAULT_GRID if grid is None else grid,
+                                 permutations, seed)
     delta, sigma2, zeta = weighted_logodds(counts, c_star)
     k = len(counts.shows)
     z = zeta.sum(axis=0) / np.sqrt(k)
@@ -303,3 +322,34 @@ def weighted_logodds_analysis(
         zeta=zeta,
         z=z,
     )
+
+
+def logodds_report(docs: Sequence[Document], min_count: int = 5,
+                   c_star: float | None = None, grid: Sequence[float] | None = None,
+                   permutations: int = 20, seed: int = 0, top: int = 10) -> dict:
+    """The full analysis as a report: C*, its calibration, z per term, top terms."""
+    if not docs:
+        raise StatsError("no documents with both annotations and transcript text")
+    grid = list(DEFAULT_GRID if grid is None else grid)
+    result = weighted_logodds_analysis(
+        TermCounts.from_documents(docs, min_count=min_count),
+        c_star=c_star, grid=grid, permutations=permutations, seed=seed)
+    ranked = result.ranked_terms()
+    return {
+        "groups": {GROUP_A: "no side-participants (positive z)",
+                   GROUP_B: "side-participants present (negative z)"},
+        "c_star": result.c_star,
+        "calibration": {
+            "skipped": c_star is not None,
+            "grid": grid,
+            "permutations": permutations,
+            "permutation_unit": "document (one utterance's token bag), within show",
+            "seed": seed,
+        },
+        "n_documents": len(docs),
+        "n_terms": len(result.terms),
+        "shows": list(result.shows),
+        "top_group_a": [[t, z] for t, z in ranked[:top]],
+        "top_group_b": [[t, z] for t, z in ranked[-top:][::-1]],
+        "z": {t: z for t, z in sorted(ranked)},
+    }

@@ -63,6 +63,19 @@ def _check_rank(x: np.ndarray, columns: list[str]) -> None:
     raise StatsError("design matrix is rank deficient")
 
 
+def _fit_state(
+    beta: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log-likelihood, gradient and non-reference probabilities at beta."""
+    eta = x @ beta.T  # (n, J)
+    padded = np.concatenate([np.zeros((x.shape[0], 1)), eta], axis=1)
+    lse = logsumexp(padded, axis=1)
+    ll = float((y * eta).sum() - lse.sum())
+    probs = np.exp(eta - lse[:, None])  # (n, J)
+    grad = (y - probs).T @ x  # (J, p)
+    return ll, grad, probs
+
+
 def loglik_and_gradient(
     beta: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -72,20 +85,8 @@ def loglik_and_gradient(
     back in the same shape. Exposed so the analytic gradient can be checked
     against finite differences.
     """
-    eta = x @ beta.T  # (n, J)
-    padded = np.concatenate([np.zeros((x.shape[0], 1)), eta], axis=1)
-    lse = logsumexp(padded, axis=1)
-    ll = float((y * eta).sum() - lse.sum())
-    probs = np.exp(eta - lse[:, None])  # (n, J)
-    grad = (y - probs).T @ x  # (J, p)
+    ll, grad, _ = _fit_state(beta, x, y)
     return ll, grad
-
-
-def _probabilities(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    eta = x @ beta.T
-    padded = np.concatenate([np.zeros((x.shape[0], 1)), eta], axis=1)
-    lse = logsumexp(padded, axis=1)
-    return np.exp(eta - lse[:, None])
 
 
 def _information(probs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -153,12 +154,11 @@ def multinomial_logit(
 
     j, p = len(outcome_names), len(columns)
     beta = np.zeros((j, p))
-    ll, grad = loglik_and_gradient(beta, x, y)
+    ll, grad, probs = _fit_state(beta, x, y)
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         if np.abs(grad).max() < tol:
             break
-        probs = _probabilities(beta, x)
         info = _information(probs, x)
         try:
             step = np.linalg.solve(info, grad.reshape(-1))
@@ -171,8 +171,8 @@ def multinomial_logit(
         scale = 1.0
         for _ in range(60):
             candidate = beta + scale * step
-            new_ll, new_grad = loglik_and_gradient(candidate, x, y)
-            if new_ll >= ll:
+            state = _fit_state(candidate, x, y)
+            if state[0] >= ll:
                 break
             scale *= 0.5
         else:
@@ -180,7 +180,7 @@ def multinomial_logit(
                 f"Newton step failed to improve the log-likelihood "
                 f"(gradient max {np.abs(grad).max():.3e})"
             )
-        beta, ll, grad = candidate, new_ll, new_grad
+        beta, (ll, grad, probs) = candidate, state
     max_grad = float(np.abs(grad).max())
     if max_grad >= tol:
         raise StatsError(
@@ -190,7 +190,6 @@ def multinomial_logit(
         worst = columns[int(np.abs(beta).max(axis=0).argmax())]
         raise StatsError(f"diverging coefficients: separation on column {worst!r}")
 
-    probs = _probabilities(beta, x)
     info = _information(probs, x)
     try:
         cov = np.linalg.inv(info)
