@@ -7,13 +7,12 @@ is the unweighted mean over pairs.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import ParseError, StructureRecord, annotation_records
+from .corpus import ParseError, StructureRecord, _decode_json, annotation_records
 from .metrics import METRIC_FIELDS, EvalConfig, MetricReport, evaluate_corpus
 
 
@@ -56,14 +55,14 @@ def load_annotators(manifest: str | Path) -> list[AnnotatorBatch]:
     object mapping clip ids to annotation arrays.
     """
     manifest_path = Path(manifest)
-    spec = json.loads(manifest_path.read_bytes().decode("utf-8"))
+    spec = _decode_json(manifest_path.read_bytes(), "agreement manifest")
     table = spec.get("annotators", spec) if isinstance(spec, dict) else None
     if not isinstance(table, dict) or not table:
         raise ParseError("agreement manifest must map annotator_id to file path")
     batches = []
     for annotator_id, rel in sorted(table.items()):
         path = manifest_path.parent / rel
-        payload = json.loads(path.read_bytes().decode("utf-8"))
+        payload = _decode_json(path.read_bytes(), f"annotator file {path}")
         if isinstance(payload, list):
             by_clip = {path.stem: annotation_records(payload, clip_id=path.stem)}
         elif isinstance(payload, dict):

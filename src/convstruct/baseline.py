@@ -63,12 +63,19 @@ class WordToken:
 def parse_face_tracks_json(data: bytes) -> list[FaceTrack]:
     """Parse `{"clip_id": ..., "faces": [{"name": ..., "spans": [[s, e], ...]}]}`."""
     payload = _decode_json(data, "face track")
-    if not isinstance(payload, dict) or "faces" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("faces"), list):
         raise ParseError("face track JSON must be an object with a 'faces' array")
     clip_id = str(payload.get("clip_id", ""))
     tracks = []
-    for face in payload["faces"]:
-        spans = tuple(sorted((float(s), float(e)) for s, e in face["spans"]))
+    for pos, face in enumerate(payload["faces"]):
+        if not (isinstance(face, dict) and isinstance(face.get("name"), str)
+                and "spans" in face):
+            raise ParseError(f"face entry {pos} needs a 'name' string and 'spans'")
+        try:
+            spans = tuple(sorted((float(s), float(e)) for s, e in face["spans"]))
+        except (TypeError, ValueError):
+            raise ParseError(f"face entry {pos}: spans must be [start, end] "
+                             f"number pairs") from None
         tracks.append(FaceTrack(
             clip_id=clip_id,
             participant=normalize_name(face["name"]),
@@ -94,10 +101,13 @@ def parse_word_tokens_tsv(data: bytes) -> list[WordToken]:
         if len(cells) != 4:
             raise ParseError(f"word token row {row}: expected 4 columns")
         try:
-            tokens.append(WordToken(int(cells[0]), cells[1],
-                                    float(cells[2]), float(cells[3])))
+            token = WordToken(int(cells[0]), cells[1], float(cells[2]), float(cells[3]))
         except ValueError:
             raise ParseError(f"word token row {row}: bad numeric field") from None
+        if token.start_s > token.end_s:
+            raise ParseError(
+                f"word token row {row}: start {token.start_s} is after end {token.end_s}")
+        tokens.append(token)
     tokens.sort(key=lambda t: (t.line_idx, t.start_s, t.end_s))
     return tokens
 

@@ -318,11 +318,23 @@ def _read_records(
         if not isinstance(reply_to, int) or isinstance(reply_to, bool):
             bad(BAD_TYPE, f"reply_to must be an integer", line_idx)
             continue
+        mistyped = len(diags)
+        if not isinstance(obj["speaker"], str):
+            bad(BAD_TYPE, "speaker must be a string", line_idx)
+        for key in ("addressee", "side_participant"):
+            if not isinstance(obj[key], list) or not all(
+                    isinstance(n, str) for n in obj[key]):
+                bad(BAD_TYPE, f"{key} must be an array of strings", line_idx)
+        for key in ("extra_diegetic", "monologue"):
+            if not isinstance(obj.get(key, False), bool):
+                bad(BAD_TYPE, f"{key} must be true or false", line_idx)
+        if len(diags) > mistyped:
+            continue
         try:
             speaker = normalize_name(obj["speaker"])
             addressees = frozenset(normalize_name(n) for n in obj["addressee"])
             side = frozenset(normalize_name(n) for n in obj["side_participant"])
-        except (CorpusError, TypeError) as exc:
+        except CorpusError as exc:
             bad(BAD_NAME, str(exc), line_idx)
             continue
         records.append(
@@ -332,8 +344,8 @@ def _read_records(
                 addressees=addressees,
                 side_participants=side,
                 reply_to=reply_to,
-                extra_diegetic=bool(obj.get("extra_diegetic", False)),
-                monologue=bool(obj.get("monologue", False)),
+                extra_diegetic=obj.get("extra_diegetic", False),
+                monologue=obj.get("monologue", False),
             )
         )
     return records, diags
@@ -342,12 +354,15 @@ def _read_records(
 def check_records(records: Iterable[StructureRecord], clip_id: str = ""
                   ) -> list[Diagnostic]:
     """The record invariants, for `scan_annotation_json`, the strict parsers
-    and `validate_clip` alike: unique lines, backward links, disjoint roles."""
+    and `validate_clip` alike: unique lines, links back to an annotated line,
+    disjoint roles."""
     diags: list[Diagnostic] = []
 
     def add(code, message, line_idx):
         diags.append(Diagnostic(code, ERROR, message, clip_id, line_idx))
 
+    records = list(records)
+    annotated = {r.line_idx for r in records}
     seen: set[int] = set()
     for r in records:
         if r.line_idx in seen:
@@ -358,6 +373,9 @@ def check_records(records: Iterable[StructureRecord], clip_id: str = ""
                 r.line_idx)
         elif r.reply_to < 1:
             add(BAD_REPLY_TO, f"reply_to {r.reply_to} is below 1", r.line_idx)
+        elif r.reply_to not in annotated:
+            add(BAD_REPLY_TO, f"reply_to {r.reply_to} is not an annotated line",
+                r.line_idx)
         overlap = r.addressees & r.side_participants
         if overlap:
             names = sorted(p.token for p in overlap)

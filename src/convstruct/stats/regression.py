@@ -143,8 +143,10 @@ def multinomial_logit(
 
     Each observation is (role, is_female, show_id). Convergence means the
     largest gradient component falls below tol; each Newton step is halved
-    until the log-likelihood does not decrease. Rank-deficient designs and
-    separation raise rather than returning unstable estimates.
+    until the log-likelihood does not decrease or the step lands within tol
+    (at the optimum, rounding can lower the log-likelihood of a converging
+    step by a few ulp). Rank-deficient designs and separation raise rather
+    than returning unstable estimates.
     """
     observations = list(observations)
     if not observations:
@@ -172,7 +174,7 @@ def multinomial_logit(
         for _ in range(60):
             candidate = beta + scale * step
             state = _fit_state(candidate, x, y)
-            if state[0] >= ll:
+            if state[0] >= ll or np.abs(state[1]).max() < tol:
                 break
             scale *= 0.5
         else:

@@ -335,3 +335,53 @@ class TestAnalyze:
                 "--gender-map", str(self._gender_map(tmp_path)),
                 "--bootstrap", "50", "--permutations", "50", "--seed", "3"]
         assert run(argv) == run(argv)
+
+
+class TestDanglingReplyToValidate:
+    def test_reported_once(self, tmp_path):
+        clip = [dict(GOLD_CLIP[0]), dict(GOLD_CLIP[2])]
+        clip[1]["reply_to"] = 2
+        write_corpus(tmp_path / "corpus", {"c1": clip})
+        code, out, _ = run(["validate", str(tmp_path / "corpus")])
+        assert code == 1
+        diags = [json.loads(line) for line in out.splitlines()]
+        assert [(d["code"], d["line_idx"]) for d in diags] == [("BAD_REPLY_TO", 3)]
+
+
+class TestBaselineMalformedSideFiles:
+    FACES_OK = {"name": "ada", "spans": [[0.0, 4.3]]}
+    WORDS_OK = "line_idx\tword\tstart\tend\n1\thello\t0.00\t0.40\n"
+
+    def _run(self, tmp_path, faces, words=WORDS_OK):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, {"c1": GOLD_CLIP}, {"c1": TRANSCRIPT})
+        (corpus / "c1.faces.json").write_text(json.dumps({"clip_id": "c1",
+                                                          "faces": faces}))
+        (corpus / "c1.words.tsv").write_text(words)
+        return run(["baseline", str(corpus), "--mode", "full", "--faces", str(corpus),
+                    "--words", str(corpus), "--out", str(tmp_path / "pred")])
+
+    @pytest.mark.parametrize("faces", [
+        [{"spans": [[0.0, 1.0]]}],                 # no name
+        [{"name": "ada"}],                         # no spans
+        [{"name": "ada", "spans": [[0.5]]}],       # one-number span
+        [{"name": "ada", "spans": [[0.0, 1.0, 2.0]]}],
+        [{"name": "ada", "spans": [["a", "b"]]}],
+        [{"name": "ada", "spans": 3}],
+        ["ada"],
+    ])
+    def test_bad_face_entry_exits_one(self, tmp_path, faces):
+        code, _, err = self._run(tmp_path, faces)
+        assert code == 1
+        assert err.startswith("error: face entry 0")
+        assert "Traceback" not in err
+
+    def test_word_start_after_end_exits_one(self, tmp_path):
+        words = "line_idx\tword\tstart\tend\n1\thello\t0.90\t0.40\n"
+        code, _, err = self._run(tmp_path, [self.FACES_OK], words)
+        assert code == 1
+        assert err.startswith("error: word token row 1: start 0.9 is after end 0.4")
+
+    def test_well_formed_side_files_still_run(self, tmp_path):
+        code, _, err = self._run(tmp_path, [self.FACES_OK])
+        assert code == 0, err

@@ -281,3 +281,56 @@ class TestMetadataFiles:
         blob = b"canonical_name\tgender\tshow_id\npenny\tf\tbbt\n"
         with pytest.raises(ParseError, match="gender"):
             parse_gender_map_tsv(blob)
+
+
+def one_entry(**fields):
+    entry = {"line_idx": 1, "speaker": "a", "addressee": ["b"],
+             "side_participant": [], "reply_to": 1}
+    entry.update(fields)
+    return json.dumps([entry]).encode()
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("fields, key", [
+        ({"addressee": "bob"}, "addressee"),
+        ({"side_participant": "bob"}, "side_participant"),
+        ({"addressee": ["bob", 3]}, "addressee"),
+        ({"extra_diegetic": "false"}, "extra_diegetic"),
+        ({"monologue": "false"}, "monologue"),
+        ({"monologue": 0}, "monologue"),
+        ({"speaker": 7}, "speaker"),
+    ])
+    def test_mistyped_field_is_bad_type(self, fields, key):
+        records, diags = scan_annotation_json(one_entry(**fields))
+        assert records == []
+        assert [d.code for d in diags] == ["BAD_TYPE"]
+        assert key in diags[0].message
+        with pytest.raises(ValidationError, match="BAD_TYPE"):
+            parse_annotation_json(one_entry(**fields))
+
+    def test_string_role_set_is_not_split_into_letters(self):
+        with pytest.raises(ValidationError, match="addressee must be an array"):
+            parse_annotation_json(one_entry(addressee="bob"))
+
+    def test_boolean_flags_are_kept(self):
+        (r,) = parse_annotation_json(one_entry(extra_diegetic=True, monologue=False))
+        assert r.extra_diegetic is True and r.monologue is False
+
+
+class TestDanglingReplyTo:
+    # line 3 replies to line 2, which the annotation does not have
+    RECORDS = [record(1, "a"), record(3, "a", reply_to=2)]
+    BLOB = serialize_annotation_json(RECORDS)
+
+    def test_parse_rejects(self):
+        with pytest.raises(ValidationError, match="BAD_REPLY_TO"):
+            parse_annotation_json(self.BLOB)
+
+    def test_scan_reports_once(self):
+        records, diags = scan_annotation_json(self.BLOB)
+        assert len(records) == 2
+        assert [(d.code, d.line_idx) for d in diags] == [("BAD_REPLY_TO", 3)]
+
+    def test_validate_clip_reports_once(self):
+        diags = validate_clip(Clip(clip_id="c", gold=tuple(self.RECORDS)))
+        assert [(d.code, d.line_idx) for d in diags] == [("BAD_REPLY_TO", 3)]

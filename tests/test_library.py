@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from convstruct import agreement
+from convstruct import corpus as corpus_module
 from convstruct.agreement import load_annotators
 from convstruct.corpus import (
     BAD_REPLY_TO,
@@ -26,6 +26,7 @@ from convstruct.corpus import (
     parse_annotation_json,
     parse_gender_map_tsv,
     scan_annotation_json,
+    serialize_annotation_json,
     validate_clip,
     validate_paths,
 )
@@ -81,18 +82,15 @@ class TestOneRecordChecker:
                          (BAD_REPLY_TO, 2), (SPEAKER_IN_ROLES, 2)]
 
     def test_scan_and_validate_report_the_same_record_diagnostics(self):
-        from convstruct.corpus import serialize_annotation_json
-
-        blob = json.dumps([json.loads(serialize_annotation_json([r]))[0]
-                           for r in self.BAD]).encode()
+        blob = serialize_annotation_json(self.BAD)
         _, scanned = scan_annotation_json(blob, clip_id="c")
         validated = validate_clip(Clip(clip_id="c", gold=tuple(self.BAD)))
         assert scanned == validated == check_records(self.BAD, "c")
 
     def test_annotation_records_takes_a_decoded_array(self):
         blob = json.dumps(GOLD_CLIP).encode()
-        assert annotation_records(json.loads(blob), clip_id="c") == \
-            parse_annotation_json(blob, clip_id="c")
+        expected = parse_annotation_json(blob, clip_id="c")
+        assert annotation_records(json.loads(blob), clip_id="c") == expected
 
 
 class TestValidatePaths:
@@ -128,7 +126,7 @@ class TestAgreementLoader:
             json.dumps({"annotators": {"a": "a.json", "b": "b.json"}}))
         decoded = []
         loads = json.loads
-        monkeypatch.setattr(agreement.json, "loads",
+        monkeypatch.setattr(corpus_module.json, "loads",
                             lambda s, **kw: decoded.append(1) or loads(s, **kw))
         batches = load_annotators(tmp_path / "m.json")
         assert len(decoded) == 3  # the manifest and two annotator files

@@ -125,3 +125,34 @@ class TestMultinomialLogit:
         for outcome in fit.outcomes.values():
             for value in outcome.p.values():
                 assert 0.0 <= value <= 1.0
+
+
+def stall_observations():
+    """A data set whose full Newton step at the optimum lowers the
+    log-likelihood by rounding alone (1,853 observations over 2 shows)."""
+    rng = random.Random(104)
+    shows = [f"s{k}" for k in range(rng.randint(2, 8))]
+    obs = []
+    for show in shows:
+        for female in (False, True):
+            for role in ("speaker", "addressee", "side-participant"):
+                obs.extend([(role, female, show)] * rng.randint(20, 400))
+    rng.shuffle(obs)
+    return obs
+
+
+class TestConvergenceAtRoundingLevel:
+    def test_step_that_converges_is_accepted(self):
+        obs = stall_observations()
+        assert len(obs) == 1853
+        fit = multinomial_logit(obs)
+        assert fit.max_abs_gradient < 1e-8
+        assert fit.n_iter < 100
+
+    def test_reported_estimates_solve_the_score_equations(self):
+        obs = stall_observations()
+        fit = multinomial_logit(obs)
+        x, y, columns, outcomes = _design(obs, "speaker")
+        beta = np.array([[fit.outcomes[o].coef[c] for c in columns] for o in outcomes])
+        _, grad = loglik_and_gradient(beta, x, y)
+        assert np.abs(grad).max() < 1e-8
