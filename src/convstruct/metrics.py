@@ -41,10 +41,6 @@ class PRF(NamedTuple):
     f1: float
 
 
-def _speaker_key(record: StructureRecord):
-    return (record.speaker.kind, record.speaker.canonical_name)
-
-
 def _check_alignment(gold: Sequence[StructureRecord],
                      pred: Sequence[StructureRecord]) -> list[int]:
     gold_lines = sorted(r.line_idx for r in gold)
@@ -62,8 +58,8 @@ def _check_alignment(gold: Sequence[StructureRecord],
 def _speaker_matches(gold_by_line: Mapping[int, StructureRecord],
                      pred_by_line: Mapping[int, StructureRecord],
                      lines: Sequence[int]) -> int:
-    return sum(1 for i in lines
-               if _speaker_key(gold_by_line[i]) == _speaker_key(pred_by_line[i]))
+    # Participant equality is kind + name; gender never takes part
+    return sum(1 for i in lines if gold_by_line[i].speaker == pred_by_line[i].speaker)
 
 
 def _set_f1_sum(gold_sets: Sequence[frozenset], pred_sets: Sequence[frozenset]) -> float:
