@@ -61,6 +61,9 @@ def load_annotators(manifest: str | Path) -> list[AnnotatorBatch]:
         raise ParseError("agreement manifest must map annotator_id to file path")
     batches = []
     for annotator_id, rel in sorted(table.items()):
+        if not isinstance(rel, str):
+            raise ParseError(f"agreement manifest: file path of annotator {annotator_id!r} "
+                             f"must be a string, got {type(rel).__name__}")
         path = manifest_path.parent / rel
         payload = _decode_json(path.read_bytes(), f"annotator file {path}")
         if isinstance(payload, list):

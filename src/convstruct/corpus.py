@@ -444,8 +444,11 @@ def serialize_annotation_json(records: Iterable[StructureRecord]) -> bytes:
 def parse_cast_json(data: bytes) -> tuple[str, str, list[Participant]]:
     """Parse a cast list JSON: {"clip_id", "show_id", "cast": [names]}."""
     payload = _decode_json(data, "cast")
-    if not isinstance(payload, dict) or "cast" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("cast"), list):
         raise ParseError("cast JSON must be an object with a 'cast' array")
+    for k, name in enumerate(payload["cast"]):
+        if not isinstance(name, str):
+            raise ParseError(f"cast entry {k} must be a string, got {type(name).__name__}")
     cast = [normalize_name(n) for n in payload["cast"]]
     return str(payload.get("clip_id", "")), str(payload.get("show_id", "")), cast
 

@@ -17,7 +17,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .corpus import StructureRecord
 from .threads import LinkSet, ThreadPartition, derive_threads, link_set
-from .stats.bootstrap import BootstrapConfig, bootstrap_ci
+from .stats.bootstrap import BootstrapConfig, bootstrap_ratio_ci
 
 
 class MetricInputError(ValueError):
@@ -315,6 +315,25 @@ def _aggregate(stats: Sequence[ClipScore], aggregate: str) -> dict[str, float]:
     }
 
 
+def _ratio_rows(stats: Sequence[ClipScore], aggregate: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-clip numerator and denominator rows, one per METRIC_FIELDS entry.
+
+    Each metric of `_aggregate` is sum(num) / sum(den) over clips: micro role
+    scores pool line counts over `n_lines`, macro role scores and the thread
+    scores average per-clip values over a denominator of ones.
+    """
+    role = 100.0 * np.array(
+        [[s.speaker_matches, s.addressee_f1_sum, s.side_f1_sum] for s in stats]).T
+    thread = np.array(
+        [[100.0 * s.link_f1, s.nvi, s.one_to_one, 100.0 * s.exact_match_f1] for s in stats]).T
+    role_den = np.array([s.n_lines for s in stats], dtype=np.float64)
+    if aggregate == "macro":
+        role /= role_den
+        role_den = np.ones(len(stats))
+    return (np.vstack([role, thread]),
+            np.vstack([np.tile(role_den, (3, 1)), np.ones(thread.shape)]))
+
+
 def evaluate_corpus(
     gold_clips: Mapping[str, Sequence[StructureRecord]],
     pred_clips: Mapping[str, Sequence[StructureRecord]],
@@ -345,14 +364,10 @@ def evaluate_corpus(
     values = _aggregate(stats, config.aggregate)
 
     ci: dict[str, tuple[float, float]] = {}
-    if config.bootstrap is not None and stats:
-        for name in METRIC_FIELDS:
-            interval = bootstrap_ci(
-                stats,
-                lambda resampled, _name=name: _aggregate(resampled, config.aggregate)[_name],
-                config.bootstrap,
-            )
-            ci[name] = (interval.lo, interval.hi)
+    if config.bootstrap is not None:
+        intervals = bootstrap_ratio_ci(*_ratio_rows(stats, config.aggregate),
+                                       config.bootstrap)
+        ci = dict(zip(METRIC_FIELDS, intervals))
 
     return MetricReport(
         **values,

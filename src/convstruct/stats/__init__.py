@@ -2,7 +2,7 @@
 Dirichlet log-odds with Stouffer aggregation, multinomial regression, and
 gendered thread-dynamics shares."""
 
-from .bootstrap import BootstrapConfig, BootstrapInterval, bootstrap_ci
+from .bootstrap import BootstrapConfig, BootstrapInterval, bootstrap_ci, bootstrap_ratio_ci
 from .correlation import feature_correlations, signed_rank_variance, spearman
 from .logodds import (
     Document,
@@ -30,6 +30,7 @@ __all__ = [
     "BootstrapConfig",
     "BootstrapInterval",
     "bootstrap_ci",
+    "bootstrap_ratio_ci",
     "spearman",
     "signed_rank_variance",
     "feature_correlations",

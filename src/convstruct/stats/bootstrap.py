@@ -1,4 +1,11 @@
-"""Seeded percentile bootstrap over arbitrary resampling units."""
+"""Seeded percentile bootstrap over arbitrary resampling units.
+
+`bootstrap_ratio_ci` covers every statistic that is a ratio of weighted sums
+over per-unit vectors (micro and macro averages, pooled shares, means): it
+turns the resample draw into unit counts and gets all resampled values of all
+statistics from matrix products. `bootstrap_ci` is the generic form that
+recomputes an arbitrary callable on each resample.
+"""
 
 from __future__ import annotations
 
@@ -31,6 +38,30 @@ class BootstrapInterval(NamedTuple):
     hi: float
 
 
+# Resamples drawn and counted at a time by bootstrap_ratio_ci; bounds its memory.
+_BLOCK_ROWS = 512
+
+
+def _index_blocks(n: int, config: BootstrapConfig, rows: int = _BLOCK_ROWS):
+    """The (resamples, n) unit index matrix, `rows` resamples at a time.
+
+    Every block comes from one generator seeded with config.seed, which carries
+    its stream across calls, so the blocks stacked are the single draw
+    `integers(0, n, size=(resamples, n))` whatever `rows` is.
+    """
+    if n == 0:
+        raise StatsError("bootstrap needs at least one resampling unit")
+    rng = np.random.default_rng(config.seed)
+    for start in range(0, config.resamples, rows):
+        yield rng.integers(0, n, size=(min(rows, config.resamples - start), n))
+
+
+def _percentiles(values: np.ndarray, level: float) -> np.ndarray:
+    """Lower and upper percentile bounds along axis 0."""
+    alpha = (1.0 - level) / 2.0
+    return np.quantile(values, [alpha, 1.0 - alpha], axis=0, overwrite_input=True)
+
+
 def bootstrap_ci(
     units: Sequence,
     statistic: Callable[[Sequence], float],
@@ -45,12 +76,8 @@ def bootstrap_ci(
     a vectorized indexing path; anything else is resampled as plain lists.
     """
     config = config or BootstrapConfig()
-    n = len(units)
-    if n == 0:
-        raise StatsError("bootstrap needs at least one resampling unit")
+    (idx,) = _index_blocks(len(units), config, rows=config.resamples)
     point = float(statistic(units))
-    rng = np.random.default_rng(config.seed)
-    idx = rng.integers(0, n, size=(config.resamples, n))
 
     arr = None
     if isinstance(units, np.ndarray) and units.ndim == 1 and units.dtype != object:
@@ -71,6 +98,40 @@ def bootstrap_ci(
             float(statistic([units[j] for j in idx[b]])) for b in range(config.resamples)
         ])
 
-    alpha = (1.0 - config.level) / 2.0
-    lo, hi = np.quantile(values, [alpha, 1.0 - alpha])
+    lo, hi = _percentiles(values, config.level)
     return BootstrapInterval(point, float(lo), float(hi))
+
+
+def bootstrap_ratio_ci(
+    numerators: np.ndarray,
+    denominators: np.ndarray,
+    config: BootstrapConfig | None = None,
+) -> list[tuple[float, float]]:
+    """Percentile intervals of m ratio statistics sum(c * num_k) / sum(c * den_k).
+
+    `numerators` and `denominators` are (m, n) arrays of per-unit sufficient
+    statistics; c is a resample's count of each of the n units. The draw is the
+    one `bootstrap_ci` makes under the same config, so each interval equals
+    `bootstrap_ci` with the matching ratio callable up to summation order.
+    The draw is taken and counted _BLOCK_ROWS resamples at a time (one offset
+    bincount per block), so memory beyond the (resamples, m) values is bounded.
+    """
+    config = config or BootstrapConfig()
+    numerators = np.atleast_2d(np.asarray(numerators, dtype=np.float64))
+    denominators = np.atleast_2d(np.asarray(denominators, dtype=np.float64))
+    if numerators.shape != denominators.shape:
+        raise StatsError(f"numerators {numerators.shape} and denominators "
+                         f"{denominators.shape} differ in shape")
+    m, n = numerators.shape
+    weights = np.vstack([numerators, denominators]).T
+    values = np.empty((config.resamples, m))
+    start = 0
+    for block in _index_blocks(n, config):
+        rows = block.shape[0]
+        offsets = block + n * np.arange(rows)[:, None]
+        counts = np.bincount(offsets.ravel(), minlength=rows * n).reshape(rows, n)
+        sums = counts @ weights
+        values[start:start + rows] = sums[:, :m] / sums[:, m:]
+        start += rows
+    lo, hi = _percentiles(values, config.level)
+    return [(float(a), float(b)) for a, b in zip(lo, hi)]

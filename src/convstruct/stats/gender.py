@@ -15,7 +15,7 @@ import numpy as np
 
 from ..corpus import Clip, lookup_gender
 from ..threads import thread_events
-from .bootstrap import BootstrapConfig, StatsError, bootstrap_ci
+from .bootstrap import BootstrapConfig, StatsError, bootstrap_ratio_ci
 from .regression import LogitResult, multinomial_logit
 
 ROLES = ("speaker", "addressee", "side-participant")
@@ -143,18 +143,11 @@ def gender_thread_shares(
         units = [c for c in per_clip if getattr(c, f"{kind}_total") > 0]
         if not units:
             raise StatsError(f"no gendered {kind} events in the corpus")
-
-        def pooled(cs) -> float:
-            return sum(getattr(c, f"{kind}_female") for c in cs) / sum(
-                getattr(c, f"{kind}_total") for c in cs
-            )
-
-        interval = bootstrap_ci(units, pooled, config)
-        return ShareStats(
-            share=interval.point,
-            ci=(interval.lo, interval.hi),
-            n_events=sum(getattr(c, f"{kind}_total") for c in units),
-        )
+        female = np.array([getattr(c, f"{kind}_female") for c in units], dtype=np.float64)
+        total = np.array([getattr(c, f"{kind}_total") for c in units], dtype=np.float64)
+        (ci,) = bootstrap_ratio_ci(female, total, config)
+        return ShareStats(share=float(female.sum() / total.sum()), ci=ci,
+                          n_events=int(total.sum()))
 
     def delta_stats(kind: str) -> DeltaStats:
         usable = [
@@ -169,11 +162,11 @@ def gender_thread_shares(
             for c in usable
         }
         values = np.array([deltas[c.clip_id] for c in usable])
-        interval = bootstrap_ci(values, lambda v: float(np.mean(v)), config)
+        (ci,) = bootstrap_ratio_ci(values, np.ones(values.size), config)
         p = _sign_flip_p(values, permutations, config.seed)
         return DeltaStats(
-            mean=interval.point,
-            ci=(interval.lo, interval.hi),
+            mean=float(np.mean(values)),
+            ci=ci,
             p_value=p,
             n_clips=len(usable),
             per_clip=deltas,

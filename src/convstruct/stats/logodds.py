@@ -328,6 +328,8 @@ def logodds_report(docs: Sequence[Document], min_count: int = 5,
                    c_star: float | None = None, grid: Sequence[float] | None = None,
                    permutations: int = 20, seed: int = 0, top: int = 10) -> dict:
     """The full analysis as a report: C*, its calibration, z per term, top terms."""
+    if top < 0:
+        raise StatsError(f"top must be >= 0, got {top}")
     if not docs:
         raise StatsError("no documents with both annotations and transcript text")
     grid = list(DEFAULT_GRID if grid is None else grid)
@@ -350,6 +352,6 @@ def logodds_report(docs: Sequence[Document], min_count: int = 5,
         "n_terms": len(result.terms),
         "shows": list(result.shows),
         "top_group_a": [[t, z] for t, z in ranked[:top]],
-        "top_group_b": [[t, z] for t, z in ranked[-top:][::-1]],
+        "top_group_b": [[t, z] for t, z in ranked[::-1][:top]],
         "z": {t: z for t, z in sorted(ranked)},
     }

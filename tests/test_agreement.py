@@ -1,8 +1,15 @@
+import json
 import random
 
 import pytest
 
-from convstruct.agreement import AgreementError, AnnotatorBatch, pairwise_agreement
+from convstruct.agreement import (
+    AgreementError,
+    AnnotatorBatch,
+    load_annotators,
+    pairwise_agreement,
+)
+from convstruct.corpus import ParseError
 from convstruct.metrics import METRIC_FIELDS
 
 from conftest import NAMES, random_records, record
@@ -109,3 +116,13 @@ class TestPairwiseAgreement:
         report = pairwise_agreement([batch("a", clips), batch("b", extra)])
         pair = report.per_pair[("a", "b")]
         assert pair.n_clips == len(clips)
+
+
+class TestLoadAnnotators:
+    @pytest.mark.parametrize("value", [5, None, ["a.json"], {"path": "a.json"}])
+    def test_non_string_path_names_the_annotator(self, tmp_path, value):
+        manifest = tmp_path / "annotators.json"
+        manifest.write_text(json.dumps({"annotators": {"b": "b.json", "zed": value}}))
+        (tmp_path / "b.json").write_text("[]")
+        with pytest.raises(ParseError, match="'zed'"):
+            load_annotators(manifest)

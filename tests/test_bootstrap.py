@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convstruct.stats.bootstrap import BootstrapConfig, StatsError, bootstrap_ci
+from convstruct.stats.bootstrap import (
+    _BLOCK_ROWS,
+    BootstrapConfig,
+    StatsError,
+    _index_blocks,
+    bootstrap_ci,
+    bootstrap_ratio_ci,
+)
 
 
 class TestConfig:
@@ -73,3 +82,77 @@ class TestBootstrapCi:
             if interval.lo <= 0.5 <= interval.hi:
                 hits += 1
         assert 0.88 <= hits / trials <= 1.0
+
+
+class TestBootstrapRatioCi:
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_index_blocks_stack_to_the_single_draw(self, n):
+        config = BootstrapConfig(resamples=3 * _BLOCK_ROWS + 5, seed=9)
+        single = np.random.default_rng(9).integers(0, n, size=(config.resamples, n))
+        blocks = list(_index_blocks(n, config))
+        assert [b.shape[0] for b in blocks] == [_BLOCK_ROWS] * 3 + [5]
+        assert np.array_equal(np.vstack(blocks), single)
+
+    @pytest.mark.parametrize("resamples", [1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 37])
+    def test_matches_callable_path(self, resamples):
+        rng = np.random.default_rng(17)
+        num = rng.uniform(-5.0, 5.0, size=(3, 23))
+        den = rng.uniform(0.5, 4.0, size=(3, 23))
+        den[2] = 1.0  # a plain mean
+        config = BootstrapConfig(resamples=resamples, seed=4)
+        intervals = bootstrap_ratio_ci(num, den, config)
+        assert len(intervals) == 3
+        units = np.arange(num.shape[1])
+        for k, (lo, hi) in enumerate(intervals):
+            ref = bootstrap_ci(
+                units, lambda idx, k=k: num[k, idx].sum() / den[k, idx].sum(), config)
+            assert lo == pytest.approx(ref.lo, abs=1e-12)
+            assert hi == pytest.approx(ref.hi, abs=1e-12)
+
+    def test_one_dimensional_input_is_one_statistic(self):
+        config = BootstrapConfig(resamples=300, seed=8)
+        female = np.array([3.0, 0.0, 5.0, 2.0])
+        total = np.array([4.0, 2.0, 5.0, 6.0])
+        assert bootstrap_ratio_ci(female, total, config) == bootstrap_ratio_ci(
+            female[None, :], total[None, :], config)
+
+    def test_integer_ratios_of_one_stay_exact(self):
+        counts = np.array([[3.0, 7.0, 1.0, 12.0]])
+        (interval,) = bootstrap_ratio_ci(100.0 * counts, counts,
+                                         BootstrapConfig(resamples=500, seed=2))
+        assert interval == (100.0, 100.0)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(StatsError):
+            bootstrap_ratio_ci(np.ones((2, 5)), np.ones((2, 4)))
+
+    @given(m=st.integers(1, 4))
+    def test_zero_units_raise(self, m):
+        with pytest.raises(StatsError):
+            bootstrap_ratio_ci(np.ones((m, 0)), np.ones((m, 0)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 3),
+        n=st.integers(1, 12),
+        resamples=st.integers(1, 300),
+        level=st.floats(0.5, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_intervals_ordered_and_within_unit_ratios(self, data, m, n, resamples,
+                                                      level, seed):
+        values = st.floats(-1e3, 1e3, allow_nan=False)
+        positive = st.floats(1e-3, 1e3, allow_nan=False)
+        num = np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                          min_size=m, max_size=m)))
+        den = np.array(data.draw(st.lists(st.lists(positive, min_size=n, max_size=n),
+                                          min_size=m, max_size=m)))
+        intervals = bootstrap_ratio_ci(
+            num, den, BootstrapConfig(resamples=resamples, level=level, seed=seed))
+        ratios = num / den
+        for k, (lo, hi) in enumerate(intervals):
+            slack = 1e-9 * max(1.0, float(np.abs(ratios[k]).max()))
+            assert lo <= hi
+            assert ratios[k].min() - slack <= lo
+            assert hi <= ratios[k].max() + slack

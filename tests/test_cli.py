@@ -385,3 +385,67 @@ class TestBaselineMalformedSideFiles:
     def test_well_formed_side_files_still_run(self, tmp_path):
         code, _, err = self._run(tmp_path, [self.FACES_OK])
         assert code == 0, err
+
+
+class TestMalformedCastAndManifest:
+    CASTS = [[5], ["ada", None], "ada max", {"ada": 1}]
+
+    def _corpus(self, tmp_path, cast):
+        write_corpus(tmp_path / "corpus", {"c1": GOLD_CLIP}, {"c1": TRANSCRIPT},
+                     casts={"c1": {"clip_id": "c1", "show_id": "showx", "cast": cast}})
+        return str(tmp_path / "corpus")
+
+    @pytest.mark.parametrize("cast", CASTS)
+    def test_bad_cast_is_a_parse_diagnostic(self, tmp_path, cast):
+        code, out, err = run(["validate", self._corpus(tmp_path, cast)])
+        assert code == 1
+        diags = [json.loads(line) for line in out.splitlines()]
+        assert [d["code"] for d in diags] == ["PARSE"]
+        assert "cast" in diags[0]["message"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("analysis", ["threads", "roles"])
+    @pytest.mark.parametrize("cast", CASTS)
+    def test_bad_cast_exits_one(self, tmp_path, analysis, cast):
+        gender_map = tmp_path / "genders.tsv"
+        gender_map.write_text("canonical_name\tgender\tshow_id\nada\tfemale\tshowx\n")
+        code, _, err = run(["analyze", analysis, self._corpus(tmp_path, cast),
+                            "--gender-map", str(gender_map)])
+        assert code == 1
+        assert err.startswith("error:") and "cast" in err
+        assert "Traceback" not in err
+
+    def test_non_string_manifest_path_exits_one(self, tmp_path):
+        (tmp_path / "b.json").write_text(json.dumps({"c1": GOLD_CLIP}))
+        manifest = tmp_path / "annotators.json"
+        manifest.write_text(json.dumps({"annotators": {"a": 5, "b": "b.json"}}))
+        code, _, err = run(["agree", str(manifest)])
+        assert code == 1
+        assert err.startswith("error:") and "'a'" in err
+        assert "Traceback" not in err
+
+
+class TestLogoddsTop:
+    def _corpus(self, tmp_path):
+        clip = [{"line_idx": i, "speaker": "max", "addressee": [],
+                 "side_participant": ["ada"] if i % 2 else [], "reply_to": max(1, i - 1)}
+                for i in range(1, 7)]
+        tsv = ["start\tend\tspeaker\ttext"] + [
+            f"{i - 1}.000\t{i - 1}.900\tmax\talpha beta gamma" for i in range(1, 7)]
+        write_corpus(tmp_path / "corpus", {"c1": clip})
+        (tmp_path / "corpus" / "c1.transcript.tsv").write_text("\n".join(tsv) + "\n")
+        return str(tmp_path / "corpus")
+
+    def test_top_zero_lists_no_terms(self, tmp_path):
+        code, out, err = run(["analyze", "logodds", self._corpus(tmp_path),
+                              "--c-star", "2.0", "--min-count", "1", "--top", "0"])
+        assert code == 0, err
+        report = json.loads(out)["report"]
+        assert report["n_terms"] == 3
+        assert report["top_group_a"] == [] and report["top_group_b"] == []
+
+    def test_negative_top_exits_one(self, tmp_path):
+        code, _, err = run(["analyze", "logodds", self._corpus(tmp_path),
+                            "--c-star", "2.0", "--min-count", "1", "--top", "-1"])
+        assert code == 1
+        assert err.startswith("error:") and "top" in err

@@ -263,6 +263,17 @@ class TestMetadataFiles:
         assert (clip_id, show_id) == ("c1", "bbt")
         assert [p.canonical_name for p in cast] == ["sheldon cooper", "penny"]
 
+    @pytest.mark.parametrize("cast, message", [
+        ([5], "cast entry 0 must be a string, got int"),
+        (["Penny", None], "cast entry 1 must be a string, got NoneType"),
+        ("Penny", "'cast' array"),
+        ({"Penny": 1}, "'cast' array"),
+    ])
+    def test_cast_json_rejects_non_string_entries(self, cast, message):
+        blob = json.dumps({"clip_id": "c1", "show_id": "bbt", "cast": cast}).encode()
+        with pytest.raises(ParseError, match=message):
+            parse_cast_json(blob)
+
     def test_gender_map_and_lookup(self):
         blob = (
             "canonical_name\tgender\tshow_id\n"

@@ -8,6 +8,7 @@ from convstruct.stats.logodds import (
     Document,
     TermCounts,
     calibrate_prior,
+    logodds_report,
     stouffer,
     tokenize,
     weighted_logodds,
@@ -227,3 +228,25 @@ class TestAnalysisPipeline:
         ranked = result.ranked_terms()
         assert ranked[0][0] == "alpha"
         assert ranked[-1][0] == "beta"
+
+
+class TestLogoddsReportTop:
+    DOCS = [Document("s1", "a", ("alpha", "alpha", "beta", "gamma")),
+            Document("s1", "b", ("beta", "beta", "alpha", "gamma"))]
+
+    def test_top_zero_lists_no_terms(self):
+        report = logodds_report(self.DOCS, min_count=1, c_star=2.0, top=0)
+        assert report["n_terms"] == 3
+        assert report["top_group_a"] == [] and report["top_group_b"] == []
+
+    def test_top_splits_the_ranking_from_both_ends(self):
+        report = logodds_report(self.DOCS, min_count=1, c_star=2.0, top=1)
+        assert [t for t, _ in report["top_group_a"]] == ["alpha"]
+        assert [t for t, _ in report["top_group_b"]] == ["beta"]
+        wide = logodds_report(self.DOCS, min_count=1, c_star=2.0, top=10)
+        assert [t for t, _ in wide["top_group_b"]] == [
+            t for t, _ in wide["top_group_a"]][::-1]
+
+    def test_negative_top_raises(self):
+        with pytest.raises(StatsError, match="top"):
+            logodds_report(self.DOCS, min_count=1, c_star=2.0, top=-1)

@@ -6,9 +6,11 @@ import pytest
 
 from convstruct.corpus import normalize_name
 from convstruct.metrics import (
+    METRIC_FIELDS,
     EvalConfig,
     MetricInputError,
     MetricReport,
+    _aggregate,
     evaluate_corpus,
     exact_match,
     link_f1,
@@ -16,9 +18,10 @@ from convstruct.metrics import (
     one_to_one,
     role_set_f1,
     set_f1,
+    score_clip,
     speaker_accuracy,
 )
-from convstruct.stats.bootstrap import BootstrapConfig
+from convstruct.stats.bootstrap import BootstrapConfig, bootstrap_ci
 from convstruct.threads import ThreadPartition, link_set
 
 from conftest import NAMES, random_partition, random_records, record
@@ -306,6 +309,41 @@ class TestEvaluateCorpus:
         report = evaluate_corpus(gold, gold, config)
         for lo, hi in report.ci.values():
             assert lo == 100.0 and hi == 100.0
+
+    @pytest.mark.parametrize("aggregate", ["micro", "macro"])
+    @pytest.mark.parametrize("filter_nondialogic", [False, True])
+    def test_identity_ci_exact_for_every_aggregation(self, aggregate, filter_nondialogic):
+        rng = random.Random(44)
+        gold = {f"c{k}": random_records(rng, rng.randint(3, 20), NAMES[:5])
+                for k in range(7)}
+        config = EvalConfig(aggregate=aggregate, filter_nondialogic=filter_nondialogic,
+                            bootstrap=BootstrapConfig(resamples=300, seed=6))
+        report = evaluate_corpus(gold, gold, config)
+        assert set(report.ci) == set(METRIC_FIELDS)
+        for lo, hi in report.ci.values():
+            assert lo == 100.0 and hi == 100.0
+
+    @pytest.mark.parametrize("aggregate", ["micro", "macro"])
+    def test_ci_matches_per_metric_callable_path(self, aggregate):
+        rng = random.Random(45)
+        gold, pred = {}, {}
+        for k in range(9):
+            records = random_records(rng, rng.randint(2, 25), NAMES[:6])
+            gold[f"c{k}"] = records
+            pred[f"c{k}"] = [record(r.line_idx, rng.choice(NAMES[:6]),
+                                    reply_to=rng.randint(1, r.line_idx))
+                             for r in records]
+        config = EvalConfig(aggregate=aggregate,
+                            bootstrap=BootstrapConfig(resamples=700, seed=12))
+        report = evaluate_corpus(gold, pred, config)
+        stats = [score_clip(c, gold[c], pred[c]) for c in sorted(gold)]
+        for name in METRIC_FIELDS:
+            ref = bootstrap_ci(stats, lambda s, name=name: _aggregate(s, aggregate)[name],
+                               config.bootstrap)
+            lo, hi = report.ci[name]
+            assert lo == pytest.approx(ref.lo, abs=1e-12)
+            assert hi == pytest.approx(ref.hi, abs=1e-12)
+            assert ref.point == getattr(report, name)
 
     def test_thread_metrics_average_per_clip(self):
         gold = {"c1": two_thread_clip(), "c2": two_thread_clip()}
