@@ -156,18 +156,15 @@ def run_baseline(
     tracks_by_face = {t.participant: t for t in tracks}
     rank = _rank_key(tracks_by_face)
 
-    def line_counts(line_idx: int) -> dict[Participant, int]:
-        return {
-            face: count
-            for (idx, face), count in counts.items()
-            if idx == line_idx and count > 0
-        }
+    by_line: dict[int, dict[Participant, int]] = {}
+    for (idx, face), count in counts.items():
+        by_line.setdefault(idx, {})[face] = count
 
     records = []
     ordered = sorted(clip.utterances, key=lambda u: u.line_idx)
     for pos, utterance in enumerate(ordered):
         i = utterance.line_idx
-        within = line_counts(i)
+        within = by_line.get(i, {})
         if within:
             speaker = min(within.items(), key=rank)[0]
         else:
@@ -175,7 +172,7 @@ def run_baseline(
 
         window: dict[Participant, int] = dict(within)
         if pos > 0:
-            for face, count in line_counts(ordered[pos - 1].line_idx).items():
+            for face, count in by_line.get(ordered[pos - 1].line_idx, {}).items():
                 window[face] = window.get(face, 0) + count
         candidates = {f: c for f, c in window.items() if f != speaker}
         if candidates:

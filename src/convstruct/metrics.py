@@ -9,6 +9,7 @@ live on a 0..100 scale and evaluating any input against itself is exactly 100.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
@@ -117,46 +118,57 @@ def link_f1(gold: LinkSet, pred: LinkSet) -> PRF:
     return _prf(tp / len(pred) if pred else 0.0, tp / len(gold) if gold else 0.0)
 
 
-def _check_same_elements(gold: ThreadPartition, pred: ThreadPartition) -> int:
-    if gold.elements != pred.elements:
+def _contingency(gold: ThreadPartition, pred: ThreadPartition
+                 ) -> tuple[list[tuple[int, int, int]], list[int], list[int]]:
+    """The nonzero cells of the gold x predicted contingency table, O(n log n).
+
+    Returns (cells, gold_sizes, pred_sizes): cells are (count, gold cluster,
+    predicted cluster) in row-major order, built by labelling each element with
+    its predicted cluster; the sizes are per cluster, in partition order.
+    """
+    pred_of = {x: j for j, cluster in enumerate(pred.clusters) for x in cluster}
+    gold_sizes = [len(c) for c in gold.clusters]
+    cells = []
+    for i, cluster in enumerate(gold.clusters):
+        try:
+            row = Counter(map(pred_of.__getitem__, cluster))
+        except KeyError:
+            raise MetricInputError("partitions cover different element sets") from None
+        cells.extend((m, i, j) for j, m in sorted(row.items()))
+    if sum(gold_sizes) != len(pred_of):
         raise MetricInputError("partitions cover different element sets")
-    n = gold.n
-    if n == 0:
+    if not pred_of:
         raise MetricInputError("cannot compare empty partitions")
-    return n
+    return cells, gold_sizes, [len(c) for c in pred.clusters]
 
 
-def _contingency(gold: ThreadPartition, pred: ThreadPartition) -> np.ndarray:
-    matrix = np.zeros((len(gold.clusters), len(pred.clusters)), dtype=np.int64)
-    for i, g in enumerate(gold.clusters):
-        for j, p in enumerate(pred.clusters):
-            matrix[i, j] = len(g & p)
-    return matrix
+def _exact_cells(cells, gold_sizes, pred_sizes) -> int:
+    """Clusters recovered identically: cells holding all of both their clusters."""
+    return sum(1 for m, i, j in cells if m == gold_sizes[i] == pred_sizes[j])
 
 
 def nvi_score(gold: ThreadPartition, pred: ThreadPartition) -> float:
     """100 x (1 - VI / log2 n), clamped to [0, 100].
 
-    VI is the variation of information H(C) + H(C') - 2 I(C, C') in bits.
-    Identical partitions score exactly 100 (VI is zero by definition, so the
+    VI is the variation of information H(C) + H(C') - 2 I(C, C') in bits,
+    summed over the nonzero contingency cells only (Meila 2007). Identical
+    partitions score exactly 100 (VI is zero by definition, so the
     floating-point path is skipped); n = 1 is defined as 100.
     """
-    n = _check_same_elements(gold, pred)
-    if set(gold.clusters) == set(pred.clusters):
-        return 100.0
-    if n == 1:
+    cells, gold_sizes, pred_sizes = _contingency(gold, pred)
+    n = sum(gold_sizes)
+    if n == 1 or (_exact_cells(cells, gold_sizes, pred_sizes)
+                  == len(gold_sizes) == len(pred_sizes)):
         return 100.0
 
-    def entropy(partition: ThreadPartition) -> float:
-        return -sum((len(c) / n) * math.log2(len(c) / n) for c in partition.clusters)
+    def entropy(sizes: list[int]) -> float:
+        return -sum((s / n) * math.log2(s / n) for s in sizes)
 
-    mutual = 0.0
-    for g in gold.clusters:
-        for p in pred.clusters:
-            m = len(g & p)
-            if m:
-                mutual += (m / n) * math.log2((m * n) / (len(g) * len(p)))
-    vi = entropy(gold) + entropy(pred) - 2 * mutual
+    # math.log2 summed in Python in row-major cell order, not as an ndarray sum:
+    # numpy's pairwise summation would move the last digits of every reported score
+    mutual = sum((m / n) * math.log2((m * n) / (gold_sizes[i] * pred_sizes[j]))
+                 for m, i, j in cells)
+    vi = entropy(gold_sizes) + entropy(pred_sizes) - 2 * mutual
     score = 100.0 * (1.0 - vi / math.log2(n))
     return min(100.0, max(0.0, score))
 
@@ -167,18 +179,20 @@ def one_to_one(gold: ThreadPartition, pred: ThreadPartition) -> float:
     Solved exactly as a maximum-weight rectangular assignment over the
     contingency matrix; unmatched clusters contribute zero overlap.
     """
-    n = _check_same_elements(gold, pred)
-    matrix = _contingency(gold, pred)
+    cells, gold_sizes, pred_sizes = _contingency(gold, pred)
+    counts, rows, cols = np.array(cells, dtype=np.int64).T
+    matrix = np.zeros((len(gold_sizes), len(pred_sizes)), dtype=np.int64)
+    matrix[rows, cols] = counts
     rows, cols = linear_sum_assignment(matrix, maximize=True)
     total = int(matrix[rows, cols].sum())
-    return 100.0 * (total / n)
+    return 100.0 * (total / sum(gold_sizes))
 
 
 def exact_match(gold: ThreadPartition, pred: ThreadPartition) -> PRF:
     """Precision/recall/F1 over clusters recovered identically."""
-    _check_same_elements(gold, pred)
-    matches = len(set(gold.clusters) & set(pred.clusters))
-    return _prf(matches / len(pred.clusters), matches / len(gold.clusters))
+    cells, gold_sizes, pred_sizes = _contingency(gold, pred)
+    matches = _exact_cells(cells, gold_sizes, pred_sizes)
+    return _prf(matches / len(pred_sizes), matches / len(gold_sizes))
 
 
 @dataclass

@@ -72,8 +72,8 @@ def bootstrap_ci(
     The point estimate is the statistic on the full data. The resample index
     matrix is drawn up front from a generator seeded with config.seed, so the
     interval is a deterministic function of (units, statistic, config) and two
-    calls with the same seed see identical resamples. Numeric unit arrays take
-    a vectorized indexing path; anything else is resampled as plain lists.
+    calls with the same seed see identical resamples. Numeric unit arrays are
+    indexed one resample row at a time; anything else is resampled as plain lists.
     """
     config = config or BootstrapConfig()
     (idx,) = _index_blocks(len(units), config, rows=config.resamples)
@@ -91,12 +91,9 @@ def bootstrap_ci(
             arr = None
 
     if arr is not None:
-        samples = arr[idx]
-        values = np.array([float(statistic(samples[b])) for b in range(config.resamples)])
+        values = np.array([float(statistic(arr[row])) for row in idx])
     else:
-        values = np.array([
-            float(statistic([units[j] for j in idx[b]])) for b in range(config.resamples)
-        ])
+        values = np.array([float(statistic([units[j] for j in row])) for row in idx])
 
     lo, hi = _percentiles(values, config.level)
     return BootstrapInterval(point, float(lo), float(hi))

@@ -99,6 +99,8 @@ def gender_thread_shares(
     time; clips without any gendered event are skipped for the respective
     delta, and clips without gendered speaking time are skipped entirely.
     """
+    if permutations < 1:
+        raise StatsError(f"permutations must be >= 1, got {permutations}")
     if not gender_map:
         raise StatsError("gender map is empty")
     config = config or BootstrapConfig()

@@ -15,42 +15,6 @@ from .corpus import Participant, StructureRecord
 LinkSet = frozenset[tuple[int, int]]
 
 
-class UnionFind:
-    """Disjoint sets over arbitrary hashable items, with path compression."""
-
-    def __init__(self):
-        self.parent: dict = {}
-        self.rank: dict = {}
-
-    def find(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-            self.rank[x] = 0
-            return x
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-
-    def components(self) -> list[set]:
-        groups: dict = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), set()).add(x)
-        return list(groups.values())
-
-
 @dataclass(frozen=True)
 class ThreadPartition:
     """Disjoint non-empty clusters of line indices, ordered by minimum member."""
@@ -78,18 +42,27 @@ class ThreadPartition:
 
 
 def derive_threads(records: Sequence[StructureRecord]) -> ThreadPartition:
-    """Union-find over (line, reply_to) edges; clusters are the components.
+    """Thread partition from one pass over the records in line order.
 
-    Self-linked lines with no children form singleton clusters. The result is
-    invariant to edge processing order; clusters come back sorted by minimum
-    member index so reports are reproducible.
+    A thread start is its own thread and every other line joins the thread of
+    its parent, so self-linked lines with no children form singleton clusters.
+    The result does not depend on record order; clusters come back sorted by
+    minimum member index so reports are reproducible. A reply_to that names no
+    earlier record raises ValueError (validated annotations never do).
     """
-    uf = UnionFind()
-    for r in records:
-        uf.find(r.line_idx)
-        if r.reply_to != r.line_idx:
-            uf.union(r.line_idx, r.reply_to)
-    return ThreadPartition.from_clusters(uf.components())
+    thread_of: dict[int, int] = {}
+    for r in sorted(records, key=lambda r: r.line_idx):
+        if r.is_thread_start:
+            thread_of[r.line_idx] = r.line_idx
+        elif r.reply_to in thread_of:
+            thread_of[r.line_idx] = thread_of[r.reply_to]
+        else:
+            raise ValueError(f"line {r.line_idx}: reply_to {r.reply_to} "
+                             f"does not name an earlier record")
+    clusters: dict[int, list[int]] = {}
+    for line, thread in thread_of.items():
+        clusters.setdefault(thread, []).append(line)
+    return ThreadPartition.from_clusters(clusters.values())
 
 
 def link_set(records: Sequence[StructureRecord]) -> LinkSet:

@@ -259,6 +259,15 @@ class TestAnalyze:
         assert report["start"]["female_share"] == 1.0
         assert -1.0 <= report["delta_start"]["mean"] <= 1.0
 
+    @pytest.mark.parametrize("permutations", ["0", "-3"])
+    def test_threads_permutations_below_one_exit_one(self, tmp_path, permutations):
+        corpus = self._corpus_with_cast(tmp_path)
+        code, out, err = run(["analyze", "threads", str(corpus),
+                              "--gender-map", str(self._gender_map(tmp_path)),
+                              "--bootstrap", "100", "--permutations", permutations])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "permutations" in err
+
     def test_threads_requires_gender_map(self, tmp_path):
         corpus = self._corpus_with_cast(tmp_path)
         code, _, err = run(["analyze", "threads", str(corpus)])

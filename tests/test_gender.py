@@ -106,6 +106,16 @@ class TestGenderThreadShares:
         with pytest.raises(StatsError):
             gender_thread_shares([clip], {}, config=CONFIG)
 
+    @pytest.mark.parametrize("permutations", [0, -3])
+    def test_permutations_below_one_raise_before_any_work(self, permutations):
+        def clips():
+            raise AssertionError("clips were read")
+            yield
+
+        with pytest.raises(StatsError, match="permutations"):
+            gender_thread_shares(clips(), GENDERS, config=CONFIG,
+                                 permutations=permutations)
+
     def test_unknown_gender_events_are_dropped(self):
         records = [record(1, "stranger"), record(2, "ada", reply_to=2),
                    record(3, "stranger", reply_to=2)]

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convstruct.corpus import normalize_name
 from convstruct.metrics import (
@@ -277,6 +279,55 @@ class TestExactMatch:
             gold = random_partition(rng, elements)
             pred = random_partition(rng, elements)
             assert exact_match(gold, pred).f1 == exact_match(pred, gold).f1
+
+
+@st.composite
+def partition_pairs(draw):
+    """Two partitions of one element set: up to 300 elements, up to n clusters."""
+    n = draw(st.integers(1, 300))
+    rng = draw(st.randoms(use_true_random=False))
+    elements = rng.sample(range(1, 10 * n + 1), n)
+
+    def labelled():
+        k = draw(st.integers(1, n))
+        clusters: dict[int, list[int]] = {}
+        for x in elements:
+            clusters.setdefault(rng.randrange(k), []).append(x)
+        return ThreadPartition.from_clusters(clusters.values())
+
+    return labelled(), labelled()
+
+
+class TestPartitionProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(pair=partition_pairs())
+    def test_nvi_matches_direct_recomputation(self, pair):
+        gold, pred = pair
+        assert nvi_score(gold, pred) == pytest.approx(direct_vi_score(gold, pred), abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=partition_pairs())
+    def test_exact_match_equals_brute_force(self, pair):
+        gold, pred = pair
+        assert exact_match(gold, pred) == brute_force_exact_match(gold, pred)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=partition_pairs())
+    def test_self_is_100_and_scores_in_range(self, pair):
+        gold, pred = pair
+        assert nvi_score(gold, gold) == 100.0
+        assert one_to_one(gold, gold) == 100.0
+        assert 100.0 * exact_match(gold, gold).f1 == 100.0
+        for score in (nvi_score(gold, pred), one_to_one(gold, pred),
+                      100.0 * exact_match(gold, pred).f1):
+            assert 0.0 <= score <= 100.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=partition_pairs())
+    def test_one_to_one_and_exact_match_f1_symmetric(self, pair):
+        gold, pred = pair
+        assert one_to_one(gold, pred) == one_to_one(pred, gold)
+        assert exact_match(gold, pred).f1 == exact_match(pred, gold).f1
 
 
 # --- corpus evaluation ----------------------------------------------------------

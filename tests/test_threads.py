@@ -48,6 +48,12 @@ class TestDeriveThreads:
             for cluster in derive_threads(records).clusters:
                 assert len(cluster & roots) == 1
 
+    @pytest.mark.parametrize("reply_to", [3, 9], ids=["forward", "dangling"])
+    def test_reply_to_no_earlier_record_raises(self, reply_to):
+        records = [record(1, "a"), record(2, "a", reply_to=reply_to), record(3, "a")]
+        with pytest.raises(ValueError, match="line 2"):
+            derive_threads(records)
+
 
 class TestLinkSet:
     def test_example_rows(self):
