@@ -258,34 +258,36 @@ def _gender_map(args, manifest_inputs) -> dict:
     return parse_gender_map_tsv(gender_path.read_bytes())
 
 
-def _analyze_threads(args, manifest_inputs) -> dict:
+def _analyze_threads(args, manifest_inputs, config) -> dict:
+    config.update(include_nondialogic=args.include_nondialogic,
+                  bootstrap=args.bootstrap or 10_000, level=args.level,
+                  permutations=args.permutations)
     return gender_thread_shares(
         _clips(args),
         _gender_map(args, manifest_inputs),
         include_nondialogic=args.include_nondialogic,
-        config=BootstrapConfig(resamples=args.bootstrap or 10_000,
-                               level=args.level, seed=args.seed),
+        config=BootstrapConfig(resamples=config["bootstrap"], level=args.level,
+                               seed=args.seed),
         permutations=args.permutations,
     ).as_dict()
 
 
-def _analyze_roles(args, manifest_inputs) -> dict:
+def _analyze_roles(args, manifest_inputs, config) -> dict:
     return role_report(_clips(args), _gender_map(args, manifest_inputs)).as_dict()
 
 
-def _analyze_logodds(args, manifest_inputs) -> dict:
-    return logodds_report(
-        utterance_documents(_clips(args), args.filter_nondialogic),
-        min_count=args.min_count,
-        c_star=args.c_star,
-        grid=[float(c) for c in args.grid.split(",")] if args.grid else None,
-        permutations=args.permutations,
-        seed=args.seed,
-        top=args.top,
-    )
+def _analyze_logodds(args, manifest_inputs, config) -> dict:
+    docs = utterance_documents(_clips(args), args.filter_nondialogic)
+    config.update(filter_nondialogic=args.filter_nondialogic, min_count=args.min_count,
+                  c_star=args.c_star,
+                  grid=[float(c) for c in args.grid.split(",")] if args.grid else None,
+                  permutations=args.permutations, top=args.top)
+    return logodds_report(docs, min_count=args.min_count, c_star=args.c_star,
+                          grid=config["grid"], permutations=args.permutations,
+                          seed=args.seed, top=args.top)
 
 
-def _analyze_correlate(args, manifest_inputs) -> dict:
+def _analyze_correlate(args, manifest_inputs, config) -> dict:
     features_path = _require(args.features, "features CSV")
     with features_path.open(newline="", encoding="utf-8") as handle:
         return feature_correlations(list(csv.DictReader(handle)))
@@ -300,13 +302,13 @@ _ANALYZE_HANDLERS = {
 
 
 def cmd_analyze(args) -> int:
+    """Each handler adds the inputs it reads and the flags it uses to the manifest."""
     handler = _ANALYZE_HANDLERS[args.what]
     inputs = {name: getattr(args, name) for name in ("corpus", "features")
               if getattr(args, name)}
-    report = handler(args, inputs)
-    manifest = _manifest(
-        f"analyze {args.what}", inputs,
-        {"filter_nondialogic": args.filter_nondialogic}, seed=args.seed)
+    config: dict = {}
+    report = handler(args, inputs, config)
+    manifest = _manifest(f"analyze {args.what}", inputs, config, seed=args.seed)
     _emit({"manifest": manifest, "report": report}, args.format, _flatten_table(report))
     return 0
 

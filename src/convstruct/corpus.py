@@ -12,7 +12,7 @@ corpus path, which is what the `validate` command prints.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -55,13 +55,11 @@ GENDERS = ("female", "male", "unspecified")
 class Participant:
     """A conversational participant, identified by kind plus canonical name.
 
-    Gender is carried as metadata (from an external table) and never takes
-    part in identity comparisons.
+    Gender comes from a separate metadata table (`lookup_gender`).
     """
 
     canonical_name: str
     kind: str = REGULAR
-    gender: str | None = field(default=None, compare=False)
 
     @property
     def token(self) -> str:
@@ -73,9 +71,6 @@ class Participant:
     @property
     def is_special(self) -> bool:
         return self.kind != REGULAR
-
-    def with_gender(self, gender: str | None) -> "Participant":
-        return Participant(self.canonical_name, self.kind, gender)
 
 
 def normalize_name(raw: str) -> Participant:
@@ -293,9 +288,15 @@ def _read_records(
         raise ParseError("annotation JSON must be an array of objects")
     diags: list[Diagnostic] = []
     records: list[StructureRecord] = []
+    participants: dict[str, Participant] = {}  # raw name -> normalized
 
     def bad(code, message, line_idx=None):
         diags.append(Diagnostic(code, ERROR, message, clip_id, line_idx))
+
+    def participant(raw: str) -> Participant:
+        if raw not in participants:
+            participants[raw] = normalize_name(raw)
+        return participants[raw]
 
     for pos, obj in enumerate(payload):
         if not isinstance(obj, dict):
@@ -331,9 +332,9 @@ def _read_records(
         if len(diags) > mistyped:
             continue
         try:
-            speaker = normalize_name(obj["speaker"])
-            addressees = frozenset(normalize_name(n) for n in obj["addressee"])
-            side = frozenset(normalize_name(n) for n in obj["side_participant"])
+            speaker = participant(obj["speaker"])
+            addressees = frozenset(participant(n) for n in obj["addressee"])
+            side = frozenset(participant(n) for n in obj["side_participant"])
         except CorpusError as exc:
             bad(BAD_NAME, str(exc), line_idx)
             continue

@@ -59,7 +59,6 @@ def _check_alignment(gold: Sequence[StructureRecord],
 def _speaker_matches(gold_by_line: Mapping[int, StructureRecord],
                      pred_by_line: Mapping[int, StructureRecord],
                      lines: Sequence[int]) -> int:
-    # Participant equality is kind + name; gender never takes part
     return sum(1 for i in lines if gold_by_line[i].speaker == pred_by_line[i].speaker)
 
 

@@ -66,16 +66,6 @@ class ThreadShareReport:
                 "delta_hold": self.delta_hold.as_dict()}
 
 
-@dataclass(frozen=True)
-class _ClipEvents:
-    clip_id: str
-    start_female: int
-    start_total: int
-    hold_female: int
-    hold_total: int
-    female_time_share: float | None
-
-
 def _sign_flip_p(deltas: np.ndarray, permutations: int, seed: int) -> float:
     """Two-sided p for mean(delta) = 0 under random sign flips of clip deltas."""
     observed = abs(float(deltas.mean()))
@@ -105,7 +95,10 @@ def gender_thread_shares(
         raise StatsError("gender map is empty")
     config = config or BootstrapConfig()
 
-    per_clip: list[_ClipEvents] = []
+    # one row per clip: start female, start total, hold female, hold total,
+    # female share of gendered speaking time (NaN without any)
+    clip_ids: list[str] = []
+    rows: list[tuple[float, ...]] = []
     for clip in clips:
         if clip.gold is None:
             continue
@@ -130,48 +123,39 @@ def gender_thread_shares(
             total_time += u.duration_s
             if g == "female":
                 female_time += u.duration_s
-        time_share = female_time / total_time if total_time > 0 else None
 
-        per_clip.append(_ClipEvents(
-            clip_id=clip.clip_id,
-            start_female=sum(1 for g in start_genders if g == "female"),
-            start_total=len(start_genders),
-            hold_female=sum(1 for g in hold_genders if g == "female"),
-            hold_total=len(hold_genders),
-            female_time_share=time_share,
-        ))
+        clip_ids.append(clip.clip_id)
+        rows.append((start_genders.count("female"), len(start_genders),
+                     hold_genders.count("female"), len(hold_genders),
+                     female_time / total_time if total_time > 0 else np.nan))
+    table = np.array(rows, dtype=np.float64).reshape(-1, 5)
+    columns = {"start": (table[:, 0], table[:, 1]), "hold": (table[:, 2], table[:, 3])}
+    time_share = table[:, 4]
 
     def raw_share(kind: str) -> ShareStats:
-        units = [c for c in per_clip if getattr(c, f"{kind}_total") > 0]
-        if not units:
+        female, total = columns[kind]
+        units = total > 0
+        if not units.any():
             raise StatsError(f"no gendered {kind} events in the corpus")
-        female = np.array([getattr(c, f"{kind}_female") for c in units], dtype=np.float64)
-        total = np.array([getattr(c, f"{kind}_total") for c in units], dtype=np.float64)
+        female, total = female[units], total[units]
         (ci,) = bootstrap_ratio_ci(female, total, config)
         return ShareStats(share=float(female.sum() / total.sum()), ci=ci,
                           n_events=int(total.sum()))
 
     def delta_stats(kind: str) -> DeltaStats:
-        usable = [
-            c for c in per_clip
-            if getattr(c, f"{kind}_total") > 0 and c.female_time_share is not None
-        ]
-        if not usable:
+        female, total = columns[kind]
+        usable = (total > 0) & ~np.isnan(time_share)
+        if not usable.any():
             raise StatsError(f"no clips usable for the {kind} delta")
-        deltas = {
-            c.clip_id: getattr(c, f"{kind}_female") / getattr(c, f"{kind}_total")
-            - c.female_time_share
-            for c in usable
-        }
-        values = np.array([deltas[c.clip_id] for c in usable])
+        values = female[usable] / total[usable] - time_share[usable]
         (ci,) = bootstrap_ratio_ci(values, np.ones(values.size), config)
         p = _sign_flip_p(values, permutations, config.seed)
         return DeltaStats(
             mean=float(np.mean(values)),
             ci=ci,
             p_value=p,
-            n_clips=len(usable),
-            per_clip=deltas,
+            n_clips=values.size,
+            per_clip=dict(zip(np.array(clip_ids)[usable].tolist(), values.tolist())),
         )
 
     return ThreadShareReport(

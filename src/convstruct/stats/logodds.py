@@ -71,13 +71,28 @@ def utterance_documents(clips: Iterable[Clip], filter_nondialogic: bool = False
     return docs
 
 
+def _group_a_tables(doc_terms: np.ndarray, doc_show: np.ndarray,
+                    shape: tuple[int, int], in_a: np.ndarray) -> np.ndarray:
+    """Group-a term counts per show, (k, S, T), for k label rows `in_a` (k, D).
+
+    One offset bincount over the nonzero (document, term, count) entries:
+    label row i adds the entries of its group-a documents to table i.
+    """
+    doc, term, count = doc_terms
+    k, (n_shows, n_terms) = in_a.shape[0], shape
+    rows, entries = np.nonzero(in_a[:, doc])
+    cells = (rows * n_shows + doc_show[doc[entries]]) * n_terms + term[entries]
+    tables = np.bincount(cells, weights=count[entries], minlength=k * n_shows * n_terms)
+    return tables.reshape(k, n_shows, n_terms)
+
+
 @dataclass(frozen=True)
 class TermCounts:
     """Term counts per (show, group) plus pooled background frequencies.
 
     Rows are shows, columns the kept vocabulary. When built from documents the
-    per-document term matrix is retained so group labels can be permuted for
-    prior calibration.
+    nonzero document-term entries are retained so group labels can be
+    permuted for prior calibration.
     """
 
     terms: tuple[str, ...]
@@ -85,7 +100,7 @@ class TermCounts:
     y_a: np.ndarray  # (S, T) counts in group a
     y_b: np.ndarray  # (S, T) counts in group b
     p: np.ndarray    # (T,) background frequencies, sums to 1
-    doc_matrix: np.ndarray | None = None   # (D, T) per-document counts
+    doc_terms: np.ndarray | None = None    # (3, N) document row, term column, count
     doc_show: np.ndarray | None = None     # (D,) show row index
     doc_in_a: np.ndarray | None = None     # (D,) True where the document is group a
 
@@ -112,26 +127,17 @@ class TermCounts:
         shows = tuple(sorted({d.show_id for d in docs}))
         show_idx = {s: i for i, s in enumerate(shows)}
 
-        matrix = np.zeros((len(docs), len(terms)), dtype=np.float64)
-        doc_show = np.zeros(len(docs), dtype=np.int64)
-        doc_in_a = np.zeros(len(docs), dtype=bool)
-        for row, d in enumerate(docs):
-            doc_show[row] = show_idx[d.show_id]
-            doc_in_a[row] = d.group == GROUP_A
-            for token, count in Counter(d.tokens).items():
-                col = term_idx.get(token)
-                if col is not None:
-                    matrix[row, col] = count
-
-        y_a = np.zeros((len(shows), len(terms)))
-        y_b = np.zeros((len(shows), len(terms)))
-        for s in range(len(shows)):
-            rows = doc_show == s
-            y_a[s] = matrix[rows & doc_in_a].sum(axis=0)
-            y_b[s] = matrix[rows & ~doc_in_a].sum(axis=0)
-        total = y_a.sum() + y_b.sum()
-        p = (y_a.sum(axis=0) + y_b.sum(axis=0)) / total
-        return cls(terms, shows, y_a, y_b, p, matrix, doc_show, doc_in_a)
+        kept = [row * len(terms) + term_idx[t] for row, d in enumerate(docs)
+                for t in d.tokens if t in term_idx]
+        cells, count = np.unique(np.array(kept, dtype=np.int64), return_counts=True)
+        doc_terms = np.vstack([*np.divmod(cells, len(terms)), count])
+        doc_show = np.array([show_idx[d.show_id] for d in docs], dtype=np.int64)
+        doc_in_a = np.array([d.group == GROUP_A for d in docs])
+        # group b is totals - group a, exact since every entry is an integer count
+        y_a, totals = _group_a_tables(doc_terms, doc_show, (len(shows), len(terms)),
+                                      np.vstack([doc_in_a, np.ones_like(doc_in_a)]))
+        p = totals.sum(axis=0) / totals.sum()
+        return cls(terms, shows, y_a, totals - y_a, p, doc_terms, doc_show, doc_in_a)
 
     @classmethod
     def from_count_tables(
@@ -166,7 +172,7 @@ class TermCounts:
         """Groups a and b exchanged; negates every delta and zeta exactly."""
         return TermCounts(
             self.terms, self.shows, self.y_b.copy(), self.y_a.copy(), self.p,
-            self.doc_matrix, self.doc_show,
+            self.doc_terms, self.doc_show,
             None if self.doc_in_a is None else ~self.doc_in_a,
         )
 
@@ -238,7 +244,7 @@ def calibrate_prior(
         raise StatsError("grid values must be positive")
     if permutations < 1:
         raise StatsError(f"permutations must be >= 1, got {permutations}")
-    if counts.doc_matrix is None or counts.doc_show is None or counts.doc_in_a is None:
+    if counts.doc_terms is None or counts.doc_show is None or counts.doc_in_a is None:
         raise StatsError(
             "calibration permutes document labels: build TermCounts.from_documents"
         )
@@ -248,24 +254,20 @@ def calibrate_prior(
             "degenerate corpus: no show has two or more documents to permute"
         )
 
-    rngs = [np.random.default_rng(child)
-            for child in np.random.SeedSequence(seed).spawn(permutations)]
-    permuted_tables = []
-    for rng in rngs:
-        y_a = np.zeros_like(counts.y_a)
-        y_b = np.zeros_like(counts.y_b)
-        for s, rows in enumerate(show_rows):
-            labels = rng.permutation(counts.doc_in_a[rows])
-            y_a[s] = counts.doc_matrix[rows][labels].sum(axis=0)
-            y_b[s] = counts.doc_matrix[rows][~labels].sum(axis=0)
-        permuted_tables.append((y_a, y_b))
+    labels = np.empty((permutations, counts.doc_in_a.size), dtype=bool)
+    for row, child in zip(labels, np.random.SeedSequence(seed).spawn(permutations)):
+        rng = np.random.default_rng(child)
+        for rows in show_rows:
+            row[rows] = rng.permutation(counts.doc_in_a[rows])
+    null_a = _group_a_tables(counts.doc_terms, counts.doc_show, counts.y_a.shape, labels)
+    totals = counts.y_a + counts.y_b
 
     best_c = None
     best_gap = None
     for candidate in sorted(float(c) for c in grid):
         null_zetas = []
-        for y_a, y_b in permuted_tables:
-            _, _, zeta = _zeta_core(y_a, y_b, counts.p, candidate)
+        for y_a in null_a:
+            _, _, zeta = _zeta_core(y_a, totals - y_a, counts.p, candidate)
             null_zetas.append(zeta[np.isfinite(zeta)])
         pooled = np.concatenate(null_zetas)
         if pooled.size < 2:

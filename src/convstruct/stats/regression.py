@@ -118,10 +118,6 @@ class OutcomeEstimate:
     def odds_ratio(self) -> float:
         return math.exp(self.coef[FEMALE])
 
-    @property
-    def female_p(self) -> float:
-        return self.p[FEMALE]
-
 
 @dataclass(frozen=True)
 class LogitResult:

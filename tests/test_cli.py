@@ -458,3 +458,68 @@ class TestLogoddsTop:
                             "--c-star", "2.0", "--min-count", "1", "--top", "-1"])
         assert code == 1
         assert err.startswith("error:") and "top" in err
+
+
+class TestAnalyzeManifestConfig:
+    """The manifest records the flags each analysis reads, and only those."""
+
+    # line 5 starts a thread as a monologue; line 6 replies to it
+    CLIP = GOLD_CLIP + [
+        {"line_idx": 5, "speaker": "max", "addressee": [], "side_participant": [],
+         "reply_to": 5, "monologue": True},
+        {"line_idx": 6, "speaker": "ada", "addressee": ["max"],
+         "side_participant": ["cleo"], "reply_to": 5},
+    ]
+    MORE_TRANSCRIPT = "4.400\t5.400\tmax\tso I said\n5.500\t6.500\tada\tyou did\n"
+
+    def _inputs(self, tmp_path):
+        write_corpus(tmp_path / "corpus", {"c1": self.CLIP},
+                     {"c1": TRANSCRIPT + self.MORE_TRANSCRIPT},
+                     casts={"c1": {"clip_id": "c1", "show_id": "showx",
+                                   "cast": ["ada", "max", "cleo"]}})
+        genders = tmp_path / "genders.tsv"
+        genders.write_text("canonical_name\tgender\tshow_id\n"
+                           "ada\tfemale\tshowx\nmax\tmale\tshowx\n")
+        return str(tmp_path / "corpus"), str(genders)
+
+    def _analyze(self, *argv):
+        code, out, err = run(["analyze", *argv])
+        assert code == 0, err
+        payload = json.loads(out)
+        return payload["manifest"]["config"], payload["report"]
+
+    def test_threads_records_nondialogic_resamples_level_permutations(self, tmp_path):
+        corpus, genders = self._inputs(tmp_path)
+        base = ["threads", corpus, "--gender-map", genders, "--permutations", "20"]
+        config, report = self._analyze(*base)
+        assert config == {"include_nondialogic": False, "bootstrap": 10_000,
+                          "level": 0.95, "permutations": 20}
+        assert report["start"]["n_events"] == 1
+        config, report = self._analyze(*base, "--include-nondialogic",
+                                       "--bootstrap", "200", "--level", "0.9")
+        assert config == {"include_nondialogic": True, "bootstrap": 200,
+                          "level": 0.9, "permutations": 20}
+        assert report["start"]["n_events"] == 2
+
+    def test_logodds_records_its_flags(self, tmp_path):
+        corpus, _ = self._inputs(tmp_path)
+        config, _ = self._analyze("logodds", corpus, "--min-count", "1",
+                                  "--grid", "0.5,3", "--permutations", "4",
+                                  "--top", "2", "--filter-nondialogic")
+        assert config == {"filter_nondialogic": True, "min_count": 1, "c_star": None,
+                          "grid": [0.5, 3.0], "permutations": 4, "top": 2}
+        config, _ = self._analyze("logodds", corpus, "--min-count", "1",
+                                  "--c-star", "2.5")
+        assert config == {"filter_nondialogic": False, "min_count": 1, "c_star": 2.5,
+                          "grid": None, "permutations": 1000, "top": 10}
+
+    def test_roles_and_correlate_record_nothing(self, tmp_path):
+        corpus, genders = self._inputs(tmp_path)
+        config, _ = self._analyze("roles", corpus, "--gender-map", genders,
+                                  "--filter-nondialogic")
+        assert config == {}
+        features = tmp_path / "features.csv"
+        features.write_text("clip_id,n,f1_speaker\n"
+                            + "".join(f"c{k},{k},{k * k}\n" for k in range(5)))
+        config, _ = self._analyze("correlate", "--features", str(features))
+        assert config == {}

@@ -345,3 +345,30 @@ class TestDanglingReplyTo:
     def test_validate_clip_reports_once(self):
         diags = validate_clip(Clip(clip_id="c", gold=tuple(self.RECORDS)))
         assert [(d.code, d.line_idx) for d in diags] == [("BAD_REPLY_TO", 3)]
+
+
+class TestNameNormalizationPerParse:
+    def test_each_raw_name_is_normalized_once(self, monkeypatch):
+        from convstruct import corpus
+
+        calls = []
+
+        def counting(raw):
+            calls.append(raw)
+            return normalize_name(raw)
+
+        monkeypatch.setattr(corpus, "normalize_name", counting)
+        entries = [{"line_idx": i, "speaker": ["Ada", "max"][i % 2],
+                    "addressee": [["max", "Ada"][i % 2]],
+                    "side_participant": ["Cleo_OS"] if i % 3 == 0 else [],
+                    "reply_to": max(1, i - 1)} for i in range(1, 31)]
+        records = corpus.parse_annotation_json(json.dumps(entries).encode("utf-8"))
+        assert len(records) == 30
+        assert sorted(calls) == ["Ada", "Cleo_OS", "max"]
+        assert records[2].side_participants == {normalize_name("cleo_os")}
+
+    def test_bad_name_is_reported_for_every_line(self):
+        entries = [{"line_idx": i, "speaker": "  ", "addressee": [],
+                    "side_participant": [], "reply_to": 1} for i in (1, 2)]
+        _, diags = scan_annotation_json(json.dumps(entries).encode("utf-8"))
+        assert [(d.code, d.line_idx) for d in diags] == [("BAD_NAME", 1), ("BAD_NAME", 2)]

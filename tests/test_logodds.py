@@ -1,10 +1,15 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from convstruct.stats import logodds
 from convstruct.stats.bootstrap import StatsError
 from convstruct.stats.logodds import (
+    DEFAULT_GRID,
     Document,
     TermCounts,
     calibrate_prior,
@@ -135,6 +140,35 @@ class TestTermCounts:
         assert np.array_equal(counts.y_b.sum(axis=1), counts.n_b)
 
 
+documents = st.lists(
+    st.builds(Document, st.sampled_from(["s1", "s2", "s3"]), st.sampled_from("ab"),
+              st.lists(st.sampled_from(["x", "y", "z", "w", "v"]), max_size=8).map(tuple)),
+    min_size=1, max_size=25)
+
+
+class TestTermCountsProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(docs=documents, min_count=st.integers(1, 4))
+    def test_tables_equal_brute_force_counts(self, docs, min_count):
+        pooled = Counter(t for d in docs for t in d.tokens)
+        terms = sorted(t for t, c in pooled.items() if c >= min_count)
+        if not terms:
+            with pytest.raises(StatsError, match="minimum pooled count"):
+                TermCounts.from_documents(docs, min_count=min_count)
+            return
+        shows = sorted({d.show_id for d in docs})
+        cells = {(s, g): Counter() for s in shows for g in "ab"}
+        for d in docs:
+            cells[d.show_id, d.group].update(d.tokens)
+        counts = TermCounts.from_documents(docs, min_count=min_count)
+        assert counts.terms == tuple(terms) and counts.shows == tuple(shows)
+        for group, table in (("a", counts.y_a), ("b", counts.y_b)):
+            assert table.tolist() == [[float(cells[s, group][t]) for t in terms]
+                                      for s in shows]
+        kept = np.array([pooled[t] for t in terms], dtype=np.float64)
+        assert counts.p.tolist() == (kept / kept.sum()).tolist()
+
+
 class TestStouffer:
     def test_single_value(self):
         assert stouffer([1.0]) == 1.0
@@ -175,7 +209,70 @@ def null_documents(rng, n_shows=4, docs_per_show=60, vocab=30, doc_len=15):
     return docs
 
 
+def reference_null_tables(docs, counts, permutations, seed):
+    """Every permuted (y_a, y_b) table, rebuilt from per-document Counters with
+    the draws calibrate_prior makes: one child generator per permutation, one
+    rng.permutation of a show's group labels per show, in show order."""
+    column = {t: i for i, t in enumerate(counts.terms)}
+    bags = [Counter(t for t in d.tokens if t in column) for d in docs]
+    in_a = np.array([d.group == "a" for d in docs])
+    show_rows = [[i for i, d in enumerate(docs) if d.show_id == s] for s in counts.shows]
+    tables = []
+    for child in np.random.SeedSequence(seed).spawn(permutations):
+        rng = np.random.default_rng(child)
+        y = {True: np.zeros(counts.y_a.shape), False: np.zeros(counts.y_a.shape)}
+        for s, rows in enumerate(show_rows):
+            for row, is_a in zip(rows, rng.permutation(in_a[rows])):
+                for term, count in bags[row].items():
+                    y[bool(is_a)][s, column[term]] += count
+        tables.append((y[True], y[False]))
+    return tables
+
+
+def reference_c_star(tables, p, grid):
+    best_c, best_gap = None, None
+    for candidate in sorted(grid):
+        zetas = np.concatenate([z[np.isfinite(z)] for z in (
+            logodds._zeta_core(y_a, y_b, p, candidate)[2] for y_a, y_b in tables)])
+        if zetas.size >= 2:
+            gap = abs(float(zetas.std(ddof=1)) - 1.0)
+            if best_gap is None or gap < best_gap:
+                best_c, best_gap = candidate, gap
+    return best_c
+
+
 class TestCalibratePrior:
+    @pytest.mark.parametrize("seed, grid, permutations", [
+        (0, [1.0, 10.0, 100.0], 5),
+        (7, list(DEFAULT_GRID), 3),
+        (123, [900.0, 0.5, 40.0, 3.0], 7),
+        (2024, [0.1, 0.2], 1),
+    ])
+    def test_matches_counter_reference(self, monkeypatch, seed, grid, permutations):
+        rng = np.random.default_rng(seed)
+        docs = null_documents(rng, n_shows=3, docs_per_show=21, vocab=12, doc_len=6)
+        docs.append(Document("solo", "b", ("t0", "t1", "t1")))  # a one-document show
+        counts = TermCounts.from_documents(docs, min_count=2)
+        tables = reference_null_tables(docs, counts, permutations, seed)
+        expected = reference_c_star(tables, counts.p, grid)
+
+        scored = []
+        core = logodds._zeta_core
+
+        def recording(y_a, y_b, p, c_star):
+            scored.append((c_star, y_a.copy(), y_b.copy()))
+            return core(y_a, y_b, p, c_star)
+
+        monkeypatch.setattr(logodds, "_zeta_core", recording)
+        c_star = calibrate_prior(counts, grid, permutations=permutations, seed=seed)
+        assert c_star == expected
+        # every candidate scores every permuted table, in permutation order
+        assert [c for c, _, _ in scored] == [c for c in sorted(grid)
+                                             for _ in range(permutations)]
+        for (_, y_a, y_b), (ref_a, ref_b) in zip(scored, tables * len(grid)):
+            assert np.array_equal(y_a, ref_a) and np.array_equal(y_b, ref_b)
+
+
     def test_single_candidate_grid(self):
         rng = np.random.default_rng(0)
         counts = TermCounts.from_documents(null_documents(rng), min_count=5)
