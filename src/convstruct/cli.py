@@ -1,10 +1,11 @@
 """Command-line entry point for reproducible batch runs.
 
 Commands: validate, evaluate, agree, baseline, analyze {threads|roles|logodds|
-correlate}. Every report embeds a run manifest with input digests; identical
-inputs, flags, and seed produce byte-identical output. Exit codes: 0 success,
-1 domain error, 2 I/O error. The commands only parse arguments, call the
-library, and emit its reports.
+correlate}. Each command accepts only the flags it reads. Every report embeds
+a run manifest with input digests and, as config, the command's other flags;
+identical inputs, flags, and seed produce byte-identical output. Exit codes:
+0 success, 1 domain error, 2 I/O or usage error. The commands only parse
+arguments, call the library, and emit its reports.
 """
 
 from __future__ import annotations
@@ -71,16 +72,28 @@ def _digest_path(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _manifest(command: str, inputs: dict[str, str], config: dict,
-              seed: int = 0) -> dict:
-    digests = {}
-    for name, raw in inputs.items():
-        path = Path(raw)
-        digests[name] = _digest_path(path) if path.exists() else None
+# The manifest records as inputs the paths among these that a run was given, and
+# as config every other flag its parser declares except the parser's own keys
+# and the flags that name outputs, randomness and rendering.
+_INPUTS = ("gold", "pred", "manifest", "corpus", "faces", "words", "gender_map",
+           "features")
+_NOT_CONFIG = ("command", "analysis", "handler", "out", "seed", "format")
+
+
+def _manifest(command: str, args: argparse.Namespace) -> dict:
+    inputs, digests, config = {}, {}, {}
+    for name, value in vars(args).items():
+        if name in _INPUTS:
+            if value:
+                path = Path(value)
+                inputs[name] = value
+                digests[name] = _digest_path(path) if path.exists() else None
+        elif name not in _NOT_CONFIG:
+            config[name] = value
     return {
         "command": command,
         "version": __version__,
-        "seed": seed,
+        "seed": getattr(args, "seed", 0),
         "inputs": inputs,
         "digests": digests,
         "config": config,
@@ -121,15 +134,6 @@ def _metric_table(report_dict: dict) -> list[str]:
     return lines
 
 
-def _eval_config(args) -> EvalConfig:
-    return EvalConfig(
-        aggregate=args.aggregate,
-        filter_nondialogic=args.filter_nondialogic,
-        bootstrap=BootstrapConfig(resamples=args.bootstrap, level=args.level,
-                                  seed=args.seed) if args.bootstrap else None,
-    )
-
-
 # --- commands -----------------------------------------------------------------
 
 
@@ -147,36 +151,20 @@ def cmd_validate(args) -> int:
 def cmd_evaluate(args) -> int:
     gold = load_structures(args.gold, strict=args.strict)
     pred = load_structures(args.pred, strict=args.strict)
-    config = _eval_config(args)
-    report = evaluate_corpus(gold, pred, config)
-    manifest = _manifest(
-        "evaluate",
-        {"gold": args.gold, "pred": args.pred},
-        {
-            "aggregate": args.aggregate,
-            "filter_nondialogic": args.filter_nondialogic,
-            "bootstrap": args.bootstrap,
-            "level": args.level,
-            "strict": args.strict,
-        },
-        seed=args.seed,
-    )
-    payload = {"manifest": manifest, "report": report.as_dict()}
+    bootstrap = (BootstrapConfig(resamples=args.bootstrap, level=args.level,
+                                 seed=args.seed) if args.bootstrap else None)
+    report = evaluate_corpus(
+        gold, pred, EvalConfig(args.aggregate, args.filter_nondialogic, bootstrap))
+    payload = {"manifest": _manifest("evaluate", args), "report": report.as_dict()}
     _emit(payload, args.format, _metric_table(report.as_dict()))
     return 0
 
 
 def cmd_agree(args) -> int:
     batches = load_annotators(args.manifest)
-    report = pairwise_agreement(batches, _eval_config(args))
-    manifest = _manifest(
-        "agree",
-        {"manifest": args.manifest},
-        {"aggregate": args.aggregate,
-         "filter_nondialogic": args.filter_nondialogic},
-        seed=args.seed,
-    )
-    payload = {"manifest": manifest, "report": report.as_dict()}
+    report = pairwise_agreement(
+        batches, EvalConfig(args.aggregate, args.filter_nondialogic))
+    payload = {"manifest": _manifest("agree", args), "report": report.as_dict()}
     table_lines = ["overall:"] + _metric_table(report.overall.as_dict())
     for pair, pair_report in sorted(report.per_pair.items()):
         table_lines.append(f"pair {pair[0]} x {pair[1]}:")
@@ -227,14 +215,7 @@ def cmd_baseline(args) -> int:
         target.write_bytes(blob)
         written.append(str(target))
 
-    manifest = _manifest(
-        "baseline",
-        {"corpus": args.corpus, **({"faces": args.faces} if args.faces else {}),
-         **({"words": args.words} if args.words else {})},
-        {"mode": args.mode},
-        seed=args.seed,
-    )
-    payload = {"manifest": manifest, "written": written}
+    payload = {"manifest": _manifest("baseline", args), "written": written}
     _emit(payload, args.format, ["written:"] + [f"  {w}" for w in written])
     return 0
 
@@ -248,69 +229,48 @@ def _require(path: str | None, what: str) -> Path:
     return p
 
 
-def _clips(args) -> list:
-    return list(load_corpus(args.corpus).values())  # in clip id order
+def _clips(corpus: str) -> list:
+    return list(load_corpus(corpus).values())  # in clip id order
 
 
-def _gender_map(args, manifest_inputs) -> dict:
-    gender_path = _require(args.gender_map, "--gender-map")
-    manifest_inputs["gender_map"] = args.gender_map
-    return parse_gender_map_tsv(gender_path.read_bytes())
+def _gender_map(path: str | None) -> dict:
+    return parse_gender_map_tsv(_require(path, "--gender-map").read_bytes())
 
 
-def _analyze_threads(args, manifest_inputs, config) -> dict:
-    config.update(include_nondialogic=args.include_nondialogic,
-                  bootstrap=args.bootstrap or 10_000, level=args.level,
-                  permutations=args.permutations)
-    return gender_thread_shares(
-        _clips(args),
-        _gender_map(args, manifest_inputs),
-        include_nondialogic=args.include_nondialogic,
-        config=BootstrapConfig(resamples=config["bootstrap"], level=args.level,
-                               seed=args.seed),
-        permutations=args.permutations,
-    ).as_dict()
-
-
-def _analyze_roles(args, manifest_inputs, config) -> dict:
-    return role_report(_clips(args), _gender_map(args, manifest_inputs)).as_dict()
-
-
-def _analyze_logodds(args, manifest_inputs, config) -> dict:
-    docs = utterance_documents(_clips(args), args.filter_nondialogic)
-    config.update(filter_nondialogic=args.filter_nondialogic, min_count=args.min_count,
-                  c_star=args.c_star,
-                  grid=[float(c) for c in args.grid.split(",")] if args.grid else None,
-                  permutations=args.permutations, top=args.top)
-    return logodds_report(docs, min_count=args.min_count, c_star=args.c_star,
-                          grid=config["grid"], permutations=args.permutations,
-                          seed=args.seed, top=args.top)
-
-
-def _analyze_correlate(args, manifest_inputs, config) -> dict:
-    features_path = _require(args.features, "features CSV")
-    with features_path.open(newline="", encoding="utf-8") as handle:
-        return feature_correlations(list(csv.DictReader(handle)))
-
-
-_ANALYZE_HANDLERS = {
-    "threads": _analyze_threads,
-    "roles": _analyze_roles,
-    "logodds": _analyze_logodds,
-    "correlate": _analyze_correlate,
-}
-
-
-def cmd_analyze(args) -> int:
-    """Each handler adds the inputs it reads and the flags it uses to the manifest."""
-    handler = _ANALYZE_HANDLERS[args.what]
-    inputs = {name: getattr(args, name) for name in ("corpus", "features")
-              if getattr(args, name)}
-    config: dict = {}
-    report = handler(args, inputs, config)
-    manifest = _manifest(f"analyze {args.what}", inputs, config, seed=args.seed)
+def _emit_analysis(args, report: dict) -> int:
+    manifest = _manifest(f"analyze {args.analysis}", args)
     _emit({"manifest": manifest, "report": report}, args.format, _flatten_table(report))
     return 0
+
+
+def cmd_threads(args) -> int:
+    return _emit_analysis(args, gender_thread_shares(
+        _clips(args.corpus),
+        _gender_map(args.gender_map),
+        include_nondialogic=args.include_nondialogic,
+        config=BootstrapConfig(resamples=args.bootstrap, level=args.level,
+                               seed=args.seed),
+        permutations=args.permutations,
+    ).as_dict())
+
+
+def cmd_roles(args) -> int:
+    return _emit_analysis(args, role_report(
+        _clips(args.corpus), _gender_map(args.gender_map)).as_dict())
+
+
+def cmd_logodds(args) -> int:
+    docs = utterance_documents(_clips(args.corpus), args.filter_nondialogic)
+    return _emit_analysis(args, logodds_report(
+        docs, min_count=args.min_count, c_star=args.c_star, grid=args.grid,
+        permutations=args.permutations, seed=args.seed, top=args.top))
+
+
+def cmd_correlate(args) -> int:
+    features_path = _require(args.features, "features CSV")
+    with features_path.open(newline="", encoding="utf-8") as handle:
+        report = feature_correlations(list(csv.DictReader(handle)))
+    return _emit_analysis(args, report)
 
 
 def _format_cell(value) -> str:
@@ -350,22 +310,36 @@ def _flatten_table(report: dict, prefix: str = "") -> list[str]:
 
 # --- parser -------------------------------------------------------------------
 
+# Flag definitions shared between parsers. Each parser declares only the flags
+# its command reads, in the order its manifest config lists them.
+_FLAGS = {
+    "--aggregate": dict(choices=("micro", "macro"), default="micro",
+                        help="role-metric aggregation granularity"),
+    "--filter-nondialogic": dict(action="store_true",
+                                 help="drop extra-diegetic/monologue lines"),
+    "--bootstrap": dict(type=int, default=0, metavar="N",
+                        help="bootstrap resamples for CIs (0 = off)"),
+    "--level": dict(type=float, default=0.95, help="confidence level for intervals"),
+    "--strict": dict(action="store_true",
+                     help="escalate warnings to errors; reject unknown keys"),
+    "--gender-map": dict(help="participant metadata TSV"),
+    "--permutations": dict(type=int, default=1000,
+                           help="permutation count for tests/calibration"),
+    "--seed": dict(type=int, default=0, help="random seed"),
+    "--format": dict(choices=("json", "table"), default="json"),
+}
+
+
+def _flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(c) for c in text.split(",")]
+
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--aggregate", choices=("micro", "macro"), default="micro",
-                        help="role-metric aggregation granularity")
-    common.add_argument("--bootstrap", type=int, default=0, metavar="N",
-                        help="bootstrap resamples for CIs (0 = off)")
-    common.add_argument("--level", type=float, default=0.95,
-                        help="confidence level for intervals")
-    common.add_argument("--filter-nondialogic", action="store_true",
-                        help="drop extra-diegetic/monologue lines from scoring")
-    common.add_argument("--strict", action="store_true",
-                        help="escalate warnings to errors; reject unknown keys")
-    common.add_argument("--format", choices=("json", "table"), default="json")
-
     parser = argparse.ArgumentParser(
         prog="convstruct",
         description="Multi-party conversation structure toolkit",
@@ -373,54 +347,74 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common],
+    p = sub.add_parser("validate",
                        help="validate corpus files, emit JSON-lines diagnostics")
     p.add_argument("paths", nargs="+")
+    _flags(p, "--strict")
     p.set_defaults(handler=cmd_validate)
 
-    p = sub.add_parser("evaluate", parents=[common],
-                       help="score predictions against gold")
+    p = sub.add_parser("evaluate", help="score predictions against gold")
     p.add_argument("gold")
     p.add_argument("pred")
+    _flags(p, "--aggregate", "--filter-nondialogic", "--bootstrap", "--level",
+           "--strict", "--seed", "--format")
     p.set_defaults(handler=cmd_evaluate)
 
-    p = sub.add_parser("agree", parents=[common],
-                       help="pairwise inter-annotator agreement")
+    p = sub.add_parser("agree", help="pairwise inter-annotator agreement")
     p.add_argument("manifest", help="JSON mapping annotator_id to annotation file")
+    _flags(p, "--aggregate", "--filter-nondialogic", "--format")
     p.set_defaults(handler=cmd_agree)
 
-    p = sub.add_parser("baseline", parents=[common], help="run the heuristic baseline")
+    p = sub.add_parser("baseline", help="run the heuristic baseline")
     p.add_argument("corpus")
     p.add_argument("--mode", choices=("full", "reply-only"), required=True)
     p.add_argument("--faces", help="face track JSON file or directory")
     p.add_argument("--words", help="word token TSV file or directory")
     p.add_argument("--out", required=True, help="output file or directory")
+    _flags(p, "--strict", "--format")
     p.set_defaults(handler=cmd_baseline)
 
-    p = sub.add_parser("analyze", parents=[common], help="statistical analyses")
-    p.add_argument("what", choices=sorted(_ANALYZE_HANDLERS))
-    p.add_argument("corpus", nargs="?", help="corpus directory (threads/roles/logodds)")
-    p.add_argument("--gender-map", help="participant metadata TSV")
-    p.add_argument("--features", help="clip-level feature CSV (correlate)")
-    p.add_argument("--permutations", type=int, default=1000,
-                   help="permutation count for tests/calibration")
-    p.add_argument("--grid", help="comma-separated prior-strength candidates")
-    p.add_argument("--c-star", type=float, help="fix the prior strength, skip calibration")
-    p.add_argument("--min-count", type=int, default=5,
-                   help="minimum pooled term count for log-odds")
-    p.add_argument("--top", type=int, default=10, help="terms listed per direction")
+    analyze = sub.add_parser("analyze", help="statistical analyses")
+    analyses = analyze.add_subparsers(dest="analysis", required=True)
+
+    p = analyses.add_parser("threads", help="female shares of thread starts and holds")
+    p.add_argument("corpus")
+    _flags(p, "--gender-map")
     p.add_argument("--include-nondialogic", action="store_true",
                    help="keep extra-diegetic/monologue lines in thread events")
-    p.set_defaults(handler=cmd_analyze)
+    p.add_argument("--bootstrap", type=int, default=10_000, metavar="N",
+                   help="bootstrap resamples for CIs")
+    _flags(p, "--level", "--permutations", "--seed", "--format")
+    p.set_defaults(handler=cmd_threads)
+
+    p = analyses.add_parser("roles", help="role distributions and the gender logit")
+    p.add_argument("corpus")
+    _flags(p, "--gender-map", "--format")
+    p.set_defaults(handler=cmd_roles)
+
+    p = analyses.add_parser("logodds", help="register shift under side-participants")
+    p.add_argument("corpus")
+    _flags(p, "--filter-nondialogic")
+    p.add_argument("--min-count", type=int, default=5,
+                   help="minimum pooled term count for log-odds")
+    p.add_argument("--c-star", type=float,
+                   help="fix the prior strength, skip calibration")
+    p.add_argument("--grid", type=_float_list,
+                   help="comma-separated prior-strength candidates")
+    _flags(p, "--permutations")
+    p.add_argument("--top", type=int, default=10, help="terms listed per direction")
+    _flags(p, "--seed", "--format")
+    p.set_defaults(handler=cmd_logodds)
+
+    p = analyses.add_parser("correlate", help="Spearman correlations of clip features")
+    p.add_argument("--features", help="clip-level feature CSV")
+    _flags(p, "--format")
+    p.set_defaults(handler=cmd_correlate)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "analyze" and args.what != "correlate" and not args.corpus:
-        sys.stderr.write(f"error: analyze {args.what} requires a corpus path\n")
-        return 1
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except OSError as exc:

@@ -563,29 +563,18 @@ def validate_clip(clip: Clip) -> list[Diagnostic]:
 # Face tracks and word tokens for the baseline follow the same convention
 # (<clip_id>.faces.json, <clip_id>.words.tsv).
 
-_ANNOTATION_SUFFIXES = (".annotation.json", ".json")
-_TRANSCRIPT_SUFFIXES = (".transcript.tsv", ".tsv")
-
-
-def _strip_suffix(name: str, suffixes: tuple[str, ...]) -> str | None:
-    for suffix in suffixes:
-        if name.endswith(suffix):
-            return name[: -len(suffix)]
-    return None
-
-
-def _index_dir(root: Path, suffixes: tuple[str, ...], skip: tuple[str, ...] = ()
-               ) -> dict[str, Path]:
-    index: dict[str, Path] = {}
-    for path in sorted(root.iterdir()):
-        if not path.is_file():
-            continue
-        if any(path.name.endswith(s) for s in skip):
-            continue
-        stem = _strip_suffix(path.name, suffixes)
-        if stem is not None and stem not in index:
-            index[stem] = path
-    return index
+# Each file of a corpus directory belongs to the first suffix it ends with,
+# longest first. Face tracks and word tokens belong to no clip field: the
+# baseline looks them up by clip id.
+_LAYOUT = (
+    (".annotation.json", "annotation"),
+    (".transcript.tsv", "transcript"),
+    (".faces.json", None),
+    (".cast.json", "cast"),
+    (".words.tsv", None),
+    (".json", "annotation"),
+    (".tsv", "transcript"),
+)
 
 
 @dataclass(frozen=True)
@@ -602,27 +591,30 @@ def iter_clip_files(path: str | Path) -> list[ClipFiles]:
     """Pair a corpus path's files by clip id.
 
     A file path is treated as a single-clip annotation; a directory is indexed
-    by the layout documented above.
+    by the layout documented above, in one pass over its files in name order
+    (the first file for a clip field wins). Every clip has an annotation or a
+    transcript.
     """
     root = Path(path)
     if root.is_file():
-        clip_id = _strip_suffix(root.name, _ANNOTATION_SUFFIXES) or root.stem
-        return [ClipFiles(clip_id=clip_id, annotation=root)]
+        clip_id = next((root.name[: -len(suffix)] for suffix, field in _LAYOUT
+                        if field == "annotation" and root.name.endswith(suffix)), None)
+        return [ClipFiles(clip_id=clip_id or root.stem, annotation=root)]
     if not root.is_dir():
         raise FileNotFoundError(f"no such corpus path: {root}")
-    annotations = _index_dir(root, _ANNOTATION_SUFFIXES,
-                             skip=(".cast.json", ".faces.json"))
-    transcripts = _index_dir(root, _TRANSCRIPT_SUFFIXES, skip=(".words.tsv",))
-    casts = _index_dir(root, (".cast.json",))
-    return [
-        ClipFiles(
-            clip_id=clip_id,
-            annotation=annotations.get(clip_id),
-            transcript=transcripts.get(clip_id),
-            cast=casts.get(clip_id),
-        )
-        for clip_id in sorted(set(annotations) | set(transcripts))
-    ]
+    fields: dict[str, dict[str, Path]] = {}
+    for path in sorted(root.iterdir()):
+        if not path.is_file():
+            continue
+        name = path.name
+        for suffix, field in _LAYOUT:
+            if name.endswith(suffix):
+                if field is not None:
+                    stem = name[: -len(suffix)]
+                    fields.setdefault(stem, {}).setdefault(field, path)
+                break
+    return [ClipFiles(clip_id, **found) for clip_id, found in sorted(fields.items())
+            if "annotation" in found or "transcript" in found]
 
 
 def load_structures(path: str | Path, strict: bool = False

@@ -2,12 +2,15 @@
 
 Models log P(role = j) / P(role = reference) as intercept + a female indicator
 + drop-one show dummies, with "speaker" as the reference category. The female
-odds ratio per outcome is exp(beta_female) with Wald standard errors.
+odds ratio per outcome is exp(beta_female) with Wald standard errors. The
+fit runs on the distinct observations, each weighted by its count: the
+covariates are one indicator and one show, so a corpus has few distinct rows.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,15 +67,16 @@ def _check_rank(x: np.ndarray, columns: list[str]) -> None:
 
 
 def _fit_state(
-    beta: np.ndarray, x: np.ndarray, y: np.ndarray
+    beta: np.ndarray, x: np.ndarray, y: np.ndarray, weights: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Log-likelihood, gradient and non-reference probabilities at beta."""
+    """Log-likelihood, gradient and non-reference probabilities at beta, with
+    row i standing for weights[i] identical observations."""
     eta = x @ beta.T  # (n, J)
     padded = np.concatenate([np.zeros((x.shape[0], 1)), eta], axis=1)
     lse = logsumexp(padded, axis=1)
-    ll = float((y * eta).sum() - lse.sum())
+    ll = float(weights @ ((y * eta).sum(axis=1) - lse))
     probs = np.exp(eta - lse[:, None])  # (n, J)
-    grad = (y - probs).T @ x  # (J, p)
+    grad = (weights[:, None] * (y - probs)).T @ x  # (J, p)
     return ll, grad, probs
 
 
@@ -85,24 +89,17 @@ def loglik_and_gradient(
     back in the same shape. Exposed so the analytic gradient can be checked
     against finite differences.
     """
-    ll, grad, _ = _fit_state(beta, x, y)
+    ll, grad, _ = _fit_state(beta, x, y, np.ones(x.shape[0]))
     return ll, grad
 
 
-def _information(probs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Observed information (negative Hessian) as a (J*p, J*p) block matrix."""
-    n, j = probs.shape
-    p = x.shape[1]
-    info = np.zeros((j * p, j * p))
-    for a in range(j):
-        for b in range(j):
-            if a == b:
-                w = probs[:, a] * (1.0 - probs[:, a])
-            else:
-                w = -probs[:, a] * probs[:, b]
-            block = x.T @ (w[:, None] * x)
-            info[a * p : (a + 1) * p, b * p : (b + 1) * p] = block
-    return info
+def _information(probs: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Observed information (negative Hessian) as a (J*p, J*p) block matrix:
+    block (a, b) sums weights[i] * p_ia * (1[a == b] - p_ib) * x_i x_i^T."""
+    j, p = probs.shape[1], x.shape[1]
+    cov = probs[:, :, None] * (np.eye(j) - probs[:, None, :])  # (n, J, J)
+    return np.einsum("i,iab,ip,iq->apbq", weights, cov, x, x,
+                     optimize=True).reshape(j * p, j * p)
 
 
 @dataclass(frozen=True)
@@ -144,20 +141,22 @@ def multinomial_logit(
     step by a few ulp). Rank-deficient designs and separation raise rather
     than returning unstable estimates.
     """
-    observations = list(observations)
-    if not observations:
+    counts = Counter(observations)
+    if not counts:
         raise StatsError("no observations")
-    x, y, columns, outcome_names = _design(observations, reference)
+    distinct = sorted(counts)
+    x, y, columns, outcome_names = _design(distinct, reference)
+    weights = np.array([counts[obs] for obs in distinct], dtype=float)
     _check_rank(x, columns)
 
     j, p = len(outcome_names), len(columns)
     beta = np.zeros((j, p))
-    ll, grad, probs = _fit_state(beta, x, y)
+    ll, grad, probs = _fit_state(beta, x, y, weights)
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         if np.abs(grad).max() < tol:
             break
-        info = _information(probs, x)
+        info = _information(probs, x, weights)
         try:
             step = np.linalg.solve(info, grad.reshape(-1))
         except np.linalg.LinAlgError:
@@ -169,7 +168,7 @@ def multinomial_logit(
         scale = 1.0
         for _ in range(60):
             candidate = beta + scale * step
-            state = _fit_state(candidate, x, y)
+            state = _fit_state(candidate, x, y, weights)
             if state[0] >= ll or np.abs(state[1]).max() < tol:
                 break
             scale *= 0.5
@@ -188,7 +187,7 @@ def multinomial_logit(
         worst = columns[int(np.abs(beta).max(axis=0).argmax())]
         raise StatsError(f"diverging coefficients: separation on column {worst!r}")
 
-    info = _information(probs, x)
+    info = _information(probs, x, weights)
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
@@ -209,7 +208,7 @@ def multinomial_logit(
         reference=reference,
         outcomes=outcomes,
         log_likelihood=ll,
-        n_obs=len(observations),
+        n_obs=sum(counts.values()),
         n_iter=n_iter,
         max_abs_gradient=max_grad,
     )

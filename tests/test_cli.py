@@ -1,11 +1,14 @@
+import argparse
 import contextlib
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from convstruct.cli import main
+from convstruct.cli import build_parser, main
 from convstruct.corpus import parse_annotation_json
 from convstruct.stats.logodds import TermCounts, weighted_logodds
 
@@ -515,11 +518,119 @@ class TestAnalyzeManifestConfig:
 
     def test_roles_and_correlate_record_nothing(self, tmp_path):
         corpus, genders = self._inputs(tmp_path)
-        config, _ = self._analyze("roles", corpus, "--gender-map", genders,
-                                  "--filter-nondialogic")
+        config, _ = self._analyze("roles", corpus, "--gender-map", genders)
         assert config == {}
         features = tmp_path / "features.csv"
         features.write_text("clip_id,n,f1_speaker\n"
                             + "".join(f"c{k},{k},{k * k}\n" for k in range(5)))
         config, _ = self._analyze("correlate", "--features", str(features))
         assert config == {}
+
+
+def command_parsers() -> dict[str, argparse.ArgumentParser]:
+    """Every leaf parser of the CLI by command name, e.g. "analyze threads"."""
+    found = {}
+
+    def walk(parser, prefix):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    walk(child, f"{prefix}{name} ")
+                return
+        found[prefix.strip()] = parser
+
+    walk(build_parser(), "")
+    return found
+
+
+def declared_flags(parser) -> list:
+    return [a for a in parser._actions if a.option_strings and a.dest != "help"]
+
+
+class TestEachCommandReadsItsFlags:
+    """A command accepts only the flags it reads; its manifest config is every
+    declared flag except the input paths, --out, --seed and --format."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "C", "--seed", "1"],
+        ["validate", "C", "--format", "table"],
+        ["agree", "M.json", "--bootstrap", "100"],
+        ["baseline", "C", "--mode", "reply-only", "--out", "O", "--aggregate", "macro"],
+        ["analyze", "roles", "C", "--gender-map", "G", "--filter-nondialogic"],
+        ["analyze", "threads", "C", "--gender-map", "G", "--filter-nondialogic"],
+        ["analyze", "logodds", "C", "--gender-map", "G"],
+        ["analyze", "correlate", "--features", "F", "--seed", "3"],
+    ])
+    def test_unread_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "threads"],
+        ["analyze", "logodds", "C", "--grid", "1,x"],
+    ])
+    def test_missing_corpus_and_bad_grid_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_threads_zero_resamples_exits_one(self, tmp_path):
+        corpus, genders = TestAnalyzeManifestConfig()._inputs(tmp_path)
+        code, out, err = run(["analyze", "threads", corpus, "--gender-map", genders,
+                              "--bootstrap", "0"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: resamples must be >= 1")
+
+    def test_manifest_config_is_every_declared_flag_but_inputs_and_output(
+            self, tmp_path):
+        corpus, genders = TestAnalyzeManifestConfig()._inputs(tmp_path)
+        (tmp_path / "a.json").write_text(json.dumps({"c1": GOLD_CLIP}))
+        (tmp_path / "b.json").write_text(json.dumps({"c1": GOLD_CLIP}))
+        manifest = tmp_path / "annotators.json"
+        manifest.write_text(json.dumps({"annotators": {"a": "a.json", "b": "b.json"}}))
+        features = tmp_path / "features.csv"
+        features.write_text("clip_id,n,f1_speaker\n"
+                            + "".join(f"c{k},{k},{k * k}\n" for k in range(5)))
+        argvs = {
+            "evaluate": ["evaluate", corpus, corpus],
+            "agree": ["agree", str(manifest)],
+            "baseline": ["baseline", corpus, "--mode", "reply-only",
+                         "--out", str(tmp_path / "pred")],
+            "analyze threads": ["analyze", "threads", corpus, "--gender-map", genders,
+                                "--bootstrap", "50", "--permutations", "20"],
+            "analyze roles": ["analyze", "roles", corpus, "--gender-map", genders],
+            "analyze logodds": ["analyze", "logodds", corpus, "--min-count", "1",
+                                "--permutations", "4"],
+            "analyze correlate": ["analyze", "correlate", "--features", str(features)],
+        }
+        parsers = command_parsers()
+        assert set(parsers) == set(argvs) | {"validate"}  # validate has no manifest
+        not_config = {"--gender-map", "--features", "--faces", "--words", "--out",
+                      "--seed", "--format"}
+        for command, argv in argvs.items():
+            code, out, err = run(argv)
+            assert code == 0, (command, err)
+            config = json.loads(out)["manifest"]["config"]
+            expected = [a.dest for a in declared_flags(parsers[command])
+                        if a.option_strings[0] not in not_config]
+            assert list(config) == expected, command
+
+    def test_readme_lists_exactly_the_flags_each_command_accepts(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        entries: dict[str, str] = {}
+        for line in block.splitlines():
+            line = line.split("#", 1)[0]
+            if line.startswith("convstruct "):
+                words = line.split()
+                name = " ".join(words[1:3] if words[1] == "analyze" else words[1:2])
+                entries[name] = line
+            elif line.strip():
+                entries[name] += line
+        accepted = {name: {a.option_strings[0] for a in declared_flags(parser)}
+                    for name, parser in command_parsers().items()}
+        listed = {name: set(re.findall(r"--[a-z][a-z-]*", text))
+                  for name, text in entries.items()}
+        assert listed == accepted

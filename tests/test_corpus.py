@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convstruct.corpus import (
     CROWD,
@@ -15,7 +19,9 @@ from convstruct.corpus import (
     ParseError,
     Utterance,
     ValidationError,
+    ClipFiles,
     format_transcript_tsv,
+    iter_clip_files,
     lookup_gender,
     normalize_name,
     parse_annotation_json,
@@ -372,3 +378,75 @@ class TestNameNormalizationPerParse:
                     "side_participant": [], "reply_to": 1} for i in (1, 2)]
         _, diags = scan_annotation_json(json.dumps(entries).encode("utf-8"))
         assert [(d.code, d.line_idx) for d in diags] == [("BAD_NAME", 1), ("BAD_NAME", 2)]
+
+
+def _oracle_clip_files(root: Path) -> list[ClipFiles]:
+    """The directory indexer this module used before: one sorted,
+    stat-checked pass per clip field."""
+
+    def strip(name, suffixes):
+        for suffix in suffixes:
+            if name.endswith(suffix):
+                return name[: -len(suffix)]
+        return None
+
+    def index(suffixes, skip=()):
+        found = {}
+        for path in sorted(root.iterdir()):
+            if not path.is_file() or any(path.name.endswith(s) for s in skip):
+                continue
+            stem = strip(path.name, suffixes)
+            if stem is not None and stem not in found:
+                found[stem] = path
+        return found
+
+    if root.is_file():
+        clip_id = strip(root.name, (".annotation.json", ".json")) or root.stem
+        return [ClipFiles(clip_id=clip_id, annotation=root)]
+    annotations = index((".annotation.json", ".json"), skip=(".cast.json", ".faces.json"))
+    transcripts = index((".transcript.tsv", ".tsv"), skip=(".words.tsv",))
+    casts = index((".cast.json",))
+    return [ClipFiles(clip_id, annotations.get(clip_id), transcripts.get(clip_id),
+                      casts.get(clip_id))
+            for clip_id in sorted(set(annotations) | set(transcripts))]
+
+
+_STEMS = ("x", "y", "x.annotation", "x.transcript", "x.cast", "a.b", "")
+_SUFFIXES = (".annotation.json", ".json", ".transcript.tsv", ".tsv", ".cast.json",
+             ".faces.json", ".words.tsv", ".txt", "")
+
+
+class TestIterClipFiles:
+    """One pass over a directory pairs the same files as one pass per field."""
+
+    @pytest.mark.parametrize("name", [
+        "x.annotation.json", "x.json", "x.cast.json", "x.faces.json", "x.tsv",
+        ".json", ".annotation.json", "x"])
+    def test_single_file_is_one_annotation(self, tmp_path, name):
+        (tmp_path / name).write_text("")
+        assert iter_clip_files(tmp_path / name) == _oracle_clip_files(tmp_path / name)
+
+    @settings(max_examples=150, deadline=None)
+    @given(entries=st.lists(st.tuples(st.sampled_from(_STEMS),
+                                      st.sampled_from(_SUFFIXES), st.booleans()),
+                            max_size=12))
+    @example(entries=[("x", ".annotation.json", False), ("x", ".json", False)])
+    @example(entries=[("x", ".transcript.tsv", False), ("x", ".tsv", False)])
+    @example(entries=[("x", ".cast.json", False), ("x", ".faces.json", False),
+                      ("x", ".words.tsv", False), ("y", ".words.tsv", False),
+                      ("y", ".tsv", False)])
+    @example(entries=[("x", ".annotation.json", True), ("x", ".json", False),
+                      ("y", ".tsv", True)])
+    def test_random_directories_match_oracle(self, entries):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for stem, suffix, is_dir in entries:
+                name = f"{stem}{suffix}"
+                path = root / name
+                if not name or path.exists():
+                    continue
+                if is_dir:
+                    path.mkdir()
+                else:
+                    path.write_text("")
+            assert iter_clip_files(root) == _oracle_clip_files(root)

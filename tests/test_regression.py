@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convstruct.stats.bootstrap import StatsError
 from convstruct.stats.regression import (
@@ -156,3 +158,43 @@ class TestConvergenceAtRoundingLevel:
         beta = np.array([[fit.outcomes[o].coef[c] for c in columns] for o in outcomes])
         _, grad = loglik_and_gradient(beta, x, y)
         assert np.abs(grad).max() < 1e-8
+
+
+ROLES = ("speaker", "addressee", "side-participant")
+
+
+@st.composite
+def role_tables(draw):
+    """Observations of a random table: 2-5 shows, every role and gender seen in
+    every show, so the design has full rank and no separation."""
+    n_shows = draw(st.integers(2, 5))
+    cells = {(role, is_female, f"show{s}"): draw(st.integers(1, 40))
+             for s in range(n_shows) for is_female in (False, True) for role in ROLES}
+    return observations_from_counts(cells)
+
+
+class TestFitOnDistinctObservations:
+    """The fit weights distinct observations by count; the estimates are those
+    of the per-observation likelihood, whatever the observation order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(obs=role_tables(), shuffle=st.randoms(use_true_random=False))
+    def test_estimates_solve_per_observation_score_equations(self, obs, shuffle):
+        fit = multinomial_logit(obs)
+        assert fit.n_obs == len(obs)
+        x, y, columns, outcomes = _design(obs, "speaker")
+        assert x.shape[0] == len(obs)
+        beta = np.array([[fit.outcomes[o].coef[c] for c in columns] for o in outcomes])
+        _, grad = loglik_and_gradient(beta, x, y)
+        assert np.abs(grad).max() < 1e-8
+
+        shuffled = list(obs)
+        shuffle.shuffle(shuffled)
+        again = multinomial_logit(shuffled)
+        assert again.log_likelihood == pytest.approx(fit.log_likelihood, abs=1e-9)
+        for name, estimate in fit.outcomes.items():
+            for column in columns:
+                assert again.outcomes[name].coef[column] == pytest.approx(
+                    estimate.coef[column], abs=1e-9)
+                assert again.outcomes[name].se[column] == pytest.approx(
+                    estimate.se[column], abs=1e-9)
