@@ -10,8 +10,11 @@ the linking rule and needs no face data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .corpus import (
     UNKNOWN,
@@ -61,12 +64,17 @@ class WordToken:
 
 
 def parse_face_tracks_json(data: bytes) -> list[FaceTrack]:
-    """Parse `{"clip_id": ..., "faces": [{"name": ..., "spans": [[s, e], ...]}]}`."""
+    """Parse `{"clip_id": ..., "faces": [{"name": ..., "spans": [[s, e], ...]}]}`.
+
+    Span times must be finite, and no two entries may name the same
+    participant once names are normalized.
+    """
     payload = _decode_json(data, "face track")
     if not isinstance(payload, dict) or not isinstance(payload.get("faces"), list):
         raise ParseError("face track JSON must be an object with a 'faces' array")
     clip_id = str(payload.get("clip_id", ""))
     tracks = []
+    positions: dict[Participant, int] = {}
     for pos, face in enumerate(payload["faces"]):
         if not (isinstance(face, dict) and isinstance(face.get("name"), str)
                 and "spans" in face):
@@ -76,11 +84,14 @@ def parse_face_tracks_json(data: bytes) -> list[FaceTrack]:
         except (TypeError, ValueError):
             raise ParseError(f"face entry {pos}: spans must be [start, end] "
                              f"number pairs") from None
-        tracks.append(FaceTrack(
-            clip_id=clip_id,
-            participant=normalize_name(face["name"]),
-            spans=spans,
-        ))
+        if not all(math.isfinite(t) for span in spans for t in span):
+            raise ParseError(f"face entry {pos}: span times must be finite")
+        participant = normalize_name(face["name"])
+        if participant in positions:
+            raise ParseError(f"face entries {positions[participant]} and {pos} both "
+                             f"name {participant.token!r}")
+        positions[participant] = pos
+        tracks.append(FaceTrack(clip_id=clip_id, participant=participant, spans=spans))
     return tracks
 
 
@@ -104,6 +115,8 @@ def parse_word_tokens_tsv(data: bytes) -> list[WordToken]:
             token = WordToken(int(cells[0]), cells[1], float(cells[2]), float(cells[3]))
         except ValueError:
             raise ParseError(f"word token row {row}: bad numeric field") from None
+        if not (math.isfinite(token.start_s) and math.isfinite(token.end_s)):
+            raise ParseError(f"word token row {row}: times must be finite")
         if token.start_s > token.end_s:
             raise ParseError(
                 f"word token row {row}: start {token.start_s} is after end {token.end_s}")
@@ -112,20 +125,33 @@ def parse_word_tokens_tsv(data: bytes) -> list[WordToken]:
     return tokens
 
 
-def _overlaps(span: tuple[float, float], start: float, end: float) -> bool:
-    return max(span[0], start) < min(span[1], end)
-
-
 def face_word_counts(
     tracks: Sequence[FaceTrack], words: Sequence[WordToken]
 ) -> dict[tuple[int, Participant], int]:
-    """Count each face once per word whose interval intersects any of its spans."""
+    """Count each face once per word whose interval intersects any of its spans.
+
+    Overlap is strict: a word and a span that only touch, and a zero-length
+    word, count nothing. Each track is one sorted sweep: the last span that
+    starts before a word ends is found by binary search, and the word hits the
+    track iff the running maximum of span ends up to that span is after the
+    word's start.
+    """
+    starts = np.array([w.start_s for w in words], dtype=float)
+    ends = np.array([w.end_s for w in words], dtype=float)
+    lines = np.array([w.line_idx for w in words], dtype=np.int64)
+    timed = starts < ends
     counts: dict[tuple[int, Participant], int] = {}
-    for word in words:
-        for track in tracks:
-            if any(_overlaps(span, word.start_s, word.end_s) for span in track.spans):
-                key = (word.line_idx, track.participant)
-                counts[key] = counts.get(key, 0) + 1
+    for track in tracks:
+        if not track.spans:
+            continue
+        spans = np.array(track.spans, dtype=float)
+        reach = np.maximum.accumulate(spans[:, 1])
+        last = np.searchsorted(spans[:, 0], ends, side="left") - 1
+        hit = timed & (last >= 0) & (reach[np.maximum(last, 0)] > starts)
+        line_ids, hits = np.unique(lines[hit], return_counts=True)
+        for line_idx, n in zip(line_ids.tolist(), hits.tolist()):
+            key = (line_idx, track.participant)
+            counts[key] = counts.get(key, 0) + n
     return counts
 
 

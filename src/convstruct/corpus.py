@@ -12,6 +12,7 @@ corpus path, which is what the `validate` command prints.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -201,6 +202,8 @@ def _parse_seconds(cell: str, row: int, col: str) -> float:
         value = float(cell)
     except ValueError:
         raise ParseError(f"row {row}: non-numeric {col} timestamp {cell!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"row {row}: non-finite {col} timestamp {cell!r}")
     # millisecond precision, stored exactly; keeps golden files bit-stable
     return round(value, 3)
 

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from convstruct.baseline import (
     FaceTrack,
@@ -11,7 +15,10 @@ from convstruct.baseline import (
     run_baseline,
     run_reply_only_baseline,
 )
-from convstruct.corpus import Clip, CorpusError, Utterance, normalize_name, validate_clip
+from convstruct.cli import main
+from convstruct.corpus import (
+    Clip, CorpusError, ParseError, Utterance, normalize_name, validate_clip,
+)
 from convstruct.metrics import exact_match, link_f1
 from convstruct.threads import derive_threads, link_set
 
@@ -56,6 +63,59 @@ class TestFaceWordCounts:
         tracks = [face("a", (0.0, 1.0))]
         words = [WordToken(1, "w", 1.0, 1.4)]
         assert face_word_counts(tracks, words) == {}
+
+    def test_zero_length_word_inside_a_span_counts_nothing(self):
+        tracks = [face("a", (0.0, 2.0))]
+        assert face_word_counts(tracks, [WordToken(1, "w", 1.0, 1.0)]) == {}
+
+    def test_overlapping_spans_count_a_word_once(self):
+        tracks = [face("a", (0.0, 2.0), (0.5, 1.5), (1.0, 3.0))]
+        words = [WordToken(1, "w", 1.1, 1.3), WordToken(2, "w", 2.5, 2.6)]
+        assert face_word_counts(tracks, words) == {(1, normalize_name("a")): 1,
+                                                   (2, normalize_name("a")): 1}
+
+    def test_track_with_no_spans_counts_nothing(self):
+        tracks = [face("a"), face("b", (0.0, 1.0))]
+        words = words_for_line(1, [0.0, 0.5])
+        assert face_word_counts(tracks, words) == {(1, normalize_name("b")): 2}
+
+    def test_no_words_is_empty(self):
+        assert face_word_counts([face("a", (0.0, 1.0))], []) == {}
+
+
+def loop_face_word_counts(tracks, words):
+    """The word x span loop the sweep replaced, kept as the oracle."""
+
+    def overlaps(span, start, end):
+        return max(span[0], start) < min(span[1], end)
+
+    counts = {}
+    for word in words:
+        for track in tracks:
+            if any(overlaps(span, word.start_s, word.end_s) for span in track.spans):
+                key = (word.line_idx, track.participant)
+                counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+# Times on a half-second grid, so spans touch words and each other often.
+_tick = st.integers(0, 24).map(lambda k: k / 2)
+_span = st.tuples(_tick, st.integers(1, 8)).map(lambda p: (p[0], p[0] + p[1] / 2))
+_word = st.tuples(st.integers(1, 6), st.integers(0, 32), st.integers(0, 4)).map(
+    lambda w: WordToken(w[0], "w", w[1] / 2, (w[1] + w[2]) / 2))
+
+
+@given(spans=st.lists(st.lists(_span, max_size=6), max_size=4),
+       words=st.lists(_word, max_size=30))
+@example(spans=[[(0.0, 1.0), (1.0, 2.0)]],                # touching spans
+         words=[WordToken(1, "w", 1.0, 1.0),               # zero-length, at the seam
+                WordToken(1, "w", 2.0, 3.0),               # touches the end
+                WordToken(2, "w", 5.0, 6.0)])              # outside every span
+@example(spans=[[(0.0, 4.0), (1.0, 2.0), (1.5, 3.0)], []],  # overlapping; no spans
+         words=[WordToken(1, "w", 2.5, 3.5), WordToken(1, "w", 3.9, 4.5)])
+def test_sweep_matches_the_loop(spans, words):
+    tracks = [face(f"p{k}", *sorted(track)) for k, track in enumerate(spans)]
+    assert face_word_counts(tracks, words) == loop_face_word_counts(tracks, words)
 
 
 class TestRunBaseline:
@@ -176,8 +236,73 @@ class TestParsers:
         with pytest.raises(CorpusError):
             parse_face_tracks_json(blob)
 
+    @pytest.mark.parametrize("spans", [[[0.0, float("nan")]], [[float("nan"), 1.0]],
+                                       [[0.0, float("inf")]]])
+    def test_non_finite_span_is_a_parse_error(self, spans):
+        blob = json.dumps({"clip_id": "c", "faces": [{"name": "a", "spans": [[0.0, 1.0]]},
+                                                     {"name": "b", "spans": spans}]})
+        with pytest.raises(ParseError, match="face entry 1: span times must be finite"):
+            parse_face_tracks_json(blob.encode())
+
+    def test_faces_naming_one_participant_are_a_parse_error(self):
+        blob = json.dumps({"clip_id": "c", "faces": [
+            {"name": "Penny", "spans": [[0.0, 1.0]]},
+            {"name": "leonard", "spans": [[0.0, 1.0]]},
+            {"name": " penny ", "spans": [[2.0, 3.0]]}]}).encode()
+        with pytest.raises(ParseError, match="face entries 0 and 2 both name 'penny'"):
+            parse_face_tracks_json(blob)
+
+    @pytest.mark.parametrize("times", ["nan\t2.0", "0.5\tnan", "0.5\tinf",
+                                       "-Infinity\t0.5"])
+    def test_non_finite_word_time_is_a_parse_error(self, times):
+        blob = f"line_idx\tword\tstart\tend\n1\tok\t0.0\t0.3\n1\tbad\t{times}\n"
+        with pytest.raises(ParseError, match="word token row 2: times must be finite"):
+            parse_word_tokens_tsv(blob.encode())
+
     def test_word_tokens_tsv(self):
         blob = b"line_idx\tword\tstart\tend\n1\thello\t0.0\t0.3\n1\tthere\t0.3\t0.6\n"
         tokens = parse_word_tokens_tsv(blob)
         assert [t.word for t in tokens] == ["hello", "there"]
         assert tokens[0].line_idx == 1
+
+
+class TestBaselineCommandRejects:
+    TRANSCRIPT = "start\tend\tspeaker\ttext\n0.000\t1.000\tada\thello\n"
+    FACES = [{"name": "ada", "spans": [[0.0, 5.0]]}]
+    WORDS = "line_idx\tword\tstart\tend\n1\thello\t0.0\t0.4\n"
+
+    def _run(self, tmp_path, transcript=TRANSCRIPT, faces=FACES, words=WORDS):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "c1.transcript.tsv").write_text(transcript)
+        (corpus / "c1.faces.json").write_text(json.dumps({"clip_id": "c1",
+                                                          "faces": faces}))
+        (corpus / "c1.words.tsv").write_text(words)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["baseline", str(corpus), "--mode", "full",
+                         "--faces", str(corpus), "--words", str(corpus),
+                         "--out", str(tmp_path / "pred")])
+        return code, err.getvalue()
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"words": WORDS + "1\tthere\tnan\t2.0\n"},
+         "word token row 2: times must be finite"),
+        ({"transcript": TRANSCRIPT.replace("1.000", "inf")},
+         "row 1: non-finite end timestamp 'inf'"),
+        ({"faces": [{"name": "ada", "spans": [[0.0, float("inf")]]}]},
+         "face entry 0: span times must be finite"),
+        ({"faces": [{"name": "ada", "spans": [[float("nan"), 1.0]]}]},
+         "face entry 0: span times must be finite"),
+        ({"faces": FACES + [{"name": "ADA", "spans": [[6.0, 7.0]]}]},
+         "face entries 0 and 1 both name 'ada'"),
+    ])
+    def test_parse_error_exits_one(self, tmp_path, edit, message):
+        code, err = self._run(tmp_path, **edit)
+        assert code == 1
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+
+    def test_well_formed_inputs_run(self, tmp_path):
+        code, err = self._run(tmp_path)
+        assert code == 0, err
