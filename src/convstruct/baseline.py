@@ -63,11 +63,15 @@ class WordToken:
     end_s: float
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_face_tracks_json(data: bytes) -> list[FaceTrack]:
     """Parse `{"clip_id": ..., "faces": [{"name": ..., "spans": [[s, e], ...]}]}`.
 
-    Span times must be finite, and no two entries may name the same
-    participant once names are normalized.
+    Span times must be finite JSON numbers, and no two entries may name the
+    same participant once names are normalized.
     """
     payload = _decode_json(data, "face track")
     if not isinstance(payload, dict) or not isinstance(payload.get("faces"), list):
@@ -79,11 +83,12 @@ def parse_face_tracks_json(data: bytes) -> list[FaceTrack]:
         if not (isinstance(face, dict) and isinstance(face.get("name"), str)
                 and "spans" in face):
             raise ParseError(f"face entry {pos} needs a 'name' string and 'spans'")
-        try:
-            spans = tuple(sorted((float(s), float(e)) for s, e in face["spans"]))
-        except (TypeError, ValueError):
+        if not (isinstance(face["spans"], list) and all(
+                isinstance(span, list) and len(span) == 2 and all(map(_is_number, span))
+                for span in face["spans"])):
             raise ParseError(f"face entry {pos}: spans must be [start, end] "
-                             f"number pairs") from None
+                             f"number pairs")
+        spans = tuple(sorted((float(s), float(e)) for s, e in face["spans"]))
         if not all(math.isfinite(t) for span in spans for t in span):
             raise ParseError(f"face entry {pos}: span times must be finite")
         participant = normalize_name(face["name"])
@@ -115,6 +120,9 @@ def parse_word_tokens_tsv(data: bytes) -> list[WordToken]:
             token = WordToken(int(cells[0]), cells[1], float(cells[2]), float(cells[3]))
         except ValueError:
             raise ParseError(f"word token row {row}: bad numeric field") from None
+        if token.line_idx < 1:
+            raise ParseError(f"word token row {row}: line_idx must be >= 1, "
+                             f"got {token.line_idx}")
         if not (math.isfinite(token.start_s) and math.isfinite(token.end_s)):
             raise ParseError(f"word token row {row}: times must be finite")
         if token.start_s > token.end_s:
@@ -174,10 +182,21 @@ def run_baseline(
 
     A line with no visible faces gets the reserved "unknown" speaker; a window
     with no non-speaker face gets no addressee. The context window for the
-    clip-initial line is just the line itself.
+    clip-initial line is just the line itself. A track whose non-empty
+    `clip_id` names another clip, and a word on a line the transcript lacks,
+    are `CorpusError`s.
     """
     if not clip.utterances:
         raise CorpusError(f"clip {clip.clip_id!r} has no utterances")
+    for track in tracks:
+        if track.clip_id and track.clip_id != clip.clip_id:
+            raise CorpusError(f"face tracks are for clip {track.clip_id!r}, "
+                              f"not clip {clip.clip_id!r}")
+    lines = {u.line_idx for u in clip.utterances}
+    for word in words:
+        if word.line_idx not in lines:
+            raise CorpusError(f"clip {clip.clip_id!r}: word {word.word!r} is on line "
+                              f"{word.line_idx}, which the transcript lacks")
     counts = face_word_counts(tracks, words)
     tracks_by_face = {t.participant: t for t in tracks}
     rank = _rank_key(tracks_by_face)

@@ -189,6 +189,11 @@ def cmd_baseline(args) -> int:
         raise CorpusError(f"no clips found under {args.corpus}")
     if args.mode == "full" and not args.faces:
         raise CorpusError("--mode full requires --faces (and usually --words)")
+    if args.mode == "full" and len(corpus) > 1:
+        for flag, path in (("--faces", args.faces), ("--words", args.words)):
+            if path and Path(path).is_file():
+                raise CorpusError(f"{flag} {path} is one file but the corpus has "
+                                  f"{len(corpus)} clips; give a directory")
     out_root = Path(args.out)
     single_file = out_root.suffix == ".json" and len(corpus) == 1
     if not single_file:

@@ -17,6 +17,7 @@ shows with equal-weight Stouffer combination, Z_t = sum(zeta_ts) / sqrt(k).
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -31,6 +32,8 @@ GROUP_A = "a"
 GROUP_B = "b"
 # prior strengths tried by calibration unless a grid is given: 1 to 10^4
 DEFAULT_GRID = tuple(float(c) for c in np.logspace(0, 4, 9))
+# permuted label rows tabulated at once during calibration
+_CALIBRATION_BLOCK = 8
 
 _APOSTROPHES = str.maketrans({"’": "'", "ʼ": "'"})
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:'[a-z0-9]+)*")
@@ -225,6 +228,21 @@ def stouffer(zetas: Sequence[float]) -> float:
     return float(values.sum() / np.sqrt(values.size))
 
 
+def _merge_moments(moments: tuple[int, float, float], values: np.ndarray
+                   ) -> tuple[int, float, float]:
+    """Fold `values` into running (count, mean, M2) with the pairwise update of
+    Chan, Golub & LeVeque; M2 is the sum of squared deviations from the mean."""
+    n_a, mean_a, m2_a = moments
+    n_b = values.size
+    if n_b == 0:
+        return moments
+    mean_b = float(values.mean())
+    m2_b = float(np.square(values - mean_b).sum())
+    n = n_a + n_b
+    shift = mean_b - mean_a
+    return n, mean_a + shift * n_b / n, m2_a + m2_b + shift * shift * n_a * n_b / n
+
+
 def calibrate_prior(
     counts: TermCounts,
     grid: Sequence[float],
@@ -236,7 +254,9 @@ def calibrate_prior(
     Document group labels are permuted within each show; the same permutation
     set is reused for every candidate so the comparison is paired and the
     result deterministic in (counts, grid, permutations, seed). Ties resolve
-    to the smaller prior strength.
+    to the smaller prior strength. Label rows are drawn and tabulated
+    `_CALIBRATION_BLOCK` at a time, and each candidate keeps only the running
+    moments of its null z-scores, so memory does not grow with `permutations`.
     """
     if not len(grid):
         raise StatsError("calibration grid is empty")
@@ -254,25 +274,32 @@ def calibrate_prior(
             "degenerate corpus: no show has two or more documents to permute"
         )
 
-    labels = np.empty((permutations, counts.doc_in_a.size), dtype=bool)
-    for row, child in zip(labels, np.random.SeedSequence(seed).spawn(permutations)):
-        rng = np.random.default_rng(child)
-        for rows in show_rows:
-            row[rows] = rng.permutation(counts.doc_in_a[rows])
-    null_a = _group_a_tables(counts.doc_terms, counts.doc_show, counts.y_a.shape, labels)
+    candidates = sorted(float(c) for c in grid)
+    # running (count, mean, M2) of each candidate's finite null z-scores
+    moments = [(0, 0.0, 0.0)] * len(candidates)
     totals = counts.y_a + counts.y_b
+    # spawning block by block yields the children of one spawn(permutations)
+    root = np.random.SeedSequence(seed)
+    for first in range(0, permutations, _CALIBRATION_BLOCK):
+        block = root.spawn(min(_CALIBRATION_BLOCK, permutations - first))
+        labels = np.empty((len(block), counts.doc_in_a.size), dtype=bool)
+        for row, child in zip(labels, block):
+            rng = np.random.default_rng(child)
+            for rows in show_rows:
+                row[rows] = rng.permutation(counts.doc_in_a[rows])
+        null_a = _group_a_tables(counts.doc_terms, counts.doc_show, counts.y_a.shape,
+                                 labels)
+        for k, candidate in enumerate(candidates):
+            for y_a in null_a:
+                _, _, zeta = _zeta_core(y_a, totals - y_a, counts.p, candidate)
+                moments[k] = _merge_moments(moments[k], zeta[np.isfinite(zeta)])
 
     best_c = None
     best_gap = None
-    for candidate in sorted(float(c) for c in grid):
-        null_zetas = []
-        for y_a in null_a:
-            _, _, zeta = _zeta_core(y_a, totals - y_a, counts.p, candidate)
-            null_zetas.append(zeta[np.isfinite(zeta)])
-        pooled = np.concatenate(null_zetas)
-        if pooled.size < 2:
+    for candidate, (n, _, m2) in zip(candidates, moments):
+        if n < 2:
             continue
-        gap = abs(float(pooled.std(ddof=1)) - 1.0)
+        gap = abs(math.sqrt(m2 / (n - 1)) - 1.0)
         if best_gap is None or gap < best_gap:
             best_c, best_gap = candidate, gap
     if best_c is None:

@@ -306,3 +306,35 @@ class TestBaselineCommandRejects:
     def test_well_formed_inputs_run(self, tmp_path):
         code, err = self._run(tmp_path)
         assert code == 0, err
+
+
+class TestSideFileChecks:
+    @pytest.mark.parametrize("spans", [[["0.5", "2"], [True, 3]], [[0, True]],
+                                       [[None, 1.0]], [{"0": 0, "1": 1}]])
+    def test_span_times_must_be_json_numbers(self, spans):
+        blob = json.dumps({"clip_id": "c", "faces": [{"name": "a", "spans": spans}]})
+        with pytest.raises(ParseError, match="face entry 0: spans must be"):
+            parse_face_tracks_json(blob.encode())
+
+    def test_integer_span_times_are_numbers(self):
+        blob = json.dumps({"clip_id": "c", "faces": [{"name": "a", "spans": [[0, 2]]}]})
+        assert parse_face_tracks_json(blob.encode())[0].spans == ((0.0, 2.0),)
+
+    def test_tracks_of_another_clip_name_both_clips(self):
+        with pytest.raises(CorpusError, match="for clip 'c', not clip 'd'"):
+            run_baseline(make_clip(1, clip_id="d"), [face("a", (0.0, 9.0))], [])
+        # a track without a clip_id is taken for any clip
+        untagged = FaceTrack(clip_id="", participant=normalize_name("a"),
+                             spans=((0.0, 9.0),))
+        assert run_baseline(make_clip(1, clip_id="d"), [untagged], [])
+
+    @pytest.mark.parametrize("line_idx", ["0", "-3"])
+    def test_word_line_below_one_is_a_parse_error(self, line_idx):
+        blob = f"line_idx\tword\tstart\tend\n1\tok\t0.0\t0.3\n{line_idx}\tx\t0.0\t0.3\n"
+        with pytest.raises(ParseError, match="word token row 2: line_idx must be >= 1"):
+            parse_word_tokens_tsv(blob.encode())
+
+    def test_word_on_a_missing_line_names_clip_and_line(self):
+        words = words_for_line(1, [0.0]) + words_for_line(99, [0.5])
+        with pytest.raises(CorpusError, match="clip 'c': word 'w0' is on line 99"):
+            run_baseline(make_clip(2), [face("a", (0.0, 9.0))], words)

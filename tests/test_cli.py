@@ -634,3 +634,74 @@ class TestEachCommandReadsItsFlags:
         listed = {name: set(re.findall(r"--[a-z][a-z-]*", text))
                   for name, text in entries.items()}
         assert listed == accepted
+
+
+class TestBaselineSideFilesMatchTheClip:
+    FACES = [{"name": "ada", "spans": [[0.0, 4.3]]}]
+    WORDS = "line_idx\tword\tstart\tend\n1\thello\t0.00\t0.40\n"
+
+    def _corpus(self, tmp_path, clip_ids=("c1",), faces=FACES, words=WORDS,
+                faces_clip_id=None):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, {c: GOLD_CLIP for c in clip_ids},
+                     {c: TRANSCRIPT for c in clip_ids})
+        for clip_id in clip_ids:
+            (corpus / f"{clip_id}.faces.json").write_text(json.dumps(
+                {"clip_id": faces_clip_id or clip_id, "faces": faces}))
+            (corpus / f"{clip_id}.words.tsv").write_text(words)
+        return corpus
+
+    def _baseline(self, tmp_path, faces, words):
+        return run(["baseline", str(tmp_path / "corpus"), "--mode", "full",
+                    "--faces", str(faces), "--words", str(words),
+                    "--out", str(tmp_path / "pred")])
+
+    def _assert_error(self, code, err, message):
+        assert code == 1
+        assert err.startswith(f"error: {message}"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--faces", "--words"])
+    def test_one_file_for_many_clips_exits_one(self, tmp_path, flag):
+        corpus = self._corpus(tmp_path, clip_ids=("c1", "c2"))
+        files = {"--faces": corpus / "c1.faces.json", "--words": corpus / "c1.words.tsv"}
+        paths = {"--faces": corpus, "--words": corpus, flag: files[flag]}
+        code, _, err = self._baseline(tmp_path, paths["--faces"], paths["--words"])
+        self._assert_error(code, err, f"{flag} {files[flag]} is one file but the "
+                                      f"corpus has 2 clips")
+        assert not list((tmp_path / "pred").glob("*.json"))
+
+    def test_one_file_for_one_clip_runs(self, tmp_path):
+        corpus = self._corpus(tmp_path)
+        code, _, err = self._baseline(tmp_path, corpus / "c1.faces.json",
+                                      corpus / "c1.words.tsv")
+        assert code == 0, err
+
+    @pytest.mark.parametrize("faces_in_dir", [True, False])
+    def test_faces_of_another_clip_exit_one(self, tmp_path, faces_in_dir):
+        corpus = self._corpus(tmp_path, faces_clip_id="c9")
+        faces = corpus if faces_in_dir else corpus / "c1.faces.json"
+        code, _, err = self._baseline(tmp_path, faces, corpus)
+        self._assert_error(code, err, "face tracks are for clip 'c9', not clip 'c1'")
+
+    @pytest.mark.parametrize("spans", [[["0.5", "2"]], [[True, 3]],
+                                       [[0.0, 1.0], [2.0, False]]])
+    def test_non_number_span_times_exit_one(self, tmp_path, spans):
+        corpus = self._corpus(tmp_path, faces=[{"name": "ada", "spans": spans}])
+        code, _, err = self._baseline(tmp_path, corpus, corpus)
+        self._assert_error(code, err,
+                           "face entry 0: spans must be [start, end] number pairs")
+
+    @pytest.mark.parametrize("line_idx", [0, -3])
+    def test_word_line_below_one_exits_one(self, tmp_path, line_idx):
+        words = f"line_idx\tword\tstart\tend\n{line_idx}\thello\t0.00\t0.40\n"
+        corpus = self._corpus(tmp_path, words=words)
+        code, _, err = self._baseline(tmp_path, corpus, corpus)
+        self._assert_error(code, err,
+                           f"word token row 1: line_idx must be >= 1, got {line_idx}")
+
+    def test_word_on_a_missing_line_exits_one(self, tmp_path):
+        corpus = self._corpus(tmp_path, words=self.WORDS + "99\tlate\t5.00\t5.40\n")
+        code, _, err = self._baseline(tmp_path, corpus, corpus)
+        self._assert_error(code, err, "clip 'c1': word 'late' is on line 99, "
+                                      "which the transcript lacks")

@@ -347,3 +347,83 @@ class TestLogoddsReportTop:
     def test_negative_top_raises(self):
         with pytest.raises(StatsError, match="top"):
             logodds_report(self.DOCS, min_count=1, c_star=2.0, top=-1)
+
+
+def oracle_calibration(counts, grid, permutations, seed):
+    """The unblocked calibration: every null table drawn at once, every
+    candidate's finite null z pooled, then one SD. Returns C* and each
+    candidate's gap |SD - 1|."""
+    show_rows = [np.flatnonzero(counts.doc_show == s) for s in range(len(counts.shows))]
+    labels = np.empty((permutations, counts.doc_in_a.size), dtype=bool)
+    for row, child in zip(labels, np.random.SeedSequence(seed).spawn(permutations)):
+        rng = np.random.default_rng(child)
+        for rows in show_rows:
+            row[rows] = rng.permutation(counts.doc_in_a[rows])
+    null_a = logodds._group_a_tables(counts.doc_terms, counts.doc_show,
+                                     counts.y_a.shape, labels)
+    totals = counts.y_a + counts.y_b
+    best_c, best_gap, gaps = None, None, {}
+    for candidate in sorted(float(c) for c in grid):
+        pooled = np.concatenate([
+            z[np.isfinite(z)] for z in (
+                logodds._zeta_core(y_a, totals - y_a, counts.p, candidate)[2]
+                for y_a in null_a)])
+        if pooled.size < 2:
+            continue
+        gap = abs(float(pooled.std(ddof=1)) - 1.0)
+        gaps.setdefault(candidate, gap)
+        if best_gap is None or gap < best_gap:
+            best_c, best_gap = candidate, gap
+    return best_c, gaps
+
+
+class TestBlockedCalibration:
+    @settings(max_examples=60, deadline=None)
+    @given(docs=documents, min_count=st.integers(1, 3),
+           grid=st.lists(st.floats(0.05, 1e4), min_size=1, max_size=6),
+           permutations=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_matches_unblocked_oracle(self, docs, min_count, grid, permutations, seed):
+        try:
+            counts = TermCounts.from_documents(docs, min_count=min_count)
+        except StatsError:
+            return
+        if not any((counts.doc_show == s).sum() >= 2 for s in range(len(counts.shows))):
+            with pytest.raises(StatsError, match="degenerate"):
+                calibrate_prior(counts, grid, permutations, seed)
+            return
+        expected, gaps = oracle_calibration(counts, grid, permutations, seed)
+        if expected is None:
+            with pytest.raises(StatsError, match="no usable null z-scores"):
+                calibrate_prior(counts, grid, permutations, seed)
+            return
+        c_star = calibrate_prior(counts, grid, permutations, seed)
+        if c_star != expected:  # only a near-tie in the oracle's gaps may flip
+            assert abs(gaps[c_star] - gaps[expected]) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("permutations", [1, 3, 9, 17])
+    def test_dense_grid_matches_unblocked_oracle(self, seed, permutations):
+        # small corpora and a fine grid put neighbouring candidates' gaps close,
+        # so a biased SD (say ddof=0) picks a different C*
+        rng = np.random.default_rng(seed)
+        docs = null_documents(rng, n_shows=2, docs_per_show=6, vocab=5, doc_len=3)
+        counts = TermCounts.from_documents(docs, min_count=1)
+        grid = list(np.logspace(0, 3, 25))
+        expected, gaps = oracle_calibration(counts, grid, permutations, seed)
+        c_star = calibrate_prior(counts, grid, permutations, seed)
+        assert c_star == expected or abs(gaps[c_star] - gaps[expected]) <= 1e-9
+
+    def test_memory_does_not_grow_with_permutations(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(4)
+        counts = TermCounts.from_documents(null_documents(rng), min_count=5)
+        peaks = {}
+        for permutations in (8, 256):
+            tracemalloc.start()
+            try:
+                calibrate_prior(counts, [1.0, 100.0], permutations, seed=0)
+                peaks[permutations] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[256] <= 1.5 * peaks[8], peaks
