@@ -22,10 +22,12 @@ class AgreementError(ValueError):
 
 @dataclass(frozen=True)
 class AnnotatorBatch:
-    """One annotator's records, keyed by clip (each clip at most once)."""
+    """One annotator's records, keyed by clip (each clip at most once), and
+    the file they were read from, if any."""
 
     annotator_id: str
     records_by_clip: Mapping[str, Sequence[StructureRecord]]
+    path: Path | None = None
 
 
 @dataclass
@@ -73,7 +75,7 @@ def load_annotators(manifest: str | Path) -> list[AnnotatorBatch]:
                        for clip_id, records in sorted(payload.items())}
         else:
             raise ParseError(f"annotator file {path} must be a JSON array or object")
-        batches.append(AnnotatorBatch(annotator_id=annotator_id, records_by_clip=by_clip))
+        batches.append(AnnotatorBatch(annotator_id, by_clip, path))
     return batches
 
 

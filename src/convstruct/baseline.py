@@ -24,7 +24,8 @@ from .corpus import (
     Participant,
     StructureRecord,
     _decode_json,
-    normalize_name,
+    _file_name,
+    _tsv_rows,
 )
 
 UNKNOWN_SPEAKER = Participant("unknown", UNKNOWN)
@@ -91,7 +92,7 @@ def parse_face_tracks_json(data: bytes) -> list[FaceTrack]:
         spans = tuple(sorted((float(s), float(e)) for s, e in face["spans"]))
         if not all(math.isfinite(t) for span in spans for t in span):
             raise ParseError(f"face entry {pos}: span times must be finite")
-        participant = normalize_name(face["name"])
+        participant = _file_name(face["name"], f"face entry {pos}")
         if participant in positions:
             raise ParseError(f"face entries {positions[participant]} and {pos} both "
                              f"name {participant.token!r}")
@@ -102,20 +103,8 @@ def parse_face_tracks_json(data: bytes) -> list[FaceTrack]:
 
 def parse_word_tokens_tsv(data: bytes) -> list[WordToken]:
     """Parse word tokens TSV: `line_idx word start end`."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"word token TSV is not valid UTF-8: {exc}") from None
-    lines = [ln.rstrip("\r") for ln in text.split("\n") if ln.strip()]
-    if not lines:
-        raise ParseError("word token TSV is empty")
-    if tuple(lines[0].split("\t")) != ("line_idx", "word", "start", "end"):
-        raise ParseError(f"bad word token header {lines[0]!r}")
     tokens = []
-    for row, line in enumerate(lines[1:], start=1):
-        cells = line.split("\t")
-        if len(cells) != 4:
-            raise ParseError(f"word token row {row}: expected 4 columns")
+    for row, cells in _tsv_rows(data, "word token", ("line_idx", "word", "start", "end")):
         try:
             token = WordToken(int(cells[0]), cells[1], float(cells[2]), float(cells[3]))
         except ValueError:

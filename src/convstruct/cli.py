@@ -17,8 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .agreement import AgreementError, load_annotators, pairwise_agreement
 from .baseline import (
@@ -100,25 +98,11 @@ def _manifest(command: str, args: argparse.Namespace) -> dict:
     }
 
 
-def _jsonify(value):
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    return value
-
-
 def _emit(payload: dict, fmt: str, table_lines: list[str] | None = None) -> None:
     if fmt == "table" and table_lines is not None:
         sys.stdout.write("\n".join(table_lines) + "\n")
     else:
-        sys.stdout.write(json.dumps(_jsonify(payload), indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _metric_table(report_dict: dict) -> list[str]:
@@ -164,7 +148,13 @@ def cmd_agree(args) -> int:
     batches = load_annotators(args.manifest)
     report = pairwise_agreement(
         batches, EvalConfig(args.aggregate, args.filter_nondialogic))
-    payload = {"manifest": _manifest("agree", args), "report": report.as_dict()}
+    manifest = _manifest("agree", args)
+    # the manifest file only names the annotator files; digest what they hold too
+    digest = hashlib.sha256()
+    for path in [Path(args.manifest)] + [batch.path for batch in batches]:
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    manifest["digests"]["manifest"] = digest.hexdigest()
+    payload = {"manifest": manifest, "report": report.as_dict()}
     table_lines = ["overall:"] + _metric_table(report.overall.as_dict())
     for pair, pair_report in sorted(report.per_pair.items()):
         table_lines.append(f"pair {pair[0]} x {pair[1]}:")
@@ -194,12 +184,9 @@ def cmd_baseline(args) -> int:
             if path and Path(path).is_file():
                 raise CorpusError(f"{flag} {path} is one file but the corpus has "
                                   f"{len(corpus)} clips; give a directory")
-    out_root = Path(args.out)
-    single_file = out_root.suffix == ".json" and len(corpus) == 1
-    if not single_file:
-        out_root.mkdir(parents=True, exist_ok=True)
 
-    written = []
+    # every clip's records come first, so a failing clip writes no file at all
+    predictions = {}
     for clip_id in sorted(corpus):
         clip = corpus[clip_id]
         if not clip.utterances:
@@ -215,7 +202,14 @@ def cmd_baseline(args) -> int:
             words = (parse_word_tokens_tsv(words_path.read_bytes())
                      if words_path else [])
             records = run_baseline(clip, tracks, words)
-        blob = serialize_annotation_json(records)
+        predictions[clip_id] = serialize_annotation_json(records)
+
+    out_root = Path(args.out)
+    single_file = out_root.suffix == ".json" and len(corpus) == 1
+    if not single_file:
+        out_root.mkdir(parents=True, exist_ok=True)
+    written = []
+    for clip_id, blob in predictions.items():
         target = out_root if single_file else out_root / f"{clip_id}.annotation.json"
         target.write_bytes(blob)
         written.append(str(target))
@@ -304,7 +298,7 @@ def _flatten_table(report: dict, prefix: str = "") -> list[str]:
                 lines.append(prefix + "  " + "  ".join(
                     _format_cell(row.get(c, "")).ljust(widths[c]) for c in columns))
         elif isinstance(value, list):
-            rendered = ", ".join(_format_cell(_jsonify(v)) for v in value)
+            rendered = ", ".join(_format_cell(v) for v in value)
             lines.append(f"{label:<32} [{rendered}]")
         elif isinstance(value, float):
             lines.append(f"{label:<32} {value:>12.4f}")

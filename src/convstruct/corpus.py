@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class CorpusError(ValueError):
@@ -95,6 +95,15 @@ def normalize_name(raw: str) -> Participant:
             raise CorpusError(f"off-screen marker with empty base name: {raw!r}")
         return Participant(base, OFF_SCREEN)
     return Participant(name, REGULAR)
+
+
+def _file_name(raw: str, where: str) -> Participant:
+    """`normalize_name` for a name read from a cast, gender map or face file:
+    a bad name is a ParseError naming its entry or row."""
+    try:
+        return normalize_name(raw)
+    except CorpusError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -194,6 +203,32 @@ class Diagnostic:
         }
 
 
+def _tsv_rows(data: bytes, what: str, header: tuple[str, ...]
+              ) -> Iterator[tuple[int, list[str]]]:
+    """Yield (row, cells) for every data line of a tab-separated file.
+
+    The first line must be `header`. A line that is empty but for a trailing
+    carriage return is skipped but counted, so row N is always line N+1 of the
+    file; any other line, whitespace-only included, needs one cell per column.
+    """
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
+    found = tuple(lines[0].rstrip("\r").split("\t"))
+    if found != header:
+        raise ParseError(f"bad {what} header {found!r}, expected {header!r}")
+    for row, line in enumerate(lines[1:], start=1):
+        line = line.rstrip("\r")
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) != len(header):
+            raise ParseError(f"{what} row {row}: expected {len(header)} columns, "
+                             f"found {len(cells)}")
+        yield row, cells
+
+
 TRANSCRIPT_HEADER = ("start", "end", "speaker", "text")
 
 
@@ -215,28 +250,8 @@ def parse_transcript_tsv(data: bytes, clip_id: str = "") -> list[Utterance]:
     column is kept verbatim as a provisional hint; gold speakers come from
     annotations, not from here.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"transcript is not valid UTF-8: {exc}") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ParseError("transcript is empty (missing header row)")
-    header = tuple(lines[0].rstrip("\r").split("\t"))
-    if header != TRANSCRIPT_HEADER:
-        raise ParseError(
-            f"bad transcript header {header!r}, expected {TRANSCRIPT_HEADER!r}"
-        )
     utterances = []
-    for row, line in enumerate(lines[1:], start=1):
-        line = line.rstrip("\r")
-        if not line:
-            continue
-        cells = line.split("\t")
-        if len(cells) != 4:
-            raise ParseError(f"row {row}: expected 4 columns, found {len(cells)}")
+    for row, cells in _tsv_rows(data, "transcript", TRANSCRIPT_HEADER):
         start_s = _parse_seconds(cells[0], row, "start")
         end_s = _parse_seconds(cells[1], row, "end")
         if start_s > end_s:
@@ -453,7 +468,7 @@ def parse_cast_json(data: bytes) -> tuple[str, str, list[Participant]]:
     for k, name in enumerate(payload["cast"]):
         if not isinstance(name, str):
             raise ParseError(f"cast entry {k} must be a string, got {type(name).__name__}")
-    cast = [normalize_name(n) for n in payload["cast"]]
+    cast = [_file_name(n, f"cast entry {k}") for k, n in enumerate(payload["cast"])]
     return str(payload.get("clip_id", "")), str(payload.get("show_id", "")), cast
 
 
@@ -463,22 +478,10 @@ def parse_gender_map_tsv(data: bytes) -> dict[tuple[str, str], str]:
     Keys are (show_id, canonical_name); an empty show_id acts as a corpus-wide
     fallback entry.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"gender map is not valid UTF-8: {exc}") from None
-    lines = [ln.rstrip("\r") for ln in text.split("\n") if ln.strip()]
-    if not lines:
-        raise ParseError("gender map is empty")
-    header = tuple(lines[0].split("\t"))
-    if header != ("canonical_name", "gender", "show_id"):
-        raise ParseError(f"bad gender map header {header!r}")
+    header = ("canonical_name", "gender", "show_id")
     table: dict[tuple[str, str], str] = {}
-    for row, line in enumerate(lines[1:], start=1):
-        cells = line.split("\t")
-        if len(cells) != 3:
-            raise ParseError(f"gender map row {row}: expected 3 columns")
-        name = normalize_name(cells[0]).canonical_name
+    for row, cells in _tsv_rows(data, "gender map", header):
+        name = _file_name(cells[0], f"gender map row {row}").canonical_name
         gender = cells[1].strip().lower()
         if gender not in GENDERS:
             raise ParseError(
@@ -632,14 +635,18 @@ def load_structures(path: str | Path, strict: bool = False
 
 
 def _clip(files: ClipFiles, gold: tuple[StructureRecord, ...] | None) -> Clip:
-    """A clip from its annotation records plus any transcript/cast on disk."""
+    """A clip from its annotation records plus any transcript/cast on disk; a
+    cast list whose non-empty `clip_id` names another clip is a ParseError."""
     utterances: tuple[Utterance, ...] = ()
     if files.transcript is not None:
         utterances = tuple(parse_transcript_tsv(
             files.transcript.read_bytes(), clip_id=files.clip_id))
     show_id, cast = "", ()
     if files.cast is not None:
-        _, show_id, cast_list = parse_cast_json(files.cast.read_bytes())
+        cast_clip, show_id, cast_list = parse_cast_json(files.cast.read_bytes())
+        if cast_clip and cast_clip != files.clip_id:
+            raise ParseError(f"cast list is for clip {cast_clip!r}, "
+                             f"not clip {files.clip_id!r}")
         cast = tuple(cast_list)
     return Clip(clip_id=files.clip_id, show_id=show_id, cast=cast,
                 utterances=utterances, gold=gold)

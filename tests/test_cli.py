@@ -705,3 +705,78 @@ class TestBaselineSideFilesMatchTheClip:
         code, _, err = self._baseline(tmp_path, corpus, corpus)
         self._assert_error(code, err, "clip 'c1': word 'late' is on line 99, "
                                       "which the transcript lacks")
+
+
+class TestWholeCorpusChecks:
+    """Checks that look past one file: a bad clip does not hide the next clip's
+    diagnostics, and a failing run leaves nothing half written."""
+
+    def test_bad_cast_name_is_a_parse_line_and_later_clips_still_report(self, tmp_path):
+        forward = [dict(GOLD_CLIP[0], reply_to=3)]
+        write_corpus(tmp_path / "corpus", {"c1": GOLD_CLIP, "c2": forward},
+                     casts={"c1": {"clip_id": "c1", "cast": ["ada", " "]}})
+        code, out, err = run(["validate", str(tmp_path / "corpus")])
+        assert code == 1
+        assert err == ""
+        diags = [json.loads(line) for line in out.splitlines()]
+        assert [(d["clip_id"], d["code"]) for d in diags] == [
+            ("c1", "PARSE"), ("c2", "FORWARD_LINK")]
+        assert diags[0]["message"] == ("cast entry 1: participant name is empty "
+                                       "after trimming: ' '")
+
+    def _cast_of_another_clip(self, tmp_path):
+        write_corpus(tmp_path / "corpus", {"c1": GOLD_CLIP}, {"c1": TRANSCRIPT},
+                     casts={"c1": {"clip_id": "c9", "cast": ["ada", "max"]}})
+        return str(tmp_path / "corpus")
+
+    def test_cast_of_another_clip_is_a_parse_line(self, tmp_path):
+        code, out, _ = run(["validate", self._cast_of_another_clip(tmp_path)])
+        assert code == 1
+        assert [json.loads(line) for line in out.splitlines()] == [{
+            "clip_id": "c1", "line_idx": None, "code": "PARSE", "severity": "error",
+            "message": "cast list is for clip 'c9', not clip 'c1'"}]
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "logodds", "{corpus}"],
+        ["baseline", "{corpus}", "--mode", "reply-only", "--out", "{out}"],
+    ])
+    def test_cast_of_another_clip_exits_one(self, tmp_path, argv):
+        corpus, out = self._cast_of_another_clip(tmp_path), str(tmp_path / "pred")
+        code, _, err = run([a.format(corpus=corpus, out=out) for a in argv])
+        assert code == 1
+        assert err == "error: cast list is for clip 'c9', not clip 'c1'\n"
+
+    def test_a_failing_clip_leaves_no_prediction_behind(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, {"c1": GOLD_CLIP, "c2": GOLD_CLIP},
+                     {"c1": TRANSCRIPT, "c2": TRANSCRIPT})
+        for clip_id, span in (("c1", [0.0, 4.3]), ("c2", ["0.0", 4.3])):
+            (corpus / f"{clip_id}.faces.json").write_text(json.dumps(
+                {"clip_id": clip_id, "faces": [{"name": "ada", "spans": [span]}]}))
+        code, out, err = run(["baseline", str(corpus), "--mode", "full",
+                              "--faces", str(corpus), "--out", str(tmp_path / "pred")])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: face entry 0: spans must be")
+        assert not list(tmp_path.glob("pred/*.json"))
+
+
+class TestAgreeDigest:
+    def _agree(self, tmp_path, b_clip):
+        (tmp_path / "a.json").write_text(json.dumps({"c1": GOLD_CLIP}))
+        (tmp_path / "b.json").write_text(json.dumps({"c1": b_clip}))
+        manifest = tmp_path / "annotators.json"
+        manifest.write_text(json.dumps({"annotators": {"a": "a.json", "b": "b.json"}}))
+        code, out, err = run(["agree", str(manifest)])
+        assert code == 0, err
+        return out
+
+    def test_digest_covers_the_annotator_files(self, tmp_path):
+        same = self._agree(tmp_path, GOLD_CLIP)
+        assert self._agree(tmp_path, GOLD_CLIP) == same
+        edited = [dict(GOLD_CLIP[0], speaker="max", addressee=["ada"])] + GOLD_CLIP[1:]
+        changed = self._agree(tmp_path, edited)
+        digests = [json.loads(out)["manifest"]["digests"] for out in (same, changed)]
+        assert [list(d) for d in digests] == [["manifest"], ["manifest"]]
+        assert all(re.fullmatch("[0-9a-f]{64}", d["manifest"]) for d in digests)
+        assert digests[0]["manifest"] != digests[1]["manifest"]

@@ -33,6 +33,8 @@ from convstruct.corpus import (
     validate_clip,
 )
 
+from convstruct.baseline import parse_face_tracks_json, parse_word_tokens_tsv
+
 from conftest import record, table4_records
 
 TSV = (
@@ -298,6 +300,90 @@ class TestMetadataFiles:
         blob = b"canonical_name\tgender\tshow_id\npenny\tf\tbbt\n"
         with pytest.raises(ParseError, match="gender"):
             parse_gender_map_tsv(blob)
+
+
+# (parser, the name its errors use, header, one well-formed row)
+TSV_FORMATS = {
+    "transcript": (parse_transcript_tsv, "transcript",
+                   "start\tend\tspeaker\ttext", "0.0\t1.0\tada\thi"),
+    "gender map": (parse_gender_map_tsv, "gender map",
+                   "canonical_name\tgender\tshow_id", "ada\tfemale\tshowx"),
+    "word tokens": (parse_word_tokens_tsv, "word token",
+                    "line_idx\tword\tstart\tend", "1\thi\t0.0\t0.4"),
+}
+
+
+class TestTsvRows:
+    """The three TSV formats share one reader and so one set of rules."""
+
+    @pytest.fixture(params=sorted(TSV_FORMATS))
+    def tsv(self, request):
+        return TSV_FORMATS[request.param]
+
+    def _raises(self, tsv, blob, message):
+        parse, _, _, _ = tsv
+        with pytest.raises(ParseError, match=message):
+            parse(blob)
+
+    def test_invalid_utf8(self, tsv):
+        _, what, header, good = tsv
+        self._raises(tsv, f"{header}\n{good}\n".encode() + b"\xff\n",
+                     f"^{what} is not valid UTF-8")
+
+    @pytest.mark.parametrize("blob", [b"", b"\n", b"x\ty\n"])
+    def test_empty_file_and_wrong_header(self, tsv, blob):
+        self._raises(tsv, blob, f"^bad {tsv[1]} header")
+
+    def test_blank_line_before_the_header(self, tsv):
+        _, what, header, good = tsv
+        self._raises(tsv, f"\n{header}\n{good}\n".encode(), f"^bad {what} header")
+
+    def test_wrong_column_count(self, tsv):
+        _, what, header, good = tsv
+        n = header.count("\t") + 1
+        self._raises(tsv, f"{header}\n{good}\na\tb\n".encode(),
+                     f"^{what} row 2: expected {n} columns, found 2$")
+
+    def test_blank_lines_are_skipped_but_counted(self, tsv):
+        parse, what, header, good = tsv
+        assert parse(f"{header}\n\n{good}\r\n\r\n\n".encode())
+        self._raises(tsv, f"{header}\n{good}\n\r\n\na\n".encode(),
+                     f"^{what} row 4: expected")
+
+    def test_whitespace_only_line_is_a_row(self, tsv):
+        _, what, header, good = tsv
+        self._raises(tsv, f"{header}\n{good}\n \t \n".encode(),
+                     f"^{what} row 2: expected")
+        self._raises(tsv, f"{header}\n \n{good}\n".encode(),
+                     f"^{what} row 1: expected")
+
+    def test_transcript_lines_stay_numbered_after_a_blank_line(self):
+        utterances = parse_transcript_tsv(
+            b"start\tend\tspeaker\ttext\n0.0\t1.0\tada\thi\n\n1.0\t2.0\tmax\tyo\n")
+        assert [(u.line_idx, u.text) for u in utterances] == [(1, "hi"), (2, "yo")]
+        with pytest.raises(ParseError, match="^row 3: non-numeric start timestamp ''"):
+            parse_transcript_tsv(b"start\tend\tspeaker\ttext\n0.0\t1.0\tada\thi\n"
+                                 b"\n\t\t\t\n")
+
+
+class TestBadNamesInFiles:
+    """A name that normalizes to nothing is a ParseError naming its entry."""
+
+    @pytest.mark.parametrize("name, message", [
+        (" ", "participant name is empty after trimming: ' '"),
+        ("_OS", "off-screen marker with empty base name: '_OS'"),
+    ])
+    def test_cast_gender_and_face_files(self, name, message):
+        cast = json.dumps({"clip_id": "c1", "cast": ["ada", name]}).encode()
+        with pytest.raises(ParseError, match=f"^cast entry 1: {message}$"):
+            parse_cast_json(cast)
+        genders = f"canonical_name\tgender\tshow_id\nada\tfemale\t\n{name}\tmale\t\n"
+        with pytest.raises(ParseError, match=f"^gender map row 2: {message}$"):
+            parse_gender_map_tsv(genders.encode())
+        faces = json.dumps({"faces": [{"name": "ada", "spans": []},
+                                      {"name": name, "spans": []}]}).encode()
+        with pytest.raises(ParseError, match=f"^face entry 1: {message}$"):
+            parse_face_tracks_json(faces)
 
 
 def one_entry(**fields):
