@@ -25,6 +25,7 @@ from .corpus import (
     StructureRecord,
     _decode_json,
     _file_name,
+    _number,
     _tsv_rows,
 )
 
@@ -71,8 +72,9 @@ def _is_number(value) -> bool:
 def parse_face_tracks_json(data: bytes) -> list[FaceTrack]:
     """Parse `{"clip_id": ..., "faces": [{"name": ..., "spans": [[s, e], ...]}]}`.
 
-    Span times must be finite JSON numbers, and no two entries may name the
-    same participant once names are normalized.
+    Span times must be finite JSON numbers, every span must end after it
+    starts, and no two entries may name the same participant once names are
+    normalized.
     """
     payload = _decode_json(data, "face track")
     if not isinstance(payload, dict) or not isinstance(payload.get("faces"), list):
@@ -97,7 +99,10 @@ def parse_face_tracks_json(data: bytes) -> list[FaceTrack]:
             raise ParseError(f"face entries {positions[participant]} and {pos} both "
                              f"name {participant.token!r}")
         positions[participant] = pos
-        tracks.append(FaceTrack(clip_id=clip_id, participant=participant, spans=spans))
+        try:
+            tracks.append(FaceTrack(clip_id=clip_id, participant=participant, spans=spans))
+        except CorpusError as exc:
+            raise ParseError(f"face entry {pos}: {exc}") from None
     return tracks
 
 
@@ -106,7 +111,8 @@ def parse_word_tokens_tsv(data: bytes) -> list[WordToken]:
     tokens = []
     for row, cells in _tsv_rows(data, "word token", ("line_idx", "word", "start", "end")):
         try:
-            token = WordToken(int(cells[0]), cells[1], float(cells[2]), float(cells[3]))
+            token = WordToken(_number(cells[0], int), cells[1], _number(cells[2]),
+                              _number(cells[3]))
         except ValueError:
             raise ParseError(f"word token row {row}: bad numeric field") from None
         if token.line_idx < 1:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -231,10 +232,24 @@ def _tsv_rows(data: bytes, what: str, header: tuple[str, ...]
 
 TRANSCRIPT_HEADER = ("start", "end", "speaker", "text")
 
+# float() and int() also take digit separators ('1_0'), surrounding whitespace
+# and non-ASCII digits; a numeric cell is a plain ASCII decimal, or a nan/inf
+# spelling that the caller's finite check then rejects by name
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+                      r"|[+-]?(?:nan|inf|infinity)", re.ASCII | re.IGNORECASE)
+_INTEGER = re.compile(r"[+-]?[0-9]+", re.ASCII)
+
+
+def _number(cell: str, kind: type = float):
+    """`kind(cell)` for an ASCII decimal cell; ValueError for anything else."""
+    if not (_INTEGER if kind is int else _DECIMAL).fullmatch(cell):
+        raise ValueError(f"not a decimal number: {cell!r}")
+    return kind(cell)
+
 
 def _parse_seconds(cell: str, row: int, col: str) -> float:
     try:
-        value = float(cell)
+        value = _number(cell)
     except ValueError:
         raise ParseError(f"row {row}: non-numeric {col} timestamp {cell!r}") from None
     if not math.isfinite(value):

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .corpus import StructureRecord
 from .threads import LinkSet, ThreadPartition, derive_threads, link_set
@@ -117,8 +116,11 @@ def link_f1(gold: LinkSet, pred: LinkSet) -> PRF:
     return _prf(tp / len(pred) if pred else 0.0, tp / len(gold) if gold else 0.0)
 
 
-def _contingency(gold: ThreadPartition, pred: ThreadPartition
-                 ) -> tuple[list[tuple[int, int, int]], list[int], list[int]]:
+# (cells, gold_sizes, pred_sizes), as returned by _contingency
+Contingency = tuple[list[tuple[int, int, int]], list[int], list[int]]
+
+
+def _contingency(gold: ThreadPartition, pred: ThreadPartition) -> Contingency:
     """The nonzero cells of the gold x predicted contingency table, O(n log n).
 
     Returns (cells, gold_sizes, pred_sizes): cells are (count, gold cluster,
@@ -146,15 +148,17 @@ def _exact_cells(cells, gold_sizes, pred_sizes) -> int:
     return sum(1 for m, i, j in cells if m == gold_sizes[i] == pred_sizes[j])
 
 
-def nvi_score(gold: ThreadPartition, pred: ThreadPartition) -> float:
+def nvi_score(gold: ThreadPartition, pred: ThreadPartition,
+              table: Contingency | None = None) -> float:
     """100 x (1 - VI / log2 n), clamped to [0, 100].
 
     VI is the variation of information H(C) + H(C') - 2 I(C, C') in bits,
     summed over the nonzero contingency cells only (Meila 2007). Identical
     partitions score exactly 100 (VI is zero by definition, so the
-    floating-point path is skipped); n = 1 is defined as 100.
+    floating-point path is skipped); n = 1 is defined as 100. `table` is
+    `_contingency(gold, pred)`, built here when not given.
     """
-    cells, gold_sizes, pred_sizes = _contingency(gold, pred)
+    cells, gold_sizes, pred_sizes = table or _contingency(gold, pred)
     n = sum(gold_sizes)
     if n == 1 or (_exact_cells(cells, gold_sizes, pred_sizes)
                   == len(gold_sizes) == len(pred_sizes)):
@@ -172,24 +176,37 @@ def nvi_score(gold: ThreadPartition, pred: ThreadPartition) -> float:
     return min(100.0, max(0.0, score))
 
 
-def one_to_one(gold: ThreadPartition, pred: ThreadPartition) -> float:
+def one_to_one(gold: ThreadPartition, pred: ThreadPartition,
+               table: Contingency | None = None) -> float:
     """Best injective gold-to-predicted cluster pairing, as percent of n.
 
     Solved exactly as a maximum-weight rectangular assignment over the
-    contingency matrix; unmatched clusters contribute zero overlap.
+    nonzero contingency cells; unmatched clusters contribute zero overlap.
+    The assignment splits over the connected components of those cells, so
+    a cell alone in both its row and its column is always matched and is
+    summed directly; one assignment covers the rows and columns of the rest.
     """
-    cells, gold_sizes, pred_sizes = _contingency(gold, pred)
+    from scipy.optimize import linear_sum_assignment
+
+    cells, gold_sizes, pred_sizes = table or _contingency(gold, pred)
     counts, rows, cols = np.array(cells, dtype=np.int64).T
-    matrix = np.zeros((len(gold_sizes), len(pred_sizes)), dtype=np.int64)
-    matrix[rows, cols] = counts
-    rows, cols = linear_sum_assignment(matrix, maximize=True)
-    total = int(matrix[rows, cols].sum())
+    alone = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
+    total = int(counts[alone].sum())
+    rest = ~alone
+    if rest.any():
+        row_ids, rows = np.unique(rows[rest], return_inverse=True)
+        col_ids, cols = np.unique(cols[rest], return_inverse=True)
+        matrix = np.zeros((len(row_ids), len(col_ids)), dtype=np.int64)
+        matrix[rows, cols] = counts[rest]
+        rows, cols = linear_sum_assignment(matrix, maximize=True)
+        total += int(matrix[rows, cols].sum())
     return 100.0 * (total / sum(gold_sizes))
 
 
-def exact_match(gold: ThreadPartition, pred: ThreadPartition) -> PRF:
+def exact_match(gold: ThreadPartition, pred: ThreadPartition,
+                table: Contingency | None = None) -> PRF:
     """Precision/recall/F1 over clusters recovered identically."""
-    cells, gold_sizes, pred_sizes = _contingency(gold, pred)
+    cells, gold_sizes, pred_sizes = table or _contingency(gold, pred)
     matches = _exact_cells(cells, gold_sizes, pred_sizes)
     return _prf(matches / len(pred_sizes), matches / len(gold_sizes))
 
@@ -285,10 +302,14 @@ def score_clip(clip_id: str, gold: Sequence[StructureRecord],
     side_sum = _set_f1_sum([gold_by_line[i].side_participants for i in lines],
                            [pred_by_line[i].side_participants for i in lines])
 
-    gold_links = frozenset((c, p) for c, p in link_set(gold) if c in kept and p in kept)
-    pred_links = frozenset((c, p) for c, p in link_set(pred) if c in kept and p in kept)
-    gold_part = _restrict_partition(derive_threads(gold), kept)
-    pred_part = _restrict_partition(derive_threads(pred), kept)
+    gold_links, pred_links = link_set(gold), link_set(pred)
+    gold_part, pred_part = derive_threads(gold), derive_threads(pred)
+    if filter_nondialogic:
+        gold_links = frozenset((c, p) for c, p in gold_links if c in kept and p in kept)
+        pred_links = frozenset((c, p) for c, p in pred_links if c in kept and p in kept)
+        gold_part = _restrict_partition(gold_part, kept)
+        pred_part = _restrict_partition(pred_part, kept)
+    table = _contingency(gold_part, pred_part)
 
     return ClipScore(
         clip_id=clip_id,
@@ -297,9 +318,9 @@ def score_clip(clip_id: str, gold: Sequence[StructureRecord],
         addressee_f1_sum=addr_sum,
         side_f1_sum=side_sum,
         link_f1=link_f1(gold_links, pred_links).f1,
-        nvi=nvi_score(gold_part, pred_part),
-        one_to_one=one_to_one(gold_part, pred_part),
-        exact_match_f1=exact_match(gold_part, pred_part).f1,
+        nvi=nvi_score(gold_part, pred_part, table),
+        one_to_one=one_to_one(gold_part, pred_part, table),
+        exact_match_f1=exact_match(gold_part, pred_part, table).f1,
     )
 
 

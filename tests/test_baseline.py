@@ -296,6 +296,12 @@ class TestBaselineCommandRejects:
          "face entry 0: span times must be finite"),
         ({"faces": FACES + [{"name": "ADA", "spans": [[6.0, 7.0]]}]},
          "face entries 0 and 1 both name 'ada'"),
+        ({"faces": FACES + [{"name": "bo", "spans": [[2.0, 2.0]]}]},
+         "face entry 1: degenerate face span [2.0, 2.0] for 'bo'"),
+        ({"faces": FACES + [{"name": "bo", "spans": [[1.0, 2.0], [4.0, 3.0]]}]},
+         "face entry 1: degenerate face span [4.0, 3.0] for 'bo'"),
+        ({"words": "line_idx\tword\tstart\tend\n1_0\thello\t0.0\t0.4\n"},
+         "word token row 1: bad numeric field"),
     ])
     def test_parse_error_exits_one(self, tmp_path, edit, message):
         code, err = self._run(tmp_path, **edit)
@@ -333,6 +339,21 @@ class TestSideFileChecks:
         blob = f"line_idx\tword\tstart\tend\n1\tok\t0.0\t0.3\n{line_idx}\tx\t0.0\t0.3\n"
         with pytest.raises(ParseError, match="word token row 2: line_idx must be >= 1"):
             parse_word_tokens_tsv(blob.encode())
+
+    @pytest.mark.parametrize("cells", ["1_0\tx\t0.0\t0.3", "\u0661\tx\t0.0\t0.3",
+                                       " 1\tx\t0.0\t0.3", "1.0\tx\t0.0\t0.3",
+                                       "1\tx\t0_5\t0.7", "1\tx\t0.0\t\u0661"])
+    def test_numeric_cells_must_be_ascii_decimals(self, cells):
+        blob = f"line_idx\tword\tstart\tend\n1\tok\t0.0\t0.3\n{cells}\n"
+        with pytest.raises(ParseError, match="^word token row 2: bad numeric field$"):
+            parse_word_tokens_tsv(blob.encode())
+
+    def test_degenerate_span_names_the_entry(self):
+        blob = json.dumps({"clip_id": "c", "faces": [{"name": "a", "spans": [[0.0, 1.0]]},
+                                                     {"name": "max", "spans": [[2, 2]]}]})
+        with pytest.raises(ParseError, match=r"^face entry 1: degenerate face span "
+                                             r"\[2.0, 2.0\] for 'max'$"):
+            parse_face_tracks_json(blob.encode())
 
     def test_word_on_a_missing_line_names_clip_and_line(self):
         words = words_for_line(1, [0.0]) + words_for_line(99, [0.5])

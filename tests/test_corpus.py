@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -76,6 +77,21 @@ class TestTranscript:
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError, match="header"):
             parse_transcript_tsv(b"begin\tend\tspeaker\ttext\n")
+
+    @pytest.mark.parametrize("cell", ["1_0", " 1.0", "1.0 ", "\u0661", "\uff11.5",
+                                      "0x1", "1e", "+", "."])
+    def test_timestamp_must_be_an_ascii_decimal(self, cell):
+        bad = f"start\tend\tspeaker\ttext\n0.5\t0.9\tx\thi\n{cell}\t20.0\tx\thi\n"
+        message = re.escape(f"row 2: non-numeric start timestamp {cell!r}")
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_transcript_tsv(bad.encode())
+
+    @pytest.mark.parametrize("cell, seconds", [("7", 7.0), ("+1.5", 1.5), (".5", 0.5),
+                                               ("2.", 2.0), ("1E1", 10.0),
+                                               ("25e-1", 2.5)])
+    def test_ascii_decimal_spellings_parse(self, cell, seconds):
+        blob = f"start\tend\tspeaker\ttext\n{cell}\t30.0\tx\thi\n".encode()
+        assert parse_transcript_tsv(blob)[0].start_s == seconds
 
     def test_round_trip_is_bit_stable(self):
         utterances = parse_transcript_tsv(TSV, clip_id="c")

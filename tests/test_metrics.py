@@ -1,11 +1,15 @@
 import itertools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+import convstruct.metrics
 from convstruct.corpus import normalize_name
 from convstruct.metrics import (
     METRIC_FIELDS,
@@ -328,6 +332,108 @@ class TestPartitionProperties:
         gold, pred = pair
         assert one_to_one(gold, pred) == one_to_one(pred, gold)
         assert exact_match(gold, pred).f1 == exact_match(pred, gold).f1
+
+
+def dense_one_to_one(gold: ThreadPartition, pred: ThreadPartition) -> float:
+    """1-1 over the full G x P contingency matrix, one dense assignment."""
+    pred_of = {x: j for j, cluster in enumerate(pred.clusters) for x in cluster}
+    matrix = np.zeros((len(gold.clusters), len(pred.clusters)), dtype=np.int64)
+    for i, cluster in enumerate(gold.clusters):
+        for x in cluster:
+            matrix[i, pred_of[x]] += 1
+    rows, cols = linear_sum_assignment(matrix, maximize=True)
+    return 100.0 * (int(matrix[rows, cols].sum()) / gold.n)
+
+
+def parts(*clusters):
+    return ThreadPartition.from_clusters(clusters)
+
+
+@st.composite
+def nearby_partition_pairs(draw):
+    """A partition and a copy with some elements moved: mixes singleton cells
+    (clusters the copy kept whole) with cells that share rows and columns."""
+    n = draw(st.integers(1, 300))
+    rng = draw(st.randoms(use_true_random=False))
+    k = draw(st.integers(1, n))
+    gold = [rng.randrange(k) for _ in range(n)]
+    pred = list(gold)
+    for x in rng.sample(range(n), draw(st.integers(0, n))):
+        pred[x] = rng.randrange(k + 3)
+
+    def partition(labels):
+        clusters: dict[int, list[int]] = {}
+        for x, label in enumerate(labels, start=1):
+            clusters.setdefault(label, []).append(x)
+        return ThreadPartition.from_clusters(clusters.values())
+
+    return partition(gold), partition(pred)
+
+
+def reply_partitions(n: int, rng: random.Random, rewire: float = 0.1):
+    """Gold threads with 40% thread starts and reply distance <= 12, and a
+    prediction that sends a `rewire` share of lines to another earlier line."""
+    gold = {i: i if i == 1 or rng.random() < 0.4 else i - rng.randint(1, min(i - 1, 12))
+            for i in range(1, n + 1)}
+    pred = dict(gold)
+    for i in rng.sample(range(2, n + 1), round(rewire * n)):
+        pred[i] = rng.choice([j for j in range(1, i + 1) if j != gold[i]])
+
+    def partition(parent):
+        root, clusters = {}, {}
+        for i in range(1, n + 1):
+            root[i] = i if parent[i] == i else root[parent[i]]
+            clusters.setdefault(root[i], []).append(i)
+        return ThreadPartition.from_clusters(clusters.values())
+
+    return partition(gold), partition(pred)
+
+
+class TestOneToOneAssignment:
+    """1-1 sums the cells alone in their row and column and assigns the rest."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair=st.one_of(partition_pairs(), nearby_partition_pairs()))
+    # no singleton cell: every row and every column holds two cells
+    @example(pair=(parts({1, 2}, {3, 4}), parts({1, 3}, {2, 4})))
+    # every cell a singleton: the assignment is never run
+    @example(pair=(parts({1, 2}, {3}, {4, 5, 6}), parts({1, 2}, {3}, {4, 5, 6})))
+    @example(pair=(parts({1}), parts({1})))
+    # singleton cells beside a shared block
+    @example(pair=(parts({1, 2}, {3, 4, 5}, {6}), parts({1, 2}, {3, 6}, {4, 5})))
+    def test_equals_dense_assignment(self, pair):
+        gold, pred = pair
+        assert one_to_one(gold, pred) == dense_one_to_one(gold, pred)
+
+    @pytest.mark.parametrize("filter_nondialogic", [False, True])
+    def test_score_clip_builds_the_contingency_once(self, monkeypatch,
+                                                    filter_nondialogic):
+        calls = []
+        build = convstruct.metrics._contingency
+
+        def counting(gold, pred):
+            calls.append(1)
+            return build(gold, pred)
+
+        monkeypatch.setattr(convstruct.metrics, "_contingency", counting)
+        rng = random.Random(3)
+        gold = random_records(rng, 40, NAMES)
+        pred = random_records(rng, 40, NAMES)
+        score_clip("c", gold, pred, filter_nondialogic=filter_nondialogic)
+        assert len(calls) == 1
+
+    def test_ten_thousand_lines_in_bounded_memory(self):
+        gold, pred = reply_partitions(10_000, random.Random(10))
+        one_to_one(parts({1}), parts({1}))  # imports scipy.optimize outside the trace
+        tracemalloc.start()
+        try:
+            score = one_to_one(gold, pred)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense G x P matrix of these partitions alone is about 110 MiB
+        assert peak < 40 * 2**20
+        assert 0.0 < score < 100.0
 
 
 # --- corpus evaluation ----------------------------------------------------------
