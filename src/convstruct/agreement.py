@@ -1,8 +1,10 @@
 """Inter-annotator agreement: average of all pairwise metric comparisons.
 
-Several scores are asymmetric in (gold, pred), so each annotator pair is
-evaluated in both directions and the two results averaged; the overall report
-is the unweighted mean over pairs.
+Each annotator pair is evaluated in both directions and the two results
+averaged; the overall report is the unweighted mean over pairs. Without
+line filtering the two directions agree (up to the last bits of 1-NVI's
+mutual-information sum); with it they differ, because the lines kept are
+those the gold-side annotator did not flag non-dialogic.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class AgreementReport:
 
     def as_dict(self) -> dict:
         return {
-            # several metrics are asymmetric; pair scores average both
+            # line filtering follows the gold side; pair scores average both
             # gold/pred orientations, so callers can see the convention
             "symmetrization": "mean of both gold/pred directions",
             "overall": self.overall.as_dict(),

@@ -25,6 +25,7 @@ from .corpus import (
     StructureRecord,
     _decode_json,
     _file_name,
+    _id_field,
     _number,
     _tsv_rows,
 )
@@ -79,7 +80,7 @@ def parse_face_tracks_json(data: bytes) -> list[FaceTrack]:
     payload = _decode_json(data, "face track")
     if not isinstance(payload, dict) or not isinstance(payload.get("faces"), list):
         raise ParseError("face track JSON must be an object with a 'faces' array")
-    clip_id = str(payload.get("clip_id", ""))
+    clip_id = _id_field(payload, "clip_id", "face track")
     tracks = []
     positions: dict[Participant, int] = {}
     for pos, face in enumerate(payload["faces"]):
@@ -236,16 +237,7 @@ def run_baseline(
 def run_reply_only_baseline(clip: Clip) -> list[StructureRecord]:
     """Previous-line links only; roles come back unknown/empty.
 
-    Produces a single chain, so the whole clip forms one thread.
+    This is `run_baseline` with no faces and no words, so the whole clip
+    forms one thread.
     """
-    records = []
-    ordered = sorted(clip.utterances, key=lambda u: u.line_idx)
-    for pos, utterance in enumerate(ordered):
-        records.append(StructureRecord(
-            line_idx=utterance.line_idx,
-            speaker=UNKNOWN_SPEAKER,
-            addressees=frozenset(),
-            side_participants=frozenset(),
-            reply_to=utterance.line_idx if pos == 0 else ordered[pos - 1].line_idx,
-        ))
-    return records
+    return run_baseline(clip, (), ())

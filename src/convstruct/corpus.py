@@ -475,6 +475,14 @@ def serialize_annotation_json(records: Iterable[StructureRecord]) -> bytes:
     return (json.dumps(out, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
+def _id_field(payload: dict, key: str, what: str) -> str:
+    """The optional string `key` of a decoded JSON object; absent is ""."""
+    value = payload.get(key, "")
+    if not isinstance(value, str):
+        raise ParseError(f"{what} {key} must be a string, got {type(value).__name__}")
+    return value
+
+
 def parse_cast_json(data: bytes) -> tuple[str, str, list[Participant]]:
     """Parse a cast list JSON: {"clip_id", "show_id", "cast": [names]}."""
     payload = _decode_json(data, "cast")
@@ -484,17 +492,18 @@ def parse_cast_json(data: bytes) -> tuple[str, str, list[Participant]]:
         if not isinstance(name, str):
             raise ParseError(f"cast entry {k} must be a string, got {type(name).__name__}")
     cast = [_file_name(n, f"cast entry {k}") for k, n in enumerate(payload["cast"])]
-    return str(payload.get("clip_id", "")), str(payload.get("show_id", "")), cast
+    return _id_field(payload, "clip_id", "cast"), _id_field(payload, "show_id", "cast"), cast
 
 
 def parse_gender_map_tsv(data: bytes) -> dict[tuple[str, str], str]:
     """Parse the participant metadata TSV (`canonical_name gender show_id`).
 
     Keys are (show_id, canonical_name); an empty show_id acts as a corpus-wide
-    fallback entry.
+    fallback entry. Two rows with the same key are a ParseError.
     """
     header = ("canonical_name", "gender", "show_id")
     table: dict[tuple[str, str], str] = {}
+    rows: dict[tuple[str, str], int] = {}
     for row, cells in _tsv_rows(data, "gender map", header):
         name = _file_name(cells[0], f"gender map row {row}").canonical_name
         gender = cells[1].strip().lower()
@@ -502,7 +511,12 @@ def parse_gender_map_tsv(data: bytes) -> dict[tuple[str, str], str]:
             raise ParseError(
                 f"gender map row {row}: gender must be one of {GENDERS}, got {cells[1]!r}"
             )
-        table[(cells[2].strip(), name)] = gender
+        key = (cells[2].strip(), name)
+        if key in rows:
+            raise ParseError(f"gender map rows {rows[key]} and {row} both list "
+                             f"{name!r} for show {key[0]!r}")
+        rows[key] = row
+        table[key] = gender
     return table
 
 

@@ -2,8 +2,11 @@
 
 Role scores (speaker accuracy, addressee and side-participant set F1) compare
 per-line labels; thread scores (link F1, 1-NVI, one-to-one overlap, exact
-match F1) compare reply-to links and the partitions they induce. All scores
-live on a 0..100 scale and evaluating any input against itself is exactly 100.
+match F1) compare reply-to links and the partitions they induce.
+`speaker_accuracy`, `set_f1`, `role_set_f1`, `link_f1` and `exact_match` return
+fractions; `nvi_score` and `one_to_one` return percents. `score_clip` puts
+every score on the 0..100 scale that `evaluate_corpus` reports, where
+evaluating any input against itself is exactly 100.
 """
 
 from __future__ import annotations
@@ -226,17 +229,15 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class ClipScore:
-    """Per-clip sufficient statistics; aggregation and bootstrap work on these."""
+    """One clip's scores in METRIC_FIELDS order, on the 0..100 scale.
+
+    The three role entries are sums of per-line scores over the clip's
+    `n_lines` scored lines; the four thread entries are the clip's scores.
+    """
 
     clip_id: str
     n_lines: int
-    speaker_matches: int
-    addressee_f1_sum: float
-    side_f1_sum: float
-    link_f1: float
-    nvi: float
-    one_to_one: float
-    exact_match_f1: float
+    values: tuple[float, ...]
 
 
 @dataclass
@@ -311,61 +312,35 @@ def score_clip(clip_id: str, gold: Sequence[StructureRecord],
         pred_part = _restrict_partition(pred_part, kept)
     table = _contingency(gold_part, pred_part)
 
-    return ClipScore(
-        clip_id=clip_id,
-        n_lines=len(lines),
-        speaker_matches=matches,
-        addressee_f1_sum=addr_sum,
-        side_f1_sum=side_sum,
-        link_f1=link_f1(gold_links, pred_links).f1,
-        nvi=nvi_score(gold_part, pred_part, table),
-        one_to_one=one_to_one(gold_part, pred_part, table),
-        exact_match_f1=exact_match(gold_part, pred_part, table).f1,
-    )
-
-
-def _aggregate(stats: Sequence[ClipScore], aggregate: str) -> dict[str, float]:
-    if not stats:
-        raise MetricInputError("no scorable clips after filtering")
-    n_clips = len(stats)
-    if aggregate == "micro":
-        total = sum(s.n_lines for s in stats)
-        speaker = sum(s.speaker_matches for s in stats) / total
-        addressee = sum(s.addressee_f1_sum for s in stats) / total
-        side = sum(s.side_f1_sum for s in stats) / total
-    else:
-        speaker = sum(s.speaker_matches / s.n_lines for s in stats) / n_clips
-        addressee = sum(s.addressee_f1_sum / s.n_lines for s in stats) / n_clips
-        side = sum(s.side_f1_sum / s.n_lines for s in stats) / n_clips
-    return {
-        "speaker_acc": 100.0 * speaker,
-        "addressee_f1": 100.0 * addressee,
-        "side_participant_f1": 100.0 * side,
-        # partitions are per-clip objects: thread scores always average per clip
-        "link_f1": 100.0 * sum(s.link_f1 for s in stats) / n_clips,
-        "nvi_score": sum(s.nvi for s in stats) / n_clips,
-        "one_to_one": sum(s.one_to_one for s in stats) / n_clips,
-        "exact_match_f1": 100.0 * sum(s.exact_match_f1 for s in stats) / n_clips,
-    }
+    return ClipScore(clip_id, len(lines), (
+        100.0 * matches,
+        100.0 * addr_sum,
+        100.0 * side_sum,
+        100.0 * link_f1(gold_links, pred_links).f1,
+        nvi_score(gold_part, pred_part, table),
+        one_to_one(gold_part, pred_part, table),
+        100.0 * exact_match(gold_part, pred_part, table).f1,
+    ))
 
 
 def _ratio_rows(stats: Sequence[ClipScore], aggregate: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-clip numerator and denominator rows, one per METRIC_FIELDS entry.
 
-    Each metric of `_aggregate` is sum(num) / sum(den) over clips: micro role
-    scores pool line counts over `n_lines`, macro role scores and the thread
-    scores average per-clip values over a denominator of ones.
+    Each score is sum(num) / sum(den) over clips, and the bootstrap resamples
+    the same rows. Micro role scores (the first three rows) pool their line
+    sums over `n_lines`; macro role scores and the thread scores (partitions
+    are per-clip objects) average per-clip values over ones.
     """
-    role = 100.0 * np.array(
-        [[s.speaker_matches, s.addressee_f1_sum, s.side_f1_sum] for s in stats]).T
-    thread = np.array(
-        [[100.0 * s.link_f1, s.nvi, s.one_to_one, 100.0 * s.exact_match_f1] for s in stats]).T
-    role_den = np.array([s.n_lines for s in stats], dtype=np.float64)
+    if not stats:
+        raise MetricInputError("no scorable clips after filtering")
+    num = np.array([s.values for s in stats]).T
+    den = np.ones(num.shape)
+    n_lines = np.array([s.n_lines for s in stats], dtype=np.float64)
     if aggregate == "macro":
-        role /= role_den
-        role_den = np.ones(len(stats))
-    return (np.vstack([role, thread]),
-            np.vstack([np.tile(role_den, (3, 1)), np.ones(thread.shape)]))
+        num[:3] /= n_lines
+    else:
+        den[:3] = n_lines
+    return num, den
 
 
 def evaluate_corpus(
@@ -395,16 +370,15 @@ def evaluate_corpus(
                            filter_nondialogic=config.filter_nondialogic)
         if score is not None:
             stats.append(score)
-    values = _aggregate(stats, config.aggregate)
+    num, den = _ratio_rows(stats, config.aggregate)
+    values = num.sum(axis=1) / den.sum(axis=1)
 
     ci: dict[str, tuple[float, float]] = {}
     if config.bootstrap is not None:
-        intervals = bootstrap_ratio_ci(*_ratio_rows(stats, config.aggregate),
-                                       config.bootstrap)
-        ci = dict(zip(METRIC_FIELDS, intervals))
+        ci = dict(zip(METRIC_FIELDS, bootstrap_ratio_ci(num, den, config.bootstrap)))
 
     return MetricReport(
-        **values,
+        **dict(zip(METRIC_FIELDS, values.tolist())),
         n_utterances=sum(s.n_lines for s in stats),
         n_clips=len(stats),
         ci=ci,

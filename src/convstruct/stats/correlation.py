@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import stdtr
 
+from ..corpus import _number
 from .bootstrap import StatsError
 
 
@@ -29,13 +31,15 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Spearman's rho with a two-sided p from the t approximation (n-2 df).
 
     Ranks are tie-averaged and correlated with Pearson's formula. Constant
-    inputs have no defined rank correlation and raise.
+    and non-finite inputs have no defined rank correlation and raise.
     """
     if len(x) != len(y):
         raise StatsError(f"length mismatch: {len(x)} vs {len(y)}")
     n = len(x)
     if n < 3:
         raise StatsError(f"need at least 3 points, got {n}")
+    if not np.isfinite(np.asarray([x, y], dtype=float)).all():
+        raise StatsError("correlation is undefined for non-finite values")
     rx = average_ranks(x)
     ry = average_ranks(y)
     dx = rx - rx.mean()
@@ -76,33 +80,35 @@ def feature_correlations(rows: Sequence[Mapping[str, str]]) -> dict:
     if not targets or not features:
         raise StatsError("features CSV needs feature columns and f1_* target columns")
 
-    def column(name):
+    def column(name) -> list[float] | str:
+        """The column's values, or the message for its first bad cell."""
         values = []
         for i, row in enumerate(rows, start=1):
             cell = row.get(name)
             if cell is None or cell == "":
-                raise StatsError(f"features CSV row {i} is missing column {name!r}")
+                return f"features CSV row {i} is missing column {name!r}"
             try:
-                values.append(float(cell))
+                value = _number(cell)
             except ValueError:
-                raise StatsError(
-                    f"features CSV row {i}: column {name!r} is not numeric: {cell!r}"
-                ) from None
+                return f"features CSV row {i}: column {name!r} is not numeric: {cell!r}"
+            if not math.isfinite(value):
+                return f"features CSV row {i}: column {name!r} is not finite: {cell!r}"
+            values.append(value)
         return values
 
-    results = []
-    for target in targets:
-        for feature in features:
-            entry = {"target": target, "feature": feature}
-            try:
-                rho, p = spearman(column(feature), column(target))
-                entry.update({
-                    "rho": rho,
-                    "p_value": p,
-                    "signed_r2": signed_rank_variance(rho),
-                    "significant": p < 0.05,
-                })
-            except StatsError as exc:
-                entry["error"] = str(exc)
-            results.append(entry)
+    def correlate(x: list[float] | str, y: list[float] | str) -> dict:
+        for values in (x, y):
+            if isinstance(values, str):
+                return {"error": values}
+        try:
+            rho, p = spearman(x, y)
+            return {"rho": rho, "p_value": p, "signed_r2": signed_rank_variance(rho),
+                    "significant": p < 0.05}
+        except StatsError as exc:
+            return {"error": str(exc)}
+
+    parsed = {name: column(name) for name in features + targets}
+    results = [{"target": target, "feature": feature,
+                **correlate(parsed[feature], parsed[target])}
+               for target in targets for feature in features]
     return {"n_clips": len(rows), "correlations": results}

@@ -206,8 +206,8 @@ def weighted_logodds(
     counts: TermCounts, c_star: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-show, per-term (delta, sigma2, zeta) arrays of shape (S, T)."""
-    if c_star <= 0:
-        raise StatsError(f"prior strength must be positive, got {c_star}")
+    if not (math.isfinite(c_star) and c_star > 0):
+        raise StatsError(f"prior strength must be positive and finite, got {c_star}")
     delta, sigma2, zeta = _zeta_core(counts.y_a, counts.y_b, counts.p, c_star)
     if np.isnan(delta).any():
         s, t = np.argwhere(np.isnan(delta))[0]
@@ -260,8 +260,9 @@ def calibrate_prior(
     """
     if not len(grid):
         raise StatsError("calibration grid is empty")
-    if any(c <= 0 for c in grid):
-        raise StatsError("grid values must be positive")
+    if not all(math.isfinite(c) and c > 0 for c in grid):
+        raise StatsError(f"grid values must be positive and finite, "
+                         f"got {[float(c) for c in grid]}")
     if permutations < 1:
         raise StatsError(f"permutations must be >= 1, got {permutations}")
     if counts.doc_terms is None or counts.doc_show is None or counts.doc_in_a is None:

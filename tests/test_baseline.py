@@ -181,6 +181,17 @@ class TestRunBaseline:
 
 
 class TestReplyOnlyBaseline:
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=30, unique=True))
+    def test_is_the_full_baseline_without_faces(self, lines):
+        utterances = tuple(Utterance("c", i, float(i), float(i) + 0.5, "t")
+                           for i in lines)
+        clip = Clip(clip_id="c", utterances=utterances)
+        assert run_reply_only_baseline(clip) == run_baseline(clip, (), ())
+
+    def test_empty_clip_raises(self):
+        with pytest.raises(CorpusError, match="has no utterances"):
+            run_reply_only_baseline(Clip(clip_id="c"))
+
     def test_single_thread(self):
         records = run_reply_only_baseline(make_clip(6))
         part = derive_threads(records)
@@ -227,6 +238,13 @@ class TestParsers:
         assert tracks[0].participant.canonical_name == "sheldon cooper"
         assert tracks[0].spans == ((0.0, 1.5), (2.0, 3.0))
         assert tracks[0].first_appearance == 0.0
+
+    @pytest.mark.parametrize("clip_id", [5, ["x"], None])
+    def test_non_string_clip_id_is_a_parse_error(self, clip_id):
+        blob = json.dumps({"clip_id": clip_id,
+                           "faces": [{"name": "a", "spans": [[0.0, 1.0]]}]}).encode()
+        with pytest.raises(ParseError, match="face track clip_id must be a string"):
+            parse_face_tracks_json(blob)
 
     def test_degenerate_span_rejected(self):
         blob = json.dumps({

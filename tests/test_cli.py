@@ -463,6 +463,22 @@ class TestLogoddsTop:
         assert err.startswith("error:") and "top" in err
 
 
+class TestLogoddsNonFinitePriors:
+    _corpus = TestLogoddsTop._corpus
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--c-star", "nan"], "prior strength must be positive and finite, got nan"),
+        (["--c-star", "inf"], "prior strength must be positive and finite, got inf"),
+        (["--grid", "nan,10"], "grid values must be positive and finite, got [nan, 10.0]"),
+        (["--grid", "1,inf"], "grid values must be positive and finite, got [1.0, inf]"),
+    ])
+    def test_exits_one_with_a_message(self, tmp_path, flags, message):
+        code, out, err = run(["analyze", "logodds", self._corpus(tmp_path),
+                              "--min-count", "1", *flags])
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+
 class TestAnalyzeManifestConfig:
     """The manifest records the flags each analysis reads, and only those."""
 

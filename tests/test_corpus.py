@@ -298,6 +298,17 @@ class TestMetadataFiles:
         with pytest.raises(ParseError, match=message):
             parse_cast_json(blob)
 
+    @pytest.mark.parametrize("key", ["clip_id", "show_id"])
+    @pytest.mark.parametrize("value", [5, ["x"], None])
+    def test_cast_json_rejects_non_string_ids(self, key, value):
+        payload = {"clip_id": "c1", "show_id": "bbt", "cast": ["Penny"], key: value}
+        with pytest.raises(ParseError, match=f"cast {key} must be a string, got "
+                                             f"{type(value).__name__}"):
+            parse_cast_json(json.dumps(payload).encode())
+
+    def test_cast_json_ids_default_to_empty(self):
+        assert parse_cast_json(b'{"cast": []}') == ("", "", [])
+
     def test_gender_map_and_lookup(self):
         blob = (
             "canonical_name\tgender\tshow_id\n"
@@ -311,6 +322,23 @@ class TestMetadataFiles:
         assert lookup_gender(table, "bbt", normalize_name("narrator")) is None
         assert lookup_gender(table, "other", normalize_name("generic guy")) == "male"
         assert lookup_gender(table, "bbt", normalize_name("crowd")) is None
+
+    @pytest.mark.parametrize("rows, message", [
+        (["penny\tfemale\tbbt", "penny\tmale\tbbt"],
+         "gender map rows 1 and 2 both list 'penny' for show 'bbt'"),
+        (["Penny\tfemale\t", "sheldon\tmale\t", " penny \tfemale\t"],
+         "gender map rows 1 and 3 both list 'penny' for show ''"),
+    ])
+    def test_gender_map_rejects_repeated_keys(self, rows, message):
+        blob = "\n".join(["canonical_name\tgender\tshow_id", *rows, ""]).encode()
+        with pytest.raises(ParseError, match=message):
+            parse_gender_map_tsv(blob)
+
+    def test_gender_map_name_may_repeat_across_shows(self):
+        blob = (b"canonical_name\tgender\tshow_id\n"
+                b"penny\tfemale\tbbt\npenny\tmale\tother\npenny\tfemale\t\n")
+        assert parse_gender_map_tsv(blob) == {
+            ("bbt", "penny"): "female", ("other", "penny"): "male", ("", "penny"): "female"}
 
     def test_gender_map_rejects_bad_gender(self):
         blob = b"canonical_name\tgender\tshow_id\npenny\tf\tbbt\n"

@@ -5,7 +5,12 @@ import pytest
 from scipy import stats as scipy_stats
 
 from convstruct.stats.bootstrap import StatsError
-from convstruct.stats.correlation import average_ranks, signed_rank_variance, spearman
+from convstruct.stats.correlation import (
+    average_ranks,
+    feature_correlations,
+    signed_rank_variance,
+    spearman,
+)
 
 
 def naive_ranks(values):
@@ -75,6 +80,54 @@ class TestSpearman:
     def test_length_mismatch_raises(self):
         with pytest.raises(StatsError):
             spearman([1.0, 2.0, 3.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_input_raises(self, bad):
+        with pytest.raises(StatsError, match="non-finite"):
+            spearman([1.0, 2.0, bad, 4.0], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(StatsError, match="non-finite"):
+            spearman([1.0, 2.0, 3.0, 4.0], [bad, 2.0, 3.0, 4.0])
+
+
+class TestFeatureCorrelations:
+    ROWS = [{"clip_id": f"c{k}", "n_lines": str(k), "f1_speaker": str(10 + 2 * k)}
+            for k in range(6)]
+
+    def test_monotone_feature(self):
+        (entry,) = feature_correlations(self.ROWS)["correlations"]
+        assert (entry["rho"], entry["signed_r2"]) == (1.0, 100.0)
+
+    @pytest.mark.parametrize("cell, message", [
+        ("1_0", "not numeric: '1_0'"),
+        (" 2 ", "not numeric: ' 2 '"),
+        ("\u0661", "not numeric"),
+        ("nan", "not finite: 'nan'"),
+        ("inf", "not finite: 'inf'"),
+        ("-Infinity", "not finite: '-Infinity'"),
+    ])
+    @pytest.mark.parametrize("column", ["n_lines", "f1_speaker"])
+    def test_bad_cell_is_reported_not_ranked(self, cell, message, column):
+        rows = [dict(row) for row in self.ROWS]
+        rows[3][column] = cell
+        (entry,) = feature_correlations(rows)["correlations"]
+        assert set(entry) == {"target", "feature", "error"}
+        assert entry["error"].startswith(f"features CSV row 4: column {column!r} is ")
+        assert message in entry["error"]
+
+    def test_each_column_is_parsed_once(self, monkeypatch):
+        import convstruct.stats.correlation as correlation
+
+        cells = []
+
+        def counting(cell, kind=float):
+            cells.append(cell)
+            return kind(cell)
+
+        monkeypatch.setattr(correlation, "_number", counting)
+        rows = [{**row, "n_words": str(k * k), "f1_link": str(-k)}
+                for k, row in enumerate(self.ROWS)]
+        assert len(feature_correlations(rows)["correlations"]) == 4
+        assert len(cells) == 4 * len(rows)
 
 
 class TestSignedRankVariance:

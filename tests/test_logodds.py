@@ -70,6 +70,11 @@ class TestWeightedLogodds:
             assert sigma2[0, t] == pytest.approx(s2, abs=1e-12)
             assert zeta[0, t] == pytest.approx(z, abs=1e-12)
 
+    @pytest.mark.parametrize("c_star", [float("nan"), float("inf"), 0.0, -2.0])
+    def test_non_positive_or_non_finite_prior_raises(self, c_star):
+        with pytest.raises(StatsError, match="prior strength must be positive and finite"):
+            weighted_logodds(toy_counts(), c_star)
+
     def test_large_prior_shrinks_scores_monotonically(self):
         counts = toy_counts()
         magnitudes = []
@@ -303,6 +308,13 @@ class TestCalibratePrior:
         counts = TermCounts.from_documents(docs, min_count=1)
         with pytest.raises(StatsError, match="degenerate"):
             calibrate_prior(counts, [1.0], permutations=2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_positive_or_non_finite_grid_value_raises(self, bad):
+        rng = np.random.default_rng(3)
+        counts = TermCounts.from_documents(null_documents(rng, 1, 4), min_count=1)
+        with pytest.raises(StatsError, match="grid values must be positive and finite"):
+            calibrate_prior(counts, [1.0, bad], permutations=2)
 
     def test_empty_grid_raises(self):
         rng = np.random.default_rng(3)

@@ -16,7 +16,6 @@ from convstruct.metrics import (
     EvalConfig,
     MetricInputError,
     MetricReport,
-    _aggregate,
     evaluate_corpus,
     exact_match,
     link_f1,
@@ -493,14 +492,48 @@ class TestEvaluateCorpus:
         config = EvalConfig(aggregate=aggregate,
                             bootstrap=BootstrapConfig(resamples=700, seed=12))
         report = evaluate_corpus(gold, pred, config)
-        stats = [score_clip(c, gold[c], pred[c]) for c in sorted(gold)]
+
+        # reference: the whole evaluation rerun on each resample of clips, keyed
+        # by zero-padded position so the resampled clips keep their drawn order
+        plain = EvalConfig(aggregate=aggregate)
+        reports = {}
+
+        def resample_report(clips):
+            key = tuple(clips)
+            if key not in reports:
+                reports[key] = evaluate_corpus(
+                    {f"{k:03d}": gold[c] for k, c in enumerate(clips)},
+                    {f"{k:03d}": pred[c] for k, c in enumerate(clips)}, plain)
+            return reports[key]
+
         for name in METRIC_FIELDS:
-            ref = bootstrap_ci(stats, lambda s, name=name: _aggregate(s, aggregate)[name],
+            ref = bootstrap_ci(sorted(gold),
+                               lambda clips, name=name: getattr(resample_report(clips), name),
                                config.bootstrap)
             lo, hi = report.ci[name]
             assert lo == pytest.approx(ref.lo, abs=1e-12)
             assert hi == pytest.approx(ref.hi, abs=1e-12)
             assert ref.point == getattr(report, name)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_clips=st.integers(1, 5),
+           aggregate=st.sampled_from(["micro", "macro"]))
+    def test_unfiltered_scores_are_symmetric(self, seed, n_clips, aggregate):
+        # speaker matches, exact-match counts and 1-1 totals are symmetric
+        # integers, and the F1s swap precision and recall; only 1-NVI's
+        # mutual-information sum depends on the order of the cells
+        rng = random.Random(seed)
+        a, b = {}, {}
+        for k in range(n_clips):
+            n_lines = rng.randint(1, 40)
+            a[f"c{k}"] = random_records(rng, n_lines, NAMES[:6], rng.random())
+            b[f"c{k}"] = random_records(rng, n_lines, NAMES[:6], rng.random())
+        config = EvalConfig(aggregate=aggregate)
+        forward = evaluate_corpus(a, b, config).scores()
+        backward = evaluate_corpus(b, a, config).scores()
+        nvi_forward, nvi_backward = forward.pop("nvi_score"), backward.pop("nvi_score")
+        assert forward == backward
+        assert abs(nvi_forward - nvi_backward) <= 1e-12
 
     def test_thread_metrics_average_per_clip(self):
         gold = {"c1": two_thread_clip(), "c2": two_thread_clip()}
