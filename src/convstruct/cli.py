@@ -11,7 +11,6 @@ arguments, call the library, and emit its reports.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -41,6 +40,7 @@ from .stats import (
     feature_correlations,
     gender_thread_shares,
     logodds_report,
+    read_features_csv,
     role_report,
     utterance_documents,
 )
@@ -80,12 +80,15 @@ _NOT_CONFIG = ("command", "analysis", "handler", "out", "seed", "format")
 
 def _manifest(command: str, args: argparse.Namespace) -> dict:
     inputs, digests, config = {}, {}, {}
+    digested: dict[str, str | None] = {}  # a path given for several inputs is read once
     for name, value in vars(args).items():
         if name in _INPUTS:
             if value:
-                path = Path(value)
+                if value not in digested:
+                    path = Path(value)
+                    digested[value] = _digest_path(path) if path.exists() else None
                 inputs[name] = value
-                digests[name] = _digest_path(path) if path.exists() else None
+                digests[name] = digested[value]
         elif name not in _NOT_CONFIG:
             config[name] = value
     return {
@@ -268,7 +271,7 @@ def cmd_logodds(args) -> int:
 def cmd_correlate(args) -> int:
     features_path = _require(args.features, "features CSV")
     with features_path.open(newline="", encoding="utf-8") as handle:
-        report = feature_correlations(list(csv.DictReader(handle)))
+        report = feature_correlations(read_features_csv(handle))
     return _emit_analysis(args, report)
 
 

@@ -316,12 +316,18 @@ def _read_records(
     payload, strict: bool, clip_id: str
 ) -> tuple[list[StructureRecord], list[Diagnostic]]:
     """Records from a decoded annotation array; unreadable entries are dropped
-    with a diagnostic, invariants are left to `check_records`."""
+    with a diagnostic, invariants are left to `check_records`.
+
+    An entry of exactly the documented JSON types is read in one pass, its role
+    sets interned per file by raw name list. Any other entry, and any entry
+    with a bad name, goes through the per-field checks, which emit every
+    diagnostic."""
     if not isinstance(payload, list):
         raise ParseError("annotation JSON must be an array of objects")
     diags: list[Diagnostic] = []
     records: list[StructureRecord] = []
     participants: dict[str, Participant] = {}  # raw name -> normalized
+    role_sets: dict[tuple, frozenset[Participant]] = {}  # raw names -> normalized
 
     def bad(code, message, line_idx=None):
         diags.append(Diagnostic(code, ERROR, message, clip_id, line_idx))
@@ -331,7 +337,42 @@ def _read_records(
             participants[raw] = normalize_name(raw)
         return participants[raw]
 
+    def role_set(names) -> frozenset[Participant] | None:
+        """The interned set for a list of strings; None for any other value."""
+        if type(names) is not list:
+            return None
+        key = tuple(names)
+        try:
+            return role_sets[key]
+        except KeyError:  # only all-string keys are stored
+            if not all(type(n) is str for n in key):
+                return None
+        except TypeError:  # an unhashable element: not a string
+            return None
+        found = role_sets[key] = frozenset(participant(n) for n in key)
+        return found
+
     for pos, obj in enumerate(payload):
+        if type(obj) is dict and obj.keys() <= _ANNOTATION_KEYS:
+            line_idx = obj.get("line_idx")
+            reply_to = obj.get("reply_to")
+            speaker = obj.get("speaker")
+            extra_diegetic = obj.get("extra_diegetic", False)
+            monologue = obj.get("monologue", False)
+            if (type(line_idx) is int and line_idx >= 1 and type(reply_to) is int
+                    and type(speaker) is str and type(extra_diegetic) is bool
+                    and type(monologue) is bool):
+                try:
+                    speaker = participant(speaker)
+                    addressees = role_set(obj.get("addressee"))
+                    side = role_set(obj.get("side_participant"))
+                    if addressees is not None and side is not None:
+                        records.append(StructureRecord(
+                            line_idx, speaker, addressees, side, reply_to,
+                            extra_diegetic, monologue))
+                        continue
+                except CorpusError:
+                    pass  # the per-field checks below report the bad name
         if not isinstance(obj, dict):
             bad(BAD_TYPE, f"entry {pos} is not an object")
             continue

@@ -3,7 +3,12 @@ Dirichlet log-odds with Stouffer aggregation, multinomial regression, and
 gendered thread-dynamics shares."""
 
 from .bootstrap import BootstrapConfig, BootstrapInterval, bootstrap_ci, bootstrap_ratio_ci
-from .correlation import feature_correlations, signed_rank_variance, spearman
+from .correlation import (
+    feature_correlations,
+    read_features_csv,
+    signed_rank_variance,
+    spearman,
+)
 from .logodds import (
     Document,
     LogOddsResult,
@@ -34,6 +39,7 @@ __all__ = [
     "spearman",
     "signed_rank_variance",
     "feature_correlations",
+    "read_features_csv",
     "Document",
     "TermCounts",
     "LogOddsResult",

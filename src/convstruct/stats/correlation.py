@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import math
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import stdtr
@@ -69,9 +70,31 @@ def signed_rank_variance(rho: float) -> float:
     return float(np.sign(rho) * rho * rho * 100.0)
 
 
+def read_features_csv(lines: Iterable[str]) -> list[dict[str, str]]:
+    """The data rows of a features CSV, as `csv.DictReader` rows.
+
+    A header that names a column twice, or a data row with more cells than the
+    header, is a StatsError: a dict row would keep only the last copy of the
+    column, or file the extra cells under a `None` key. A row with fewer cells
+    is kept; its missing columns read as `None`.
+    """
+    reader = csv.DictReader(lines)
+    header = reader.fieldnames or []
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise StatsError(f"features CSV header repeats column(s) {repeated}")
+    rows = []
+    for i, row in enumerate(reader, start=1):
+        if None in row:
+            raise StatsError(f"features CSV row {i} has {len(header) + len(row[None])} "
+                             f"cells, but the header has {len(header)}")
+        rows.append(row)
+    return rows
+
+
 def feature_correlations(rows: Sequence[Mapping[str, str]]) -> dict:
     """Spearman rho of every feature column against every `f1_*` column of a
-    clip-level feature CSV, given as `csv.DictReader` rows."""
+    clip-level feature CSV, given as the rows `read_features_csv` returns."""
     if not rows:
         raise StatsError("features CSV has no data rows")
     columns = list(rows[0].keys())

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import random
+
+from hypothesis import settings
 
 from convstruct.corpus import Clip, StructureRecord, Utterance, normalize_name
 from convstruct.threads import ThreadPartition
+
+# CI runs HYPOTHESIS_PROFILE=ci: properties that set no max_examples of their
+# own (the annotation parser's among them) try five times as many inputs
+settings.register_profile("ci", max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 NAMES = [
     "sheldon cooper", "leonard hofstadter", "penny", "amy farrah fowler",

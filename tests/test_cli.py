@@ -796,3 +796,39 @@ class TestAgreeDigest:
         assert [list(d) for d in digests] == [["manifest"], ["manifest"]]
         assert all(re.fullmatch("[0-9a-f]{64}", d["manifest"]) for d in digests)
         assert digests[0]["manifest"] != digests[1]["manifest"]
+
+
+class TestCorrelateHeaderFaults:
+    @pytest.mark.parametrize("csv_text, message", [
+        ("clip_id,n_lines,f1_speaker\nc0,0,10,99\nc1,1,12\nc2,2,14\n",
+         "features CSV row 1 has 4 cells, but the header has 3"),
+        ("clip_id,n_lines,f1_speaker,n_lines\nc0,0,10,5\nc1,1,12,4\nc2,2,14,3\n",
+         "features CSV header repeats column(s) ['n_lines']"),
+    ])
+    def test_exits_one_with_a_named_error(self, tmp_path, csv_text, message):
+        path = tmp_path / "features.csv"
+        path.write_text(csv_text)
+        code, out, err = run(["analyze", "correlate", "--features", str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+
+class TestManifestDigestsEachPathOnce:
+    def test_a_path_given_twice_is_digested_once(self, tmp_path, monkeypatch):
+        import convstruct.cli as cli
+
+        write_corpus(tmp_path / "corpus", {"c1": GOLD_CLIP})
+        corpus = str(tmp_path / "corpus")
+        _, once, _ = run(["evaluate", corpus, corpus])
+        digest = cli._digest_path
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return digest(path)
+
+        monkeypatch.setattr(cli, "_digest_path", counting)
+        code, out, err = run(["evaluate", corpus, corpus])
+        assert code == 0, err
+        assert calls == [Path(corpus)]
+        assert out == once

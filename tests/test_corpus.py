@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from convstruct.corpus import (
     CROWD,
+    ERROR,
     FORWARD_LINK,
     GOLD_COVERAGE,
     OFF_SCREEN,
@@ -17,7 +18,9 @@ from convstruct.corpus import (
     WARNING,
     Clip,
     CorpusError,
+    Diagnostic,
     ParseError,
+    StructureRecord,
     Utterance,
     ValidationError,
     ClipFiles,
@@ -32,6 +35,7 @@ from convstruct.corpus import (
     scan_annotation_json,
     serialize_annotation_json,
     validate_clip,
+    _read_records,
 )
 
 from convstruct.baseline import parse_face_tracks_json, parse_word_tokens_tsv
@@ -580,3 +584,164 @@ class TestIterClipFiles:
                 else:
                     path.write_text("")
             assert iter_clip_files(root) == _oracle_clip_files(root)
+
+
+def _reference_records(payload, strict, clip_id):
+    """The per-field annotation reader alone, with no one-pass path for
+    well-typed entries: the oracle for `_read_records`."""
+    diags, records = [], []
+
+    def bad(code, message, line_idx=None):
+        diags.append(Diagnostic(code, ERROR, message, clip_id, line_idx))
+
+    for pos, obj in enumerate(payload):
+        if not isinstance(obj, dict):
+            bad("BAD_TYPE", f"entry {pos} is not an object")
+            continue
+        missing = [k for k in ("line_idx", "speaker", "addressee",
+                               "side_participant", "reply_to") if k not in obj]
+        if missing:
+            bad("MISSING_KEY", f"entry {pos} is missing keys {missing}")
+            continue
+        unknown = sorted(set(obj) - {"line_idx", "speaker", "addressee",
+                                     "side_participant", "reply_to",
+                                     "extra_diegetic", "monologue"})
+        if unknown and strict:
+            bad("UNKNOWN_KEY", f"entry {pos} has unknown keys {unknown}")
+            continue
+        line_idx, reply_to = obj["line_idx"], obj["reply_to"]
+        if not isinstance(line_idx, int) or isinstance(line_idx, bool) or line_idx < 1:
+            bad("BAD_TYPE", f"entry {pos}: line_idx must be a positive integer")
+            continue
+        if not isinstance(reply_to, int) or isinstance(reply_to, bool):
+            bad("BAD_TYPE", "reply_to must be an integer", line_idx)
+            continue
+        mistyped = len(diags)
+        if not isinstance(obj["speaker"], str):
+            bad("BAD_TYPE", "speaker must be a string", line_idx)
+        for key in ("addressee", "side_participant"):
+            if not isinstance(obj[key], list) or not all(
+                    isinstance(n, str) for n in obj[key]):
+                bad("BAD_TYPE", f"{key} must be an array of strings", line_idx)
+        for key in ("extra_diegetic", "monologue"):
+            if not isinstance(obj.get(key, False), bool):
+                bad("BAD_TYPE", f"{key} must be true or false", line_idx)
+        if len(diags) > mistyped:
+            continue
+        try:
+            speaker = normalize_name(obj["speaker"])
+            addressees = frozenset(normalize_name(n) for n in obj["addressee"])
+            side = frozenset(normalize_name(n) for n in obj["side_participant"])
+        except CorpusError as exc:
+            bad("BAD_NAME", str(exc), line_idx)
+            continue
+        records.append(StructureRecord(line_idx, speaker, addressees, side, reply_to,
+                                       obj.get("extra_diegetic", False),
+                                       obj.get("monologue", False)))
+    return records, diags
+
+
+_GOOD_NAMES = st.sampled_from(["ada", "Ada", " max  ", "cleo_OS", "crowd", "unknown"])
+_WELL_TYPED = st.fixed_dictionaries(
+    {"line_idx": st.integers(1, 5), "speaker": _GOOD_NAMES,
+     "addressee": st.lists(_GOOD_NAMES, max_size=3),
+     "side_participant": st.lists(_GOOD_NAMES, max_size=3),
+     "reply_to": st.integers(-1, 5)},
+    optional={"extra_diegetic": st.booleans(), "monologue": st.booleans()})
+# per key, values just off the documented type: bools for ints, non-strings and
+# names that normalize to nothing for names, repeated names in a role array
+_ROLE_VALUES = ["ada", None, ["ada", "Ada"], ["ada", " _os"], ["", "max"], ["ada", 3],
+                [["ada"]], [{"n": "ada"}], [True]]
+_ODD_VALUES = {
+    "line_idx": [0, -1, True, False, None, 1.0, "1", [1]],
+    "reply_to": [0, -1, True, None, 2.0, "1"],
+    "speaker": ["", "  ", "_OS", 7, None, True, ["ada"]],
+    "addressee": _ROLE_VALUES,
+    "side_participant": _ROLE_VALUES,
+    "extra_diegetic": [0, 1, None, "false"],
+    "monologue": [0, 1, None, "false"],
+}
+
+
+@st.composite
+def _mistyped_entry(draw):
+    """A well-typed entry with one or two fields changed, dropped or added."""
+    entry = dict(draw(_WELL_TYPED))
+    for _ in range(draw(st.integers(1, 2))):
+        edit = draw(st.sampled_from(["change", "change", "drop", "add"]))
+        if edit == "change":
+            key = draw(st.sampled_from(sorted(_ODD_VALUES)))
+            entry[key] = draw(st.sampled_from(_ODD_VALUES[key]))
+        elif edit == "drop":
+            del entry[draw(st.sampled_from(sorted(entry)))]
+        else:
+            entry[draw(st.sampled_from(["confidence", "Speaker"]))] = 0.9
+    return entry
+
+
+_ENTRIES = st.lists(st.one_of(_WELL_TYPED, _mistyped_entry(), _mistyped_entry(),
+                              _mistyped_entry(),
+                              st.sampled_from([None, 3, "entry", [], ["line_idx"]])),
+                    max_size=10)
+# one entry across each edge of the one-pass read
+_EDGES = [dict({"line_idx": 2, "speaker": "a", "addressee": ["b"],
+                "side_participant": [], "reply_to": 1}, **change)
+          for change in ({}, {"line_idx": 0}, {"line_idx": True}, {"reply_to": True},
+                         {"monologue": 0}, {"extra_diegetic": 1},
+                         {"addressee": ["b", 3]}, {"side_participant": [["c"]]},
+                         {"speaker": "  "}, {"addressee": ["b", "_OS"]},
+                         {"side_participant": ["c", "C "]}, {"note": ""})]
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.one_of(st.sampled_from(["line_idx", "speaker", "addressee",
+                                                   "side_participant", "reply_to",
+                                                   "extra_diegetic", "monologue"]),
+                                  st.text(max_size=3)),
+                        inner, max_size=7)),
+    max_leaves=20)
+
+
+class TestReadRecordsProperties:
+    """The one-pass read of well-typed entries agrees with the per-field reader."""
+
+    @settings(deadline=None)
+    @given(entries=_ENTRIES, strict=st.booleans())
+    @example(entries=_EDGES, strict=False)
+    @example(entries=_EDGES, strict=True)
+    def test_matches_the_per_field_reader(self, entries, strict):
+        assert _read_records(entries, strict, "c") == _reference_records(
+            entries, strict, "c")
+
+    @settings(deadline=None)
+    @given(blob=st.one_of(_JSON.map(lambda v: json.dumps(v).encode("utf-8")),
+                          st.binary(max_size=20)),
+           strict=st.booleans())
+    def test_any_json_yields_records_or_a_corpus_error(self, blob, strict):
+        try:
+            scanned = scan_annotation_json(blob, strict=strict, clip_id="c")
+        except ParseError:
+            scanned = None
+        try:
+            parsed = parse_annotation_json(blob, strict=strict, clip_id="c")
+        except (ParseError, ValidationError):
+            parsed = None
+        if scanned is None:
+            assert parsed is None
+        else:
+            records, diags = scanned
+            assert all(isinstance(r, StructureRecord) for r in records)
+            assert all(isinstance(d, Diagnostic) for d in diags)
+            assert parsed == (None if diags else records)
+
+    @settings(deadline=None)
+    @given(entries=st.lists(_WELL_TYPED, min_size=2, max_size=12))
+    def test_equal_raw_role_lists_share_one_set(self, entries):
+        records, _ = _read_records(entries, False, "c")
+        assert len(records) == len(entries)
+        by_names = {}
+        for entry, r in zip(entries, records):
+            for key, roles in (("addressee", r.addressees),
+                               ("side_participant", r.side_participants)):
+                assert by_names.setdefault(tuple(entry[key]), roles) is roles

@@ -1,5 +1,8 @@
+import csv
+import io
 import math
 import random
+import re
 
 import pytest
 from scipy import stats as scipy_stats
@@ -8,6 +11,7 @@ from convstruct.stats.bootstrap import StatsError
 from convstruct.stats.correlation import (
     average_ranks,
     feature_correlations,
+    read_features_csv,
     signed_rank_variance,
     spearman,
 )
@@ -128,6 +132,37 @@ class TestFeatureCorrelations:
                 for k, row in enumerate(self.ROWS)]
         assert len(feature_correlations(rows)["correlations"]) == 4
         assert len(cells) == 4 * len(rows)
+
+
+class TestReadFeaturesCsv:
+    HEADER = "clip_id,n_lines,f1_speaker\n"
+
+    def test_rows_are_dict_reader_rows(self):
+        text = self.HEADER + "c0,0,10\n\nc1,1\n"
+        rows = read_features_csv(io.StringIO(text))
+        assert rows == list(csv.DictReader(io.StringIO(text)))
+        assert rows[1] == {"clip_id": "c1", "n_lines": "1", "f1_speaker": None}
+
+    @pytest.mark.parametrize("body, row, cells", [
+        ("c0,0,10,99\nc1,1,12\nc2,2,14\n", 1, 4),
+        ("c0,0,10\nc1,1,12\nc2,2,14,,\n", 3, 5),
+    ])
+    def test_a_row_longer_than_the_header_is_an_error(self, body, row, cells):
+        with pytest.raises(StatsError, match=re.escape(
+                f"features CSV row {row} has {cells} cells, but the header has 3")):
+            read_features_csv(io.StringIO(self.HEADER + body))
+
+    @pytest.mark.parametrize("header, repeated", [
+        ("clip_id,n_lines,f1_speaker,n_lines", ["n_lines"]),
+        ("clip_id,f1_a,x,f1_a,x", ["f1_a", "x"]),
+    ])
+    def test_a_repeated_header_column_is_an_error(self, header, repeated):
+        with pytest.raises(StatsError, match=re.escape(
+                f"features CSV header repeats column(s) {repeated}")):
+            read_features_csv(io.StringIO(header + "\nc0,1,2,3,4\n"))
+
+    def test_an_empty_file_has_no_rows(self):
+        assert read_features_csv(io.StringIO("")) == []
 
 
 class TestSignedRankVariance:
