@@ -24,7 +24,14 @@ from .corpus import (
     serialize_annotation_json,
     validate_clip,
 )
-from .threads import LinkSet, ThreadPartition, derive_threads, link_set, thread_events
+from .threads import (
+    LinkSet,
+    ThreadError,
+    ThreadPartition,
+    derive_threads,
+    link_set,
+    thread_events,
+)
 from .metrics import (
     EvalConfig,
     MetricInputError,
@@ -62,6 +69,7 @@ __all__ = [
     "serialize_annotation_json",
     "validate_clip",
     "LinkSet",
+    "ThreadError",
     "ThreadPartition",
     "derive_threads",
     "link_set",

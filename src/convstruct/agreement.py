@@ -68,6 +68,9 @@ def load_annotators(manifest: str | Path) -> list[AnnotatorBatch]:
         if not isinstance(rel, str):
             raise ParseError(f"agreement manifest: file path of annotator {annotator_id!r} "
                              f"must be a string, got {type(rel).__name__}")
+        if "\0" in rel:  # names no file; open() would raise a bare ValueError
+            raise ParseError(f"agreement manifest: file path of annotator {annotator_id!r} "
+                             f"contains a NUL character")
         path = manifest_path.parent / rel
         payload = _decode_json(path.read_bytes(), f"annotator file {path}")
         if isinstance(payload, list):

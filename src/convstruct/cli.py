@@ -422,8 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (CorpusError, MetricInputError, StatsError, AgreementError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (CorpusError, MetricInputError, StatsError, AgreementError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

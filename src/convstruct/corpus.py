@@ -294,22 +294,30 @@ def format_transcript_tsv(utterances: Iterable[Utterance]) -> bytes:
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
-_ANNOTATION_KEYS = {
-    "line_idx",
-    "speaker",
-    "addressee",
-    "side_participant",
-    "reply_to",
-    "extra_diegetic",
-    "monologue",
-}
+_REQUIRED_KEYS = ("line_idx", "speaker", "addressee", "side_participant", "reply_to")
+_ANNOTATION_KEYS = frozenset(_REQUIRED_KEYS + ("extra_diegetic", "monologue"))
 
 
 def _decode_json(data: bytes, what: str):
+    """`json.loads` of UTF-8 bytes; anything it cannot read is a ParseError
+    (bad bytes or syntax, an integer past Python's digit limit, nesting past
+    the recursion limit)."""
     try:
         return json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{what} JSON is unreadable: {exc}") from None
+
+
+class _Names(dict):
+    """Raw name -> its participant, or the message saying why it names none;
+    each name is normalized on first lookup."""
+
+    def __missing__(self, raw: str) -> Participant | str:
+        try:
+            found = self[raw] = normalize_name(raw)
+        except CorpusError as exc:
+            found = self[raw] = str(exc)
+        return found
 
 
 def _read_records(
@@ -318,30 +326,30 @@ def _read_records(
     """Records from a decoded annotation array; unreadable entries are dropped
     with a diagnostic, invariants are left to `check_records`.
 
-    An entry of exactly the documented JSON types is read in one pass, its role
-    sets interned per file by raw name list. Any other entry, and any entry
-    with a bad name, goes through the per-field checks, which emit every
-    diagnostic."""
+    Each entry goes through one ordered run of checks on exact JSON types (a
+    bool is not an integer, and a subclass of `int`, `str`, `list` or `dict`
+    is not its base, but see `role_set`). The first check that fails drops
+    the entry with its diagnostics: all of the entry's `BAD_TYPE`s, or else
+    its first `BAD_NAME`. Names are normalized once per file, and lines that
+    list the same raw names share one role set."""
     if not isinstance(payload, list):
         raise ParseError("annotation JSON must be an array of objects")
     diags: list[Diagnostic] = []
     records: list[StructureRecord] = []
-    participants: dict[str, Participant] = {}  # raw name -> normalized
-    role_sets: dict[tuple, frozenset[Participant]] = {}  # raw names -> normalized
+    names = _Names()
+    role_sets: dict[tuple, frozenset[Participant] | str] = {}  # see role_set
 
     def bad(code, message, line_idx=None):
         diags.append(Diagnostic(code, ERROR, message, clip_id, line_idx))
 
-    def participant(raw: str) -> Participant:
-        if raw not in participants:
-            participants[raw] = normalize_name(raw)
-        return participants[raw]
-
-    def role_set(names) -> frozenset[Participant] | None:
-        """The interned set for a list of strings; None for any other value."""
-        if type(names) is not list:
+    def role_set(raw) -> frozenset[Participant] | str | None:
+        """The shared set for a list of strings, or the message of its first
+        bad name; None for any other value. A hit equals a stored list of
+        strings, so it needs no element check (a `str` subclass equal to a
+        name already stored passes as that name)."""
+        if type(raw) is not list:
             return None
-        key = tuple(names)
+        key = tuple(raw)
         try:
             return role_sets[key]
         except KeyError:  # only all-string keys are stored
@@ -349,80 +357,59 @@ def _read_records(
                 return None
         except TypeError:  # an unhashable element: not a string
             return None
-        found = role_sets[key] = frozenset(participant(n) for n in key)
+        members = [names[n] for n in key]
+        message = next((m for m in members if type(m) is str), None)
+        found = role_sets[key] = frozenset(members) if message is None else message
         return found
 
     for pos, obj in enumerate(payload):
-        if type(obj) is dict and obj.keys() <= _ANNOTATION_KEYS:
-            line_idx = obj.get("line_idx")
-            reply_to = obj.get("reply_to")
-            speaker = obj.get("speaker")
-            extra_diegetic = obj.get("extra_diegetic", False)
-            monologue = obj.get("monologue", False)
-            if (type(line_idx) is int and line_idx >= 1 and type(reply_to) is int
-                    and type(speaker) is str and type(extra_diegetic) is bool
-                    and type(monologue) is bool):
-                try:
-                    speaker = participant(speaker)
-                    addressees = role_set(obj.get("addressee"))
-                    side = role_set(obj.get("side_participant"))
-                    if addressees is not None and side is not None:
-                        records.append(StructureRecord(
-                            line_idx, speaker, addressees, side, reply_to,
-                            extra_diegetic, monologue))
-                        continue
-                except CorpusError:
-                    pass  # the per-field checks below report the bad name
-        if not isinstance(obj, dict):
+        if type(obj) is not dict:
             bad(BAD_TYPE, f"entry {pos} is not an object")
             continue
-        missing = [k for k in ("line_idx", "speaker", "addressee",
-                               "side_participant", "reply_to") if k not in obj]
-        if missing:
+        try:
+            line_idx, reply_to = obj["line_idx"], obj["reply_to"]
+            speaker, addressees, side = (obj["speaker"], obj["addressee"],
+                                         obj["side_participant"])
+        except KeyError:
+            missing = [k for k in _REQUIRED_KEYS if k not in obj]
             bad(MISSING_KEY, f"entry {pos} is missing keys {missing}")
             continue
-        unknown = sorted(set(obj) - _ANNOTATION_KEYS)
-        if unknown and strict:
-            bad(UNKNOWN_KEY, f"entry {pos} has unknown keys {unknown}")
+        # five keys that include the required five are all known
+        if strict and len(obj) > 5 and not obj.keys() <= _ANNOTATION_KEYS:
+            bad(UNKNOWN_KEY, f"entry {pos} has unknown keys "
+                             f"{sorted(obj.keys() - _ANNOTATION_KEYS)}")
             continue
-        line_idx = obj["line_idx"]
-        reply_to = obj["reply_to"]
-        if not isinstance(line_idx, int) or isinstance(line_idx, bool) or line_idx < 1:
+        if type(line_idx) is not int or line_idx < 1:
             bad(BAD_TYPE, f"entry {pos}: line_idx must be a positive integer")
             continue
-        if not isinstance(reply_to, int) or isinstance(reply_to, bool):
-            bad(BAD_TYPE, f"reply_to must be an integer", line_idx)
+        if type(reply_to) is not int:
+            bad(BAD_TYPE, "reply_to must be an integer", line_idx)
             continue
+        addressees = role_set(addressees)
+        side = role_set(side)
+        extra_diegetic = obj.get("extra_diegetic", False)
+        monologue = obj.get("monologue", False)
         mistyped = len(diags)
-        if not isinstance(obj["speaker"], str):
+        if type(speaker) is not str:
             bad(BAD_TYPE, "speaker must be a string", line_idx)
-        for key in ("addressee", "side_participant"):
-            if not isinstance(obj[key], list) or not all(
-                    isinstance(n, str) for n in obj[key]):
-                bad(BAD_TYPE, f"{key} must be an array of strings", line_idx)
-        for key in ("extra_diegetic", "monologue"):
-            if not isinstance(obj.get(key, False), bool):
-                bad(BAD_TYPE, f"{key} must be true or false", line_idx)
+        if addressees is None:
+            bad(BAD_TYPE, "addressee must be an array of strings", line_idx)
+        if side is None:
+            bad(BAD_TYPE, "side_participant must be an array of strings", line_idx)
+        if type(extra_diegetic) is not bool:
+            bad(BAD_TYPE, "extra_diegetic must be true or false", line_idx)
+        if type(monologue) is not bool:
+            bad(BAD_TYPE, "monologue must be true or false", line_idx)
         if len(diags) > mistyped:
             continue
-        try:
-            speaker = participant(obj["speaker"])
-            addressees = frozenset(participant(n) for n in obj["addressee"])
-            side = frozenset(participant(n) for n in obj["side_participant"])
-        except CorpusError as exc:
-            bad(BAD_NAME, str(exc), line_idx)
-            continue
-        records.append(
-            StructureRecord(
-                line_idx=line_idx,
-                speaker=speaker,
-                addressees=addressees,
-                side_participants=side,
-                reply_to=reply_to,
-                extra_diegetic=obj.get("extra_diegetic", False),
-                monologue=obj.get("monologue", False),
-            )
-        )
+        speaker = names[speaker]
+        for found in (speaker, addressees, side):
+            if type(found) is str:  # the message of the first bad name
+                bad(BAD_NAME, found, line_idx)
+                break
+        else:
+            records.append(StructureRecord(line_idx, speaker, addressees, side,
+                                           reply_to, extra_diegetic, monologue))
     return records, diags
 
 

@@ -224,7 +224,8 @@ class EvalConfig:
 
     def __post_init__(self):
         if self.aggregate not in ("micro", "macro"):
-            raise ValueError(f"aggregate must be 'micro' or 'macro', got {self.aggregate!r}")
+            raise MetricInputError(f"aggregate must be 'micro' or 'macro', "
+                                   f"got {self.aggregate!r}")
 
 
 @dataclass(frozen=True)

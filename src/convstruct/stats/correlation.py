@@ -76,19 +76,29 @@ def read_features_csv(lines: Iterable[str]) -> list[dict[str, str]]:
     A header that names a column twice, or a data row with more cells than the
     header, is a StatsError: a dict row would keep only the last copy of the
     column, or file the extra cells under a `None` key. A row with fewer cells
-    is kept; its missing columns read as `None`.
+    is kept; its missing columns read as `None`. A line the csv module cannot
+    read (a field over its size limit, say) or text that is not UTF-8 is a
+    StatsError too.
     """
     reader = csv.DictReader(lines)
-    header = reader.fieldnames or []
-    repeated = sorted({name for name in header if header.count(name) > 1})
-    if repeated:
-        raise StatsError(f"features CSV header repeats column(s) {repeated}")
-    rows = []
-    for i, row in enumerate(reader, start=1):
-        if None in row:
-            raise StatsError(f"features CSV row {i} has {len(header) + len(row[None])} "
-                             f"cells, but the header has {len(header)}")
-        rows.append(row)
+    header: list[str] | None = None
+    rows: list[dict[str, str]] = []
+    try:
+        header = reader.fieldnames or []
+        repeated = sorted({name for name in header if header.count(name) > 1})
+        if repeated:
+            raise StatsError(f"features CSV header repeats column(s) {repeated}")
+        for row in reader:
+            if None in row:
+                raise StatsError(f"features CSV row {len(rows) + 1} has "
+                                 f"{len(header) + len(row[None])} cells, "
+                                 f"but the header has {len(header)}")
+            rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise StatsError(f"features CSV is not valid UTF-8: {exc.reason}") from None
+    except csv.Error as exc:
+        where = "header" if header is None else f"row {len(rows) + 1}"
+        raise StatsError(f"features CSV {where} is unreadable: {exc}") from None
     return rows
 
 

@@ -9,10 +9,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .corpus import Participant, StructureRecord
+from .corpus import CorpusError, Participant, StructureRecord
 
 # (child_line_idx, parent_line_idx) pairs with parent < child
 LinkSet = frozenset[tuple[int, int]]
+
+
+class ThreadError(CorpusError):
+    """Records or clusters that do not form a thread partition."""
 
 
 @dataclass(frozen=True)
@@ -25,11 +29,11 @@ class ThreadPartition:
     def from_clusters(cls, clusters: Iterable[Iterable[int]]) -> "ThreadPartition":
         sets = [frozenset(c) for c in clusters]
         if any(not c for c in sets):
-            raise ValueError("partition clusters must be non-empty")
+            raise ThreadError("partition clusters must be non-empty")
         total = sum(len(c) for c in sets)
         union = frozenset().union(*sets) if sets else frozenset()
         if total != len(union):
-            raise ValueError("partition clusters must be pairwise disjoint")
+            raise ThreadError("partition clusters must be pairwise disjoint")
         return cls(tuple(sorted(sets, key=min)))
 
     @property
@@ -48,7 +52,7 @@ def derive_threads(records: Sequence[StructureRecord]) -> ThreadPartition:
     its parent, so self-linked lines with no children form singleton clusters.
     The result does not depend on record order; clusters come back sorted by
     minimum member index so reports are reproducible. A reply_to that names no
-    earlier record raises ValueError (validated annotations never do).
+    earlier record raises ThreadError (validated annotations never do).
     """
     thread_of: dict[int, int] = {}
     for r in sorted(records, key=lambda r: r.line_idx):
@@ -57,8 +61,8 @@ def derive_threads(records: Sequence[StructureRecord]) -> ThreadPartition:
         elif r.reply_to in thread_of:
             thread_of[r.line_idx] = thread_of[r.reply_to]
         else:
-            raise ValueError(f"line {r.line_idx}: reply_to {r.reply_to} "
-                             f"does not name an earlier record")
+            raise ThreadError(f"line {r.line_idx}: reply_to {r.reply_to} "
+                              f"does not name an earlier record")
     clusters: dict[int, list[int]] = {}
     for line, thread in thread_of.items():
         clusters.setdefault(thread, []).append(line)

@@ -813,6 +813,56 @@ class TestCorrelateHeaderFaults:
         assert err == f"error: {message}\n"
 
 
+class TestOnlyInputErrorsExitOne:
+    """Exit 1 is a library input error with one `error:` line; an internal
+    fault is not caught."""
+
+    def _one_line(self, argv):
+        code, out, err = run(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    def test_a_field_over_the_csv_limit(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("clip_id,n_lines,f1_speaker\nc0,0," + "9" * 140_000 + "\n")
+        err = self._one_line(["analyze", "correlate", "--features", str(path)])
+        assert "features CSV row 1 is unreadable" in err
+
+    def test_a_features_csv_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_bytes(b"clip_id,n_lines,f1_speaker\nc0,0,\xff\n")
+        err = self._one_line(["analyze", "correlate", "--features", str(path)])
+        assert "features CSV is not valid UTF-8" in err
+
+    def test_a_nul_in_a_manifest_path(self, tmp_path):
+        (tmp_path / "b.json").write_text(json.dumps({"c1": GOLD_CLIP}))
+        manifest = tmp_path / "annotators.json"
+        manifest.write_text(json.dumps({"annotators": {"a": "b\0.json", "b": "b.json"}}))
+        err = self._one_line(["agree", str(manifest)])
+        assert "annotator 'a' contains a NUL character" in err
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "[{\"line_idx\": " + "1" * 5000 + "}]"],
+                             ids=["deep", "long-int"])
+    def test_json_that_json_loads_cannot_read(self, tmp_path, text):
+        write_corpus(tmp_path / "gold", {"c1": GOLD_CLIP})
+        (tmp_path / "pred").mkdir()
+        (tmp_path / "pred" / "c1.annotation.json").write_text(text)
+        err = self._one_line(["evaluate", str(tmp_path / "gold"), str(tmp_path / "pred")])
+        assert "annotation JSON is unreadable" in err
+
+    def test_an_internal_value_error_is_not_caught(self, tmp_path, monkeypatch):
+        import convstruct.cli as cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "evaluate_corpus", broken)
+        write_corpus(tmp_path / "corpus", {"c1": GOLD_CLIP})
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["evaluate", str(tmp_path / "corpus"), str(tmp_path / "corpus")])
+
+
 class TestManifestDigestsEachPathOnce:
     def test_a_path_given_twice_is_digested_once(self, tmp_path, monkeypatch):
         import convstruct.cli as cli

@@ -690,7 +690,11 @@ _EDGES = [dict({"line_idx": 2, "speaker": "a", "addressee": ["b"],
                          {"monologue": 0}, {"extra_diegetic": 1},
                          {"addressee": ["b", 3]}, {"side_participant": [["c"]]},
                          {"speaker": "  "}, {"addressee": ["b", "_OS"]},
-                         {"side_participant": ["c", "C "]}, {"note": ""})]
+                         {"side_participant": ["c", "C "]}, {"note": ""},
+                         {"speaker": "  ", "addressee": ["b", "_OS"]},
+                         {"addressee": ["_OS"], "side_participant": "c"},
+                         {"side_participant": [" "], "monologue": 0},
+                         {"note": "", "monologue": True, "addressee": ["b", "b"]})]
 _JSON = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
     lambda inner: st.one_of(
@@ -736,7 +740,8 @@ class TestReadRecordsProperties:
             assert parsed == (None if diags else records)
 
     @settings(deadline=None)
-    @given(entries=st.lists(_WELL_TYPED, min_size=2, max_size=12))
+    @given(entries=st.lists(st.one_of(_WELL_TYPED, _WELL_TYPED.map(
+        lambda entry: dict(entry, confidence=0.9))), min_size=2, max_size=12))
     def test_equal_raw_role_lists_share_one_set(self, entries):
         records, _ = _read_records(entries, False, "c")
         assert len(records) == len(entries)

@@ -164,6 +164,21 @@ class TestReadFeaturesCsv:
     def test_an_empty_file_has_no_rows(self):
         assert read_features_csv(io.StringIO("")) == []
 
+    @pytest.mark.parametrize("text, where", [
+        ("clip_id,n_lines,f1_speaker\nc0,0,10\nc1,1," + "9" * 140_000 + "\n", "row 2"),
+        ("clip_id,n_lines,f1_" + "s" * 140_000 + "\nc0,0,10\n", "header"),
+    ], ids=["row", "header"])
+    def test_a_field_over_the_csv_limit_is_an_error(self, text, where):
+        with pytest.raises(StatsError, match=f"features CSV {where} is unreadable: "
+                                             f"field larger than field limit"):
+            read_features_csv(io.StringIO(text))
+
+    def test_text_that_is_not_utf8_is_an_error(self):
+        handle = io.TextIOWrapper(io.BytesIO(self.HEADER.encode() + b"c0,0,\xff\n"),
+                                  encoding="utf-8", newline="")
+        with pytest.raises(StatsError, match="features CSV is not valid UTF-8"):
+            read_features_csv(handle)
+
 
 class TestSignedRankVariance:
     def test_reported_negative_correlation(self):

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from convstruct.threads import ThreadPartition, derive_threads, link_set, thread_events
+from convstruct.corpus import CorpusError
+from convstruct.threads import (
+    ThreadError,
+    ThreadPartition,
+    derive_threads,
+    link_set,
+    thread_events,
+)
 
 from conftest import NAMES, random_records, record, table4_records
 
@@ -82,6 +89,16 @@ class TestPartition:
         assert [min(c) for c in part.clusters] == [1, 2, 5]
         assert part.n == 5
         assert part.elements == {1, 2, 5, 6, 9}
+
+    @pytest.mark.parametrize("build", [
+        lambda: ThreadPartition.from_clusters([{1, 2}, {2, 3}]),
+        lambda: ThreadPartition.from_clusters([{1}, set()]),
+        lambda: derive_threads([record(1, "a"), record(2, "a", reply_to=5)]),
+    ], ids=["overlap", "empty", "dangling"])
+    def test_errors_are_corpus_errors(self, build):
+        with pytest.raises(ThreadError) as caught:
+            build()
+        assert isinstance(caught.value, CorpusError)
 
 
 class TestThreadEvents:
