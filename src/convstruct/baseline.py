@@ -92,8 +92,12 @@ def parse_face_tracks_json(data: bytes) -> list[FaceTrack]:
                 for span in face["spans"])):
             raise ParseError(f"face entry {pos}: spans must be [start, end] "
                              f"number pairs")
-        spans = tuple(sorted((float(s), float(e)) for s, e in face["spans"]))
-        if not all(math.isfinite(t) for span in spans for t in span):
+        try:
+            spans = tuple(sorted((float(s), float(e)) for s, e in face["spans"]))
+            finite = all(math.isfinite(t) for span in spans for t in span)
+        except OverflowError:  # a JSON integer too large for a float
+            finite = False
+        if not finite:
             raise ParseError(f"face entry {pos}: span times must be finite")
         participant = _file_name(face["name"], f"face entry {pos}")
         if participant in positions:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -44,10 +45,14 @@ class PRF(NamedTuple):
     f1: float
 
 
-def _check_alignment(gold: Sequence[StructureRecord],
-                     pred: Sequence[StructureRecord]) -> list[int]:
-    gold_lines = sorted(r.line_idx for r in gold)
-    pred_lines = sorted(r.line_idx for r in pred)
+def _aligned(gold: Sequence[StructureRecord], pred: Sequence[StructureRecord]
+             ) -> list[tuple[StructureRecord, StructureRecord]]:
+    """The (gold, pred) record pair of every line, in line order; records may come
+    in any order, but both sides must cover the same lines, each once."""
+    by_line = attrgetter("line_idx")
+    gold, pred = sorted(gold, key=by_line), sorted(pred, key=by_line)
+    gold_lines = [r.line_idx for r in gold]
+    pred_lines = [r.line_idx for r in pred]
     if gold_lines != pred_lines:
         raise MetricInputError(
             f"gold and prediction cover different lines "
@@ -55,28 +60,16 @@ def _check_alignment(gold: Sequence[StructureRecord],
         )
     if len(set(gold_lines)) != len(gold_lines):
         raise MetricInputError("duplicate line_idx in records")
-    return gold_lines
-
-
-def _speaker_matches(gold_by_line: Mapping[int, StructureRecord],
-                     pred_by_line: Mapping[int, StructureRecord],
-                     lines: Sequence[int]) -> int:
-    return sum(1 for i in lines if gold_by_line[i].speaker == pred_by_line[i].speaker)
-
-
-def _set_f1_sum(gold_sets: Sequence[frozenset], pred_sets: Sequence[frozenset]) -> float:
-    return sum(set_f1(g, p) for g, p in zip(gold_sets, pred_sets))
+    return list(zip(gold, pred))
 
 
 def speaker_accuracy(gold: Sequence[StructureRecord],
                      pred: Sequence[StructureRecord]) -> float:
     """Fraction of lines whose predicted speaker matches gold (kind + name)."""
-    lines = _check_alignment(gold, pred)
-    if not lines:
+    pairs = _aligned(gold, pred)
+    if not pairs:
         raise MetricInputError("cannot score an empty record list")
-    matches = _speaker_matches({r.line_idx: r for r in gold},
-                               {r.line_idx: r for r in pred}, lines)
-    return matches / len(lines)
+    return sum(g.speaker == p.speaker for g, p in pairs) / len(pairs)
 
 
 def set_f1(gold_set: frozenset, pred_set: frozenset) -> float:
@@ -102,7 +95,7 @@ def role_set_f1(gold_sets: Sequence[frozenset],
         )
     if not gold_sets:
         raise MetricInputError("cannot score an empty set list")
-    return _set_f1_sum(gold_sets, pred_sets) / len(gold_sets)
+    return sum(map(set_f1, gold_sets, pred_sets)) / len(gold_sets)
 
 
 def _prf(precision: float, recall: float) -> PRF:
@@ -287,33 +280,27 @@ def score_clip(clip_id: str, gold: Sequence[StructureRecord],
     Filtering drops lines flagged non-dialogic in gold from role scoring and
     restricts link sets and partitions to the surviving lines.
     """
-    _check_alignment(gold, pred)
-    gold_by_line = {r.line_idx: r for r in gold}
-    pred_by_line = {r.line_idx: r for r in pred}
+    pairs = _aligned(gold, pred)
     if filter_nondialogic:
-        kept = {i for i, r in gold_by_line.items() if not r.is_nondialogic}
-    else:
-        kept = set(gold_by_line)
-    if not kept:
+        pairs = [(g, p) for g, p in pairs if not g.is_nondialogic]
+    if not pairs:
         return None
-    lines = sorted(kept)
 
-    matches = _speaker_matches(gold_by_line, pred_by_line, lines)
-    addr_sum = _set_f1_sum([gold_by_line[i].addressees for i in lines],
-                           [pred_by_line[i].addressees for i in lines])
-    side_sum = _set_f1_sum([gold_by_line[i].side_participants for i in lines],
-                           [pred_by_line[i].side_participants for i in lines])
+    matches = sum(g.speaker == p.speaker for g, p in pairs)
+    addr_sum = sum(set_f1(g.addressees, p.addressees) for g, p in pairs)
+    side_sum = sum(set_f1(g.side_participants, p.side_participants) for g, p in pairs)
 
     gold_links, pred_links = link_set(gold), link_set(pred)
     gold_part, pred_part = derive_threads(gold), derive_threads(pred)
     if filter_nondialogic:
+        kept = {g.line_idx for g, _ in pairs}
         gold_links = frozenset((c, p) for c, p in gold_links if c in kept and p in kept)
         pred_links = frozenset((c, p) for c, p in pred_links if c in kept and p in kept)
         gold_part = _restrict_partition(gold_part, kept)
         pred_part = _restrict_partition(pred_part, kept)
     table = _contingency(gold_part, pred_part)
 
-    return ClipScore(clip_id, len(lines), (
+    return ClipScore(clip_id, len(pairs), (
         100.0 * matches,
         100.0 * addr_sum,
         100.0 * side_sum,

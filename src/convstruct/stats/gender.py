@@ -18,8 +18,6 @@ from ..threads import thread_events
 from .bootstrap import BootstrapConfig, StatsError, bootstrap_ratio_ci
 from .regression import LogitResult, multinomial_logit
 
-ROLES = ("speaker", "addressee", "side-participant")
-
 
 @dataclass(frozen=True)
 class ShareStats:

@@ -21,6 +21,9 @@ from .bootstrap import StatsError
 
 INTERCEPT = "intercept"
 FEMALE = "female"
+REFERENCE = "speaker"
+TOL = 1e-8
+MAX_ITER = 100
 
 
 def _design(
@@ -126,17 +129,12 @@ class LogitResult:
     max_abs_gradient: float
 
 
-def multinomial_logit(
-    observations: Sequence[tuple[str, bool, str]],
-    reference: str = "speaker",
-    tol: float = 1e-8,
-    max_iter: int = 100,
-) -> LogitResult:
+def multinomial_logit(observations: Sequence[tuple[str, bool, str]]) -> LogitResult:
     """Maximum-likelihood fit of the role model by damped Newton iterations.
 
     Each observation is (role, is_female, show_id). Convergence means the
-    largest gradient component falls below tol; each Newton step is halved
-    until the log-likelihood does not decrease or the step lands within tol
+    largest gradient component falls below TOL; each Newton step is halved
+    until the log-likelihood does not decrease or the step lands within TOL
     (at the optimum, rounding can lower the log-likelihood of a converging
     step by a few ulp). Rank-deficient designs and separation raise rather
     than returning unstable estimates.
@@ -145,7 +143,7 @@ def multinomial_logit(
     if not counts:
         raise StatsError("no observations")
     distinct = sorted(counts)
-    x, y, columns, outcome_names = _design(distinct, reference)
+    x, y, columns, outcome_names = _design(distinct, REFERENCE)
     weights = np.array([counts[obs] for obs in distinct], dtype=float)
     _check_rank(x, columns)
 
@@ -153,8 +151,8 @@ def multinomial_logit(
     beta = np.zeros((j, p))
     ll, grad, probs = _fit_state(beta, x, y, weights)
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        if np.abs(grad).max() < tol:
+    for n_iter in range(1, MAX_ITER + 1):
+        if np.abs(grad).max() < TOL:
             break
         info = _information(probs, x, weights)
         try:
@@ -169,7 +167,7 @@ def multinomial_logit(
         for _ in range(60):
             candidate = beta + scale * step
             state = _fit_state(candidate, x, y, weights)
-            if state[0] >= ll or np.abs(state[1]).max() < tol:
+            if state[0] >= ll or np.abs(state[1]).max() < TOL:
                 break
             scale *= 0.5
         else:
@@ -179,9 +177,9 @@ def multinomial_logit(
             )
         beta, (ll, grad, probs) = candidate, state
     max_grad = float(np.abs(grad).max())
-    if max_grad >= tol:
+    if max_grad >= TOL:
         raise StatsError(
-            f"no convergence in {max_iter} iterations (gradient max {max_grad:.3e})"
+            f"no convergence in {MAX_ITER} iterations (gradient max {max_grad:.3e})"
         )
     if np.abs(beta).max() > 30.0:
         worst = columns[int(np.abs(beta).max(axis=0).argmax())]
@@ -205,7 +203,7 @@ def multinomial_logit(
         ps = {c: math.erfc(abs(zs[c]) / math.sqrt(2)) for c in columns}
         outcomes[name] = OutcomeEstimate(coef=coef, se=ses, z=zs, p=ps)
     return LogitResult(
-        reference=reference,
+        reference=REFERENCE,
         outcomes=outcomes,
         log_likelihood=ll,
         n_obs=sum(counts.values()),

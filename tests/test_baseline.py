@@ -320,6 +320,8 @@ class TestBaselineCommandRejects:
          "face entry 1: degenerate face span [4.0, 3.0] for 'bo'"),
         ({"words": "line_idx\tword\tstart\tend\n1_0\thello\t0.0\t0.4\n"},
          "word token row 1: bad numeric field"),
+        ({"faces": [{"name": "ada", "spans": [[0, 10 ** 400]]}]},
+         "face entry 0: span times must be finite"),
     ])
     def test_parse_error_exits_one(self, tmp_path, edit, message):
         code, err = self._run(tmp_path, **edit)

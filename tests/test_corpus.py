@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -750,3 +751,83 @@ class TestReadRecordsProperties:
             for key, roles in (("addressee", r.addressees),
                                ("side_participant", r.side_participants)):
                 assert by_names.setdefault(tuple(entry[key]), roles) is roles
+
+
+# values a JSON input file may hold where a number or a name belongs: integers
+# of 300-420 digits (past float range), the float extremes, non-finite floats,
+# negative zero, bools, strings and nested lists
+_HUGE_INTEGERS = st.builds(lambda digits, sign: sign * 10 ** (digits - 1),
+                           st.integers(300, 420), st.sampled_from([1, -1]))
+_ODD_SCALARS = st.one_of(
+    _HUGE_INTEGERS, st.integers(-5, 5), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan, -0.0, 0.5]),
+    st.booleans(), st.none(), st.sampled_from(["ada", " Max ", "", " ", "_OS", "1"]))
+_ODD_JSON_VALUES = st.recursive(_ODD_SCALARS, lambda inner: st.lists(inner, max_size=3),
+                                max_leaves=6)
+_NUMBERS = st.one_of(_HUGE_INTEGERS, st.integers(-5, 5), st.floats(),
+                     st.sampled_from([1e308, -1e308, math.inf, math.nan, -0.0]))
+_FACE_SPANS = st.one_of(
+    st.lists(st.lists(_NUMBERS, min_size=2, max_size=2), min_size=1, max_size=3),
+    st.lists(st.one_of(st.lists(_ODD_SCALARS, min_size=2, max_size=2), _ODD_JSON_VALUES),
+             max_size=3))
+_IDS = st.sampled_from(["", "c1", 7, -0.0, None, True, ["c1"]])
+_FACE_ENTRY = st.fixed_dictionaries({"name": st.sampled_from(["ada", "Bo", "ada "]),
+                                     "spans": _FACE_SPANS})
+_FACES_JSON = st.fixed_dictionaries(
+    {"faces": st.one_of(
+        st.lists(_FACE_ENTRY, min_size=1, max_size=3),
+        st.lists(st.one_of(_FACE_ENTRY, st.fixed_dictionaries(
+            {"name": _ODD_SCALARS, "spans": _FACE_SPANS}), _ODD_JSON_VALUES), max_size=3))},
+    optional={"clip_id": _IDS})
+_CAST_JSON = st.fixed_dictionaries(
+    {"cast": st.lists(_ODD_JSON_VALUES, max_size=4)},
+    optional={"clip_id": _IDS, "show_id": _IDS})
+# cells a TSV input file may hold where a number or a name belongs
+_ODD_CELLS = st.sampled_from(["nan", "inf", "1e400", "1_0", "١", "9" * 400,
+                              "-" + "9" * 400, "", " ", "  \r", "0", "1", "-1", "0.5",
+                              "+2", "ada", " Max ", "_OS", "female", "male", "show"])
+
+
+def _tsv(header):
+    """TSV bytes: `header`, then rows of 3-5 cells drawn from _ODD_CELLS."""
+    rows = st.lists(st.lists(_ODD_CELLS, min_size=3, max_size=5), max_size=4)
+    return rows.map(lambda rows: "\n".join(
+        ["\t".join(header)] + ["\t".join(row) for row in rows]).encode("utf-8"))
+
+
+def _parses_or_raises_parse_error(parse, blob):
+    try:
+        parse(blob)
+    except ParseError:
+        pass
+
+
+class TestInputFileProperties:
+    """Every other input parser returns a result or raises ParseError."""
+
+    @settings(deadline=None)
+    @given(payload=_FACES_JSON)
+    @example(payload={"faces": [{"name": "ada", "spans": [[0, 10 ** 400]]}]})
+    def test_face_tracks(self, payload):
+        _parses_or_raises_parse_error(parse_face_tracks_json,
+                                      json.dumps(payload).encode("utf-8"))
+
+    @settings(deadline=None)
+    @given(payload=st.one_of(_CAST_JSON, _ODD_JSON_VALUES))
+    def test_cast(self, payload):
+        _parses_or_raises_parse_error(parse_cast_json, json.dumps(payload).encode("utf-8"))
+
+    @settings(deadline=None)
+    @given(blob=_tsv(("start", "end", "speaker", "text")))
+    def test_transcript(self, blob):
+        _parses_or_raises_parse_error(parse_transcript_tsv, blob)
+
+    @settings(deadline=None)
+    @given(blob=_tsv(("line_idx", "word", "start", "end")))
+    def test_word_tokens(self, blob):
+        _parses_or_raises_parse_error(parse_word_tokens_tsv, blob)
+
+    @settings(deadline=None)
+    @given(blob=_tsv(("canonical_name", "gender", "show_id")))
+    def test_gender_map(self, blob):
+        _parses_or_raises_parse_error(parse_gender_map_tsv, blob)

@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ import convstruct.metrics
 from convstruct.corpus import normalize_name
 from convstruct.metrics import (
     METRIC_FIELDS,
+    ClipScore,
     EvalConfig,
     MetricInputError,
     MetricReport,
@@ -27,7 +30,7 @@ from convstruct.metrics import (
     speaker_accuracy,
 )
 from convstruct.stats.bootstrap import BootstrapConfig, bootstrap_ci
-from convstruct.threads import ThreadPartition, link_set
+from convstruct.threads import ThreadPartition, derive_threads, link_set
 
 from conftest import NAMES, random_partition, random_records, record
 
@@ -610,6 +613,110 @@ class TestEvaluateCorpus:
             means.append(totals / 150)
         assert means[0] == 100.0
         assert all(a > b for a, b in zip(means, means[1:]))
+
+
+def reference_speaker_accuracy(gold, pred):
+    """Speaker accuracy as a per-line loop over line-indexed records."""
+    gold_by_line = {r.line_idx: r for r in gold}
+    pred_by_line = {r.line_idx: r for r in pred}
+    lines = sorted(gold_by_line)
+    return sum(1 for i in lines
+               if gold_by_line[i].speaker == pred_by_line[i].speaker) / len(lines)
+
+
+def reference_score_clip(clip_id, gold, pred, filter_nondialogic=False):
+    """score_clip as a per-line loop over line-indexed records."""
+    gold_by_line = {r.line_idx: r for r in gold}
+    pred_by_line = {r.line_idx: r for r in pred}
+    assert sorted(gold_by_line) == sorted(pred_by_line)
+    lines = sorted(i for i, r in gold_by_line.items()
+                   if not (filter_nondialogic and r.is_nondialogic))
+    if not lines:
+        return None
+    matches, addr_sum, side_sum = 0, 0, 0
+    for i in lines:
+        g, p = gold_by_line[i], pred_by_line[i]
+        matches += g.speaker == p.speaker
+        addr_sum += set_f1(g.addressees, p.addressees)
+        side_sum += set_f1(g.side_participants, p.side_participants)
+
+    kept = set(lines)
+
+    def restricted(records):
+        links = frozenset((c, p) for c, p in link_set(records) if c in kept and p in kept)
+        clusters = [c & kept for c in derive_threads(records).clusters]
+        return links, ThreadPartition.from_clusters(c for c in clusters if c)
+
+    (gold_links, gold_part), (pred_links, pred_part) = restricted(gold), restricted(pred)
+    return ClipScore(clip_id, len(lines), (
+        100.0 * matches,
+        100.0 * addr_sum,
+        100.0 * side_sum,
+        100.0 * link_f1(gold_links, pred_links).f1,
+        nvi_score(gold_part, pred_part),
+        one_to_one(gold_part, pred_part),
+        100.0 * exact_match(gold_part, pred_part).f1,
+    ))
+
+
+def flagged_records(rng, n_lines):
+    """Random records with about a fifth of the lines flagged non-dialogic."""
+    return [dataclasses.replace(r, extra_diegetic=rng.random() < 0.1,
+                                monologue=rng.random() < 0.1)
+            for r in random_records(rng, n_lines, NAMES[:4])]
+
+
+def report_or_error(gold, pred, config):
+    try:
+        return evaluate_corpus(gold, pred, config)
+    except MetricInputError as exc:
+        return str(exc)
+
+
+class TestAlignedRoleScoring:
+    """Roles are scored line by line whatever order the records come in."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_clips=st.integers(1, 4))
+    def test_matches_the_per_line_reference_in_any_record_order(self, seed, n_clips):
+        rng = random.Random(seed)
+        gold, pred, shuffled_gold, shuffled_pred = {}, {}, {}, {}
+        for k in range(n_clips):
+            n_lines = rng.randint(1, 25)
+            gold[f"c{k}"] = flagged_records(rng, n_lines)
+            pred[f"c{k}"] = flagged_records(rng, n_lines)
+            shuffled_gold[f"c{k}"] = rng.sample(gold[f"c{k}"], n_lines)
+            shuffled_pred[f"c{k}"] = rng.sample(pred[f"c{k}"], n_lines)
+
+        for clip_id in gold:
+            expected = reference_speaker_accuracy(gold[clip_id], pred[clip_id])
+            assert speaker_accuracy(shuffled_gold[clip_id], shuffled_pred[clip_id]) == expected
+            assert speaker_accuracy(gold[clip_id], pred[clip_id]) == expected
+        for filter_nondialogic in (False, True):
+            for clip_id in gold:
+                expected = reference_score_clip(clip_id, gold[clip_id], pred[clip_id],
+                                                filter_nondialogic)
+                assert score_clip(clip_id, shuffled_gold[clip_id], shuffled_pred[clip_id],
+                                  filter_nondialogic) == expected
+                assert score_clip(clip_id, gold[clip_id], pred[clip_id],
+                                  filter_nondialogic) == expected
+            for aggregate in ("micro", "macro"):
+                config = EvalConfig(aggregate=aggregate,
+                                    filter_nondialogic=filter_nondialogic)
+                in_order = report_or_error(gold, pred, config)
+                assert report_or_error(shuffled_gold, shuffled_pred, config) == in_order
+                with mock.patch.object(convstruct.metrics, "score_clip",
+                                       reference_score_clip):
+                    assert report_or_error(shuffled_gold, shuffled_pred, config) == in_order
+
+    def test_misaligned_lines_raise_before_duplicates(self):
+        gold = [record(1, "a"), record(1, "a")]
+        with pytest.raises(MetricInputError, match="cover different lines"):
+            score_clip("c", gold, [record(1, "a"), record(2, "a", reply_to=1)])
+        with pytest.raises(MetricInputError, match="duplicate line_idx"):
+            score_clip("c", gold, list(gold))
+        with pytest.raises(MetricInputError, match="duplicate line_idx"):
+            speaker_accuracy(gold, list(gold))
 
 
 class TestMetricReport:
