@@ -80,13 +80,12 @@ _NOT_CONFIG = ("command", "analysis", "handler", "out", "seed", "format")
 
 def _manifest(command: str, args: argparse.Namespace) -> dict:
     inputs, digests, config = {}, {}, {}
-    digested: dict[str, str | None] = {}  # a path given for several inputs is read once
+    digested: dict[str, str] = {}  # a path given for several inputs is read once
     for name, value in vars(args).items():
         if name in _INPUTS:
             if value:
                 if value not in digested:
-                    path = Path(value)
-                    digested[value] = _digest_path(path) if path.exists() else None
+                    digested[value] = _digest_path(Path(value))
                 inputs[name] = value
                 digests[name] = digested[value]
         elif name not in _NOT_CONFIG:
@@ -153,9 +152,9 @@ def cmd_agree(args) -> int:
         batches, EvalConfig(args.aggregate, args.filter_nondialogic))
     manifest = _manifest("agree", args)
     # the manifest file only names the annotator files; digest what they hold too
-    digest = hashlib.sha256()
-    for path in [Path(args.manifest)] + [batch.path for batch in batches]:
-        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    digest = hashlib.sha256(bytes.fromhex(manifest["digests"]["manifest"]))
+    for batch in batches:
+        digest.update(hashlib.sha256(batch.path.read_bytes()).digest())
     manifest["digests"]["manifest"] = digest.hexdigest()
     payload = {"manifest": manifest, "report": report.as_dict()}
     table_lines = ["overall:"] + _metric_table(report.overall.as_dict())
@@ -182,11 +181,11 @@ def cmd_baseline(args) -> int:
         raise CorpusError(f"no clips found under {args.corpus}")
     if args.mode == "full" and not args.faces:
         raise CorpusError("--mode full requires --faces (and usually --words)")
-    if args.mode == "full" and len(corpus) > 1:
-        for flag, path in (("--faces", args.faces), ("--words", args.words)):
-            if path and Path(path).is_file():
-                raise CorpusError(f"{flag} {path} is one file but the corpus has "
-                                  f"{len(corpus)} clips; give a directory")
+    for flag, path in (("--faces", args.faces), ("--words", args.words)):
+        one_file = bool(path) and _require(path, flag).is_file()  # given paths must exist
+        if one_file and args.mode == "full" and len(corpus) > 1:
+            raise CorpusError(f"{flag} {path} is one file but the corpus has "
+                              f"{len(corpus)} clips; give a directory")
 
     # every clip's records come first, so a failing clip writes no file at all
     predictions = {}

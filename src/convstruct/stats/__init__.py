@@ -11,7 +11,6 @@ from .correlation import (
 )
 from .logodds import (
     Document,
-    LogOddsResult,
     TermCounts,
     calibrate_prior,
     logodds_report,
@@ -19,7 +18,6 @@ from .logodds import (
     tokenize,
     utterance_documents,
     weighted_logodds,
-    weighted_logodds_analysis,
 )
 from .regression import LogitResult, OutcomeEstimate, multinomial_logit
 from .gender import (
@@ -42,10 +40,8 @@ __all__ = [
     "read_features_csv",
     "Document",
     "TermCounts",
-    "LogOddsResult",
     "tokenize",
     "weighted_logodds",
-    "weighted_logodds_analysis",
     "utterance_documents",
     "logodds_report",
     "calibrate_prior",

@@ -308,69 +308,29 @@ def calibrate_prior(
     return best_c
 
 
-@dataclass(frozen=True)
-class LogOddsResult:
-    """Calibrated log-odds analysis: per-show tables and aggregated z-scores."""
-
-    c_star: float
-    terms: tuple[str, ...]
-    shows: tuple[str, ...]
-    delta: np.ndarray   # (S, T)
-    sigma2: np.ndarray  # (S, T)
-    zeta: np.ndarray    # (S, T)
-    z: np.ndarray       # (T,) Stouffer-aggregated over shows
-
-    def ranked_terms(self) -> list[tuple[str, float]]:
-        """Terms with aggregated z, most group-a-associated first."""
-        order = np.argsort(-self.z, kind="stable")
-        return [(self.terms[i], float(self.z[i])) for i in order]
-
-
-def weighted_logodds_analysis(
-    counts: TermCounts,
-    c_star: float | None = None,
-    grid: Sequence[float] | None = None,
-    permutations: int = 20,
-    seed: int = 0,
-) -> LogOddsResult:
-    """Full pipeline: calibrate C* (unless given), score terms, aggregate shows.
-
-    The default grid is `DEFAULT_GRID`, logarithmic from 1 to 10^4.
-    """
-    if c_star is None:
-        c_star = calibrate_prior(counts, DEFAULT_GRID if grid is None else grid,
-                                 permutations, seed)
-    delta, sigma2, zeta = weighted_logodds(counts, c_star)
-    k = len(counts.shows)
-    z = zeta.sum(axis=0) / np.sqrt(k)
-    return LogOddsResult(
-        c_star=float(c_star),
-        terms=counts.terms,
-        shows=counts.shows,
-        delta=delta,
-        sigma2=sigma2,
-        zeta=zeta,
-        z=z,
-    )
-
-
 def logodds_report(docs: Sequence[Document], min_count: int = 5,
                    c_star: float | None = None, grid: Sequence[float] | None = None,
                    permutations: int = 20, seed: int = 0, top: int = 10) -> dict:
-    """The full analysis as a report: C*, its calibration, z per term, top terms."""
+    """The full analysis as a report: C*, its calibration, z per term, top terms.
+
+    C* is calibrated over `grid` (default `DEFAULT_GRID`, logarithmic from 1
+    to 10^4) unless `c_star` is given.
+    """
     if top < 0:
         raise StatsError(f"top must be >= 0, got {top}")
     if not docs:
         raise StatsError("no documents with both annotations and transcript text")
     grid = list(DEFAULT_GRID if grid is None else grid)
-    result = weighted_logodds_analysis(
-        TermCounts.from_documents(docs, min_count=min_count),
-        c_star=c_star, grid=grid, permutations=permutations, seed=seed)
-    ranked = result.ranked_terms()
+    counts = TermCounts.from_documents(docs, min_count=min_count)
+    prior = calibrate_prior(counts, grid, permutations, seed) if c_star is None else c_star
+    _, _, zeta = weighted_logodds(counts, prior)
+    # equal-weight Stouffer per term, most group-a-associated first
+    z = zeta.sum(axis=0) / np.sqrt(len(counts.shows))
+    ranked = [(counts.terms[i], float(z[i])) for i in np.argsort(-z, kind="stable")]
     return {
         "groups": {GROUP_A: "no side-participants (positive z)",
                    GROUP_B: "side-participants present (negative z)"},
-        "c_star": result.c_star,
+        "c_star": float(prior),
         "calibration": {
             "skipped": c_star is not None,
             "grid": grid,
@@ -379,8 +339,8 @@ def logodds_report(docs: Sequence[Document], min_count: int = 5,
             "seed": seed,
         },
         "n_documents": len(docs),
-        "n_terms": len(result.terms),
-        "shows": list(result.shows),
+        "n_terms": len(counts.terms),
+        "shows": list(counts.shows),
         "top_group_a": [[t, z] for t, z in ranked[:top]],
         "top_group_b": [[t, z] for t, z in ranked[::-1][:top]],
         "z": {t: z for t, z in sorted(ranked)},

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -193,6 +194,21 @@ class TestBaseline:
                             "--mode", "full", "--out", str(tmp_path / "pred")])
         assert code == 1
         assert "faces" in err
+
+    @pytest.mark.parametrize("mode", ["full", "reply-only"])
+    @pytest.mark.parametrize("flag", ["--faces", "--words"])
+    def test_missing_side_file_path_exits_two(self, tmp_path, flag, mode):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, {"c1": GOLD_CLIP}, {"c1": TRANSCRIPT})
+        paths = {"--faces": str(corpus), "--words": str(corpus),
+                 flag: str(tmp_path / "nonexistent")}
+        out_dir = tmp_path / "pred"
+        code, out, err = run(["baseline", str(corpus), "--mode", mode,
+                              "--faces", paths["--faces"], "--words", paths["--words"],
+                              "--out", str(out_dir)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} not found: {tmp_path / 'nonexistent'}\n"
+        assert not out_dir.exists()
 
     def test_output_revalidates_cleanly(self, tmp_path):
         write_corpus(tmp_path / "corpus", {"c1": GOLD_CLIP}, {"c1": TRANSCRIPT})
@@ -796,6 +812,55 @@ class TestAgreeDigest:
         assert [list(d) for d in digests] == [["manifest"], ["manifest"]]
         assert all(re.fullmatch("[0-9a-f]{64}", d["manifest"]) for d in digests)
         assert digests[0]["manifest"] != digests[1]["manifest"]
+
+    def test_digest_chains_the_manifest_and_annotator_digests(self, tmp_path):
+        out = self._agree(tmp_path, GOLD_CLIP)
+        chained = hashlib.sha256()
+        for name in ("annotators.json", "a.json", "b.json"):
+            chained.update(hashlib.sha256((tmp_path / name).read_bytes()).digest())
+        assert json.loads(out)["manifest"]["digests"]["manifest"] == chained.hexdigest()
+
+
+class TestTableFormat:
+    """Every command with --format table prints the same plain-text table on
+    each run."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        clip = [dict(r) for r in GOLD_CLIP]
+        clip[1]["side_participant"] = ["zoe"]
+        write_corpus(tmp_path / "corpus", {"c1": clip, "c2": GOLD_CLIP},
+                     {"c1": TRANSCRIPT, "c2": TRANSCRIPT},
+                     casts={c: {"clip_id": c, "show_id": "showx",
+                                "cast": ["ada", "max", "zoe"]} for c in ("c1", "c2")})
+        (tmp_path / "genders.tsv").write_text(
+            "canonical_name\tgender\tshow_id\nada\tfemale\tshowx\nmax\tmale\tshowx\n")
+        (tmp_path / "a.json").write_text(json.dumps({"c1": GOLD_CLIP}))
+        (tmp_path / "b.json").write_text(json.dumps({"c1": clip}))
+        (tmp_path / "annotators.json").write_text(
+            json.dumps({"annotators": {"a": "a.json", "b": "b.json"}}))
+        (tmp_path / "features.csv").write_text(
+            "clip_id,n,f1_speaker\n" + "".join(f"c{k},{k},{k * k}\n" for k in range(5)))
+        return tmp_path
+
+    @pytest.mark.parametrize("argv", [
+        ["agree", "{root}/annotators.json"],
+        ["baseline", "{root}/corpus", "--mode", "reply-only", "--out", "{root}/pred"],
+        ["analyze", "threads", "{root}/corpus", "--gender-map", "{root}/genders.tsv",
+         "--bootstrap", "100", "--permutations", "20"],
+        ["analyze", "roles", "{root}/corpus", "--gender-map", "{root}/genders.tsv"],
+        ["analyze", "logodds", "{root}/corpus", "--min-count", "1",
+         "--permutations", "4"],
+        ["analyze", "correlate", "--features", "{root}/features.csv"],
+    ], ids=["agree", "baseline", "threads", "roles", "logodds", "correlate"])
+    def test_table_is_plain_text_and_deterministic(self, inputs, argv):
+        argv = [a.format(root=inputs) for a in argv] + ["--format", "table"]
+        code, out, err = run(argv)
+        assert code == 0, err
+        assert out.strip()
+        with pytest.raises(ValueError):
+            json.loads(out)
+        assert run(argv) == (code, out, err)
 
 
 class TestCorrelateHeaderFaults:

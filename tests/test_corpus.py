@@ -41,7 +41,7 @@ from convstruct.corpus import (
 
 from convstruct.baseline import parse_face_tracks_json, parse_word_tokens_tsv
 
-from conftest import record, table4_records
+from conftest import NAMES, record, table4_records
 
 TSV = (
     "start\tend\tspeaker\ttext\n"
@@ -212,6 +212,40 @@ class TestAnnotationJson:
                    record(2, "crowd", reply_to=1, extra_diegetic=True)]
         again = parse_annotation_json(serialize_annotation_json(records))
         assert again == records
+
+
+# conftest names, the reserved kinds and off-screen names, as participants
+ROUND_TRIP_PARTICIPANTS = [normalize_name(n) for n in (
+    NAMES + ["unknown", "crowd"] + [f"{n}_OS" for n in NAMES[:3]])]
+
+
+@st.composite
+def _valid_records(draw):
+    """Records that pass every invariant: unique lines in order, links back to
+    an annotated line, disjoint role sets without the speaker."""
+    lines = sorted(draw(st.sets(st.integers(1, 10_000), min_size=1, max_size=12)))
+    records = []
+    for k, line in enumerate(lines):
+        speaker = draw(st.sampled_from(ROUND_TRIP_PARTICIPANTS))
+        others = [p for p in ROUND_TRIP_PARTICIPANTS if p != speaker]
+        roles = draw(st.lists(st.sampled_from(others), unique=True, max_size=5))
+        split = draw(st.integers(0, len(roles)))
+        records.append(StructureRecord(
+            line_idx=line, speaker=speaker, addressees=frozenset(roles[:split]),
+            side_participants=frozenset(roles[split:]),
+            reply_to=draw(st.sampled_from(lines[:k + 1])),
+            extra_diegetic=draw(st.booleans()), monologue=draw(st.booleans())))
+    return records
+
+
+class TestRoundTripProperty:
+    @settings(deadline=None)
+    @given(records=_valid_records(), strict=st.booleans())
+    def test_serialize_then_parse_is_identity(self, records, strict):
+        blob = serialize_annotation_json(records)
+        parsed = parse_annotation_json(blob, strict=strict)
+        assert parsed == records
+        assert serialize_annotation_json(parsed) == blob
 
 
 class TestValidateClip:

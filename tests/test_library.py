@@ -6,6 +6,8 @@ dict), so the command adds nothing but the manifest.
 """
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,3 +214,45 @@ class TestAnalyses:
         report = feature_correlations(rows)
         assert report["n_clips"] == 6
         assert report == cli_report(["analyze", "correlate", "--features", str(path)])
+
+
+class TestReadmeExamples:
+    """The README's `python` blocks run as written, against a corpus at the
+    paths they name."""
+
+    # three gendered participants, each line with one side-participant but the last
+    CLIP = [
+        {"line_idx": 1, "speaker": "ada", "addressee": ["max"],
+         "side_participant": ["cleo"], "reply_to": 1},
+        {"line_idx": 2, "speaker": "max", "addressee": ["ada"],
+         "side_participant": ["cleo"], "reply_to": 1},
+        {"line_idx": 3, "speaker": "cleo", "addressee": ["ada"],
+         "side_participant": ["max"], "reply_to": 3},
+        {"line_idx": 4, "speaker": "max", "addressee": ["cleo"],
+         "side_participant": [], "reply_to": 3},
+    ]
+
+    def _write_inputs(self, root):
+        clip_ids = [f"c{k}" for k in range(5)]  # each word is said five times
+        write_corpus(root / "data" / "corpus", {c: self.CLIP for c in clip_ids},
+                     {c: TRANSCRIPT for c in clip_ids},
+                     casts={c: {"clip_id": c, "show_id": "showx",
+                                "cast": ["ada", "max", "cleo"]} for c in clip_ids})
+        (root / "genders.tsv").write_text(GENDERS + "cleo\tfemale\tshowx\n")
+        for name in ("clip1.json", "pred1.json"):
+            (root / name).write_text(json.dumps(self.CLIP))
+
+    def test_python_blocks_run(self, tmp_path, monkeypatch, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.DOTALL)
+        assert len(blocks) == 2
+        self._write_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        for block in blocks:
+            exec(compile(block, str(readme), "exec"), {})
+        out = capsys.readouterr().out
+        assert "'speaker_acc': 100.0" in out
+        # "sure am" is the only line without side-participants: its terms lead
+        printed = re.findall(r"^([a-z]+) +([+-][0-9.]+)$", out, re.MULTILINE)
+        assert {term for term, _ in printed[:2]} == {"am", "sure"}
+        assert all(float(z) > 0 for _, z in printed[:2])

@@ -17,7 +17,6 @@ from convstruct.stats.logodds import (
     stouffer,
     tokenize,
     weighted_logodds,
-    weighted_logodds_analysis,
 )
 
 
@@ -325,18 +324,18 @@ class TestCalibratePrior:
 
 class TestAnalysisPipeline:
     def test_aggregates_with_stouffer(self):
-        counts = TermCounts.from_count_tables(
-            terms=("alpha", "beta"), shows=("s1", "s2"),
-            y_a=np.array([[8.0, 2.0], [8.0, 2.0]]),
-            y_b=np.array([[2.0, 8.0], [2.0, 8.0]]),
-            p=np.array([0.5, 0.5]),
-        )
-        result = weighted_logodds_analysis(counts, c_star=2.0)
-        _, _, zeta = weighted_logodds(counts, 2.0)
-        assert result.z[0] == pytest.approx(stouffer(list(zeta[:, 0])), abs=1e-12)
-        ranked = result.ranked_terms()
-        assert ranked[0][0] == "alpha"
-        assert ranked[-1][0] == "beta"
+        docs = [Document("s1", "a", ("alpha",) * 8 + ("beta",) * 2 + ("gamma",) * 3),
+                Document("s1", "b", ("alpha",) * 2 + ("beta",) * 8 + ("gamma",) * 3),
+                Document("s2", "a", ("alpha",) * 6 + ("beta",) * 3 + ("gamma",) * 2),
+                Document("s2", "b", ("alpha",) * 1 + ("beta",) * 5 + ("gamma",) * 2)]
+        report = logodds_report(docs, min_count=1, c_star=2.0)
+        _, _, zeta = weighted_logodds(TermCounts.from_documents(docs, min_count=1), 2.0)
+        assert report["shows"] == ["s1", "s2"]
+        for t, term in enumerate(("alpha", "beta", "gamma")):
+            assert report["z"][term] == stouffer(list(zeta[:, t]))
+        ranked = [term for term, _ in report["top_group_a"]]
+        assert ranked[0] == "alpha"
+        assert ranked[-1] == "beta"
 
 
 class TestLogoddsReportTop:
