@@ -9,10 +9,14 @@ gendered thread dynamics).
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .corpus import (
+    AgreementError,
     Clip,
     CorpusError,
     Diagnostic,
+    MetricInputError,
     ParseError,
     Participant,
     StructureRecord,
@@ -32,26 +36,30 @@ from .threads import (
     link_set,
     thread_events,
 )
-from .metrics import (
-    EvalConfig,
-    MetricInputError,
-    MetricReport,
-    evaluate_corpus,
-    exact_match,
-    link_f1,
-    nvi_score,
-    one_to_one,
-    role_set_f1,
-    speaker_accuracy,
-)
-from .agreement import AgreementError, AnnotatorBatch, pairwise_agreement
-from .baseline import (
-    FaceTrack,
-    WordToken,
-    face_word_counts,
-    run_baseline,
-    run_reply_only_baseline,
-)
+
+# Names from the numpy-backed modules, imported on first access (PEP 562) so
+# that `import convstruct` loads neither numpy nor scipy.
+_LAZY = {
+    **dict.fromkeys(("EvalConfig", "MetricReport", "evaluate_corpus", "exact_match",
+                     "link_f1", "nvi_score", "one_to_one", "role_set_f1",
+                     "speaker_accuracy"), "metrics"),
+    **dict.fromkeys(("AnnotatorBatch", "pairwise_agreement"), "agreement"),
+    **dict.fromkeys(("FaceTrack", "WordToken", "face_word_counts", "run_baseline",
+                     "run_reply_only_baseline"), "baseline"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "__version__",

@@ -14,12 +14,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import ParseError, StructureRecord, _decode_json, annotation_records
+from .corpus import (
+    AgreementError,
+    ParseError,
+    StructureRecord,
+    _decode_json,
+    annotation_records,
+)
 from .metrics import METRIC_FIELDS, EvalConfig, MetricReport, evaluate_corpus
-
-
-class AgreementError(ValueError):
-    """No usable annotator pairs."""
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ correlate}. Each command accepts only the flags it reads. Every report embeds
 a run manifest with input digests and, as config, the command's other flags;
 identical inputs, flags, and seed produce byte-identical output. Exit codes:
 0 success, 1 domain error, 2 I/O or usage error. The commands only parse
-arguments, call the library, and emit its reports.
+arguments, call the library, and emit its reports. Each command imports the
+library modules it runs, so `--help`, usage errors and `validate` load neither
+numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -17,34 +19,19 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .agreement import AgreementError, load_annotators, pairwise_agreement
-from .baseline import (
-    parse_face_tracks_json,
-    parse_word_tokens_tsv,
-    run_baseline,
-    run_reply_only_baseline,
-)
 from .corpus import (
     ERROR,
     WARNING,
+    AgreementError,
     CorpusError,
+    MetricInputError,
+    StatsError,
     load_corpus,
     load_structures,
     parse_gender_map_tsv,
     serialize_annotation_json,
     validate_paths,
 )
-from .metrics import METRIC_FIELDS, EvalConfig, MetricInputError, evaluate_corpus
-from .stats import (
-    BootstrapConfig,
-    feature_correlations,
-    gender_thread_shares,
-    logodds_report,
-    read_features_csv,
-    role_report,
-    utterance_documents,
-)
-from .stats.bootstrap import StatsError
 
 METRIC_LABELS = {
     "speaker_acc": "Speaker (Acc.)",
@@ -108,6 +95,8 @@ def _emit(payload: dict, fmt: str, table_lines: list[str] | None = None) -> None
 
 
 def _metric_table(report_dict: dict) -> list[str]:
+    from .metrics import METRIC_FIELDS
+
     lines = [f"{'metric':<22}{'score':>8}  ci95"]
     ci = report_dict.get("ci", {})
     for name in METRIC_FIELDS:
@@ -135,6 +124,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .metrics import EvalConfig, evaluate_corpus
+    from .stats import BootstrapConfig
+
     gold = load_structures(args.gold, strict=args.strict)
     pred = load_structures(args.pred, strict=args.strict)
     bootstrap = (BootstrapConfig(resamples=args.bootstrap, level=args.level,
@@ -147,6 +139,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_agree(args) -> int:
+    from .agreement import load_annotators, pairwise_agreement
+    from .metrics import EvalConfig
+
     batches = load_annotators(args.manifest)
     report = pairwise_agreement(
         batches, EvalConfig(args.aggregate, args.filter_nondialogic))
@@ -165,17 +160,24 @@ def cmd_agree(args) -> int:
     return 0
 
 
-def _side_files(base: str | None, clip_id: str, suffix: str) -> Path | None:
-    if base is None:
-        return None
+def _side_file(base: str, clip_id: str, suffix: str, what: str) -> bytes:
+    """The bytes of a --faces or --words input for one clip: the path itself
+    if it is a file, else the clip's file in that directory, which must exist."""
     root = Path(base)
-    if root.is_file():
-        return root
-    candidate = root / f"{clip_id}{suffix}"
-    return candidate if candidate.exists() else None
+    path = root if root.is_file() else root / f"{clip_id}{suffix}"
+    if not path.exists():
+        raise CorpusError(f"no {what} for clip {clip_id!r}")
+    return path.read_bytes()
 
 
 def cmd_baseline(args) -> int:
+    from .baseline import (
+        parse_face_tracks_json,
+        parse_word_tokens_tsv,
+        run_baseline,
+        run_reply_only_baseline,
+    )
+
     corpus = load_corpus(args.corpus, strict=args.strict)
     if not corpus:
         raise CorpusError(f"no clips found under {args.corpus}")
@@ -183,7 +185,7 @@ def cmd_baseline(args) -> int:
         raise CorpusError("--mode full requires --faces (and usually --words)")
     for flag, path in (("--faces", args.faces), ("--words", args.words)):
         one_file = bool(path) and _require(path, flag).is_file()  # given paths must exist
-        if one_file and args.mode == "full" and len(corpus) > 1:
+        if one_file and len(corpus) > 1:
             raise CorpusError(f"{flag} {path} is one file but the corpus has "
                               f"{len(corpus)} clips; give a directory")
 
@@ -196,13 +198,12 @@ def cmd_baseline(args) -> int:
         if args.mode == "reply-only":
             records = run_reply_only_baseline(clip)
         else:
-            faces_path = _side_files(args.faces, clip_id, ".faces.json")
-            if faces_path is None:
-                raise CorpusError(f"no face tracks for clip {clip_id!r}")
-            tracks = parse_face_tracks_json(faces_path.read_bytes())
-            words_path = _side_files(args.words, clip_id, ".words.tsv")
-            words = (parse_word_tokens_tsv(words_path.read_bytes())
-                     if words_path else [])
+            tracks = parse_face_tracks_json(
+                _side_file(args.faces, clip_id, ".faces.json", "face tracks"))
+            words = []
+            if args.words:
+                words = parse_word_tokens_tsv(
+                    _side_file(args.words, clip_id, ".words.tsv", "word timings"))
             records = run_baseline(clip, tracks, words)
         predictions[clip_id] = serialize_annotation_json(records)
 
@@ -245,6 +246,8 @@ def _emit_analysis(args, report: dict) -> int:
 
 
 def cmd_threads(args) -> int:
+    from .stats import BootstrapConfig, gender_thread_shares
+
     return _emit_analysis(args, gender_thread_shares(
         _clips(args.corpus),
         _gender_map(args.gender_map),
@@ -256,11 +259,15 @@ def cmd_threads(args) -> int:
 
 
 def cmd_roles(args) -> int:
+    from .stats import role_report
+
     return _emit_analysis(args, role_report(
         _clips(args.corpus), _gender_map(args.gender_map)).as_dict())
 
 
 def cmd_logodds(args) -> int:
+    from .stats import logodds_report, utterance_documents
+
     docs = utterance_documents(_clips(args.corpus), args.filter_nondialogic)
     return _emit_analysis(args, logodds_report(
         docs, min_count=args.min_count, c_star=args.c_star, grid=args.grid,
@@ -268,6 +275,8 @@ def cmd_logodds(args) -> int:
 
 
 def cmd_correlate(args) -> int:
+    from .stats import feature_correlations, read_features_csv
+
     features_path = _require(args.features, "features CSV")
     with features_path.open(newline="", encoding="utf-8") as handle:
         report = feature_correlations(read_features_csv(handle))
@@ -415,7 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "baseline" and args.mode == "reply-only":
+        for flag, path in (("--faces", args.faces), ("--words", args.words)):
+            if path is not None:
+                parser.error(f"baseline --mode reply-only does not read {flag}")
     try:
         return args.handler(args)
     except OSError as exc:

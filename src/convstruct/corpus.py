@@ -27,6 +27,18 @@ class ParseError(CorpusError):
     """A byte stream could not be parsed at all (bad row, bad type)."""
 
 
+class MetricInputError(ValueError):
+    """Gold and prediction do not cover the same lines or clips."""
+
+
+class StatsError(ValueError):
+    """Invalid input to a statistical routine."""
+
+
+class AgreementError(ValueError):
+    """No usable annotator pairs."""
+
+
 class ValidationError(CorpusError):
     """Parsed content violates structural invariants.
 

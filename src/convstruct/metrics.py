@@ -19,14 +19,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import StructureRecord
+from .corpus import MetricInputError, StructureRecord
 from .threads import LinkSet, ThreadPartition, derive_threads, link_set
 from .stats.bootstrap import BootstrapConfig, bootstrap_ratio_ci
-
-
-class MetricInputError(ValueError):
-    """Gold and prediction do not cover the same lines or clips."""
-
 
 METRIC_FIELDS = (
     "speaker_acc",

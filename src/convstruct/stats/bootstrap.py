@@ -14,9 +14,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-
-class StatsError(ValueError):
-    """Invalid input to a statistical routine."""
+from ..corpus import StatsError
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from ..corpus import _number
 from .bootstrap import StatsError
@@ -58,6 +57,8 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     rho = max(-1.0, min(1.0, rho))
     if abs(rho) == 1.0:
         return rho, 0.0
+    from scipy.special import stdtr
+
     t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
     p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return rho, p

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bootstrap import StatsError
 
@@ -74,6 +73,8 @@ def _fit_state(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Log-likelihood, gradient and non-reference probabilities at beta, with
     row i standing for weights[i] identical observations."""
+    from scipy.special import logsumexp
+
     eta = x @ beta.T  # (n, J)
     padded = np.concatenate([np.zeros((x.shape[0], 1)), eta], axis=1)
     lse = logsumexp(padded, axis=1)

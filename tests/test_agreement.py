@@ -1,7 +1,10 @@
 import json
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convstruct.agreement import (
     AgreementError,
@@ -10,7 +13,7 @@ from convstruct.agreement import (
     pairwise_agreement,
 )
 from convstruct.corpus import ParseError
-from convstruct.metrics import METRIC_FIELDS
+from convstruct.metrics import METRIC_FIELDS, EvalConfig, MetricInputError
 
 from conftest import NAMES, random_records, record
 
@@ -64,6 +67,38 @@ class TestPairwiseAgreement:
         for name in METRIC_FIELDS:
             assert getattr(forward.overall, name) == pytest.approx(
                 getattr(backward.overall, name))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_annotators=st.integers(2, 4),
+           aggregate=st.sampled_from(["micro", "macro"]),
+           filter_nondialogic=st.booleans(), data=st.data())
+    def test_clip_order_does_not_change_the_report(self, seed, n_annotators, aggregate,
+                                                   filter_nondialogic, data):
+        rng = random.Random(seed)
+        shape = {f"c{k}": rng.randint(1, 20) for k in range(rng.randint(1, 5))}
+        batches = []
+        for i in range(n_annotators):
+            clips = sorted(rng.sample(sorted(shape), rng.randint(1, len(shape))))
+            batches.append(batch(f"a{i}", {
+                c: random_records(rng, shape[c], NAMES[:5], rng.random())
+                for c in clips}))
+        shuffled = [
+            batch(b.annotator_id, {
+                c: b.records_by_clip[c]
+                for c in data.draw(st.permutations(list(b.records_by_clip)),
+                                   label=f"{b.annotator_id} order")})
+            for b in batches]
+        config = EvalConfig(aggregate, filter_nondialogic)
+
+        def outcome(bs):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # pairs that share no clip
+                    return json.dumps(pairwise_agreement(bs, config).as_dict())
+            except (AgreementError, MetricInputError) as exc:
+                return repr(exc)
+
+        assert outcome(shuffled) == outcome(batches)
 
     def test_direction_symmetrized(self):
         # a pair's score must not depend on which annotator plays gold,

@@ -195,7 +195,7 @@ class TestBaseline:
         assert code == 1
         assert "faces" in err
 
-    @pytest.mark.parametrize("mode", ["full", "reply-only"])
+    @pytest.mark.parametrize("mode", ["full"])
     @pytest.mark.parametrize("flag", ["--faces", "--words"])
     def test_missing_side_file_path_exits_two(self, tmp_path, flag, mode):
         corpus = tmp_path / "corpus"
@@ -208,6 +208,24 @@ class TestBaseline:
                               "--out", str(out_dir)])
         assert (code, out) == (2, "")
         assert err == f"error: {flag} not found: {tmp_path / 'nonexistent'}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("exists", ["given", "missing"])
+    @pytest.mark.parametrize("flag", ["--faces", "--words"])
+    def test_reply_only_rejects_side_input_flags(self, tmp_path, capsys, flag, exists):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, {"c1": GOLD_CLIP}, {"c1": TRANSCRIPT})
+        path = corpus if exists == "given" else tmp_path / "nonexistent"
+        out_dir = tmp_path / "pred"
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline", str(corpus), "--mode", "reply-only", flag, str(path),
+                  "--out", str(out_dir)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert captured.err.endswith(
+            f"error: baseline --mode reply-only does not read {flag}\n")
         assert not out_dir.exists()
 
     def test_output_revalidates_cleanly(self, tmp_path):
@@ -703,6 +721,20 @@ class TestBaselineSideFilesMatchTheClip:
                                       f"corpus has 2 clips")
         assert not list((tmp_path / "pred").glob("*.json"))
 
+    @pytest.mark.parametrize("flag", ["--faces", "--words"])
+    def test_directory_without_the_clips_file_exits_one(self, tmp_path, flag):
+        corpus = self._corpus(tmp_path, clip_ids=("c1", "c2"))
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "c1.faces.json").write_bytes((corpus / "c1.faces.json").read_bytes())
+        (other / "c1.words.tsv").write_bytes((corpus / "c1.words.tsv").read_bytes())
+        paths = {"--faces": corpus, "--words": corpus, flag: other}
+        code, out, err = self._baseline(tmp_path, paths["--faces"], paths["--words"])
+        what = "face tracks" if flag == "--faces" else "word timings"
+        self._assert_error(code, err, f"no {what} for clip 'c2'")
+        assert out == ""
+        assert not list((tmp_path / "pred").glob("*.json"))
+
     def test_one_file_for_one_clip_runs(self, tmp_path):
         corpus = self._corpus(tmp_path)
         code, _, err = self._baseline(tmp_path, corpus / "c1.faces.json",
@@ -917,12 +949,12 @@ class TestOnlyInputErrorsExitOne:
         assert "annotation JSON is unreadable" in err
 
     def test_an_internal_value_error_is_not_caught(self, tmp_path, monkeypatch):
-        import convstruct.cli as cli
+        import convstruct.metrics as metrics
 
         def broken(*args, **kwargs):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr(cli, "evaluate_corpus", broken)
+        monkeypatch.setattr(metrics, "evaluate_corpus", broken)
         write_corpus(tmp_path / "corpus", {"c1": GOLD_CLIP})
         with pytest.raises(ValueError, match="internal fault"):
             main(["evaluate", str(tmp_path / "corpus"), str(tmp_path / "corpus")])

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -537,6 +538,35 @@ class TestEvaluateCorpus:
         nvi_forward, nvi_backward = forward.pop("nvi_score"), backward.pop("nvi_score")
         assert forward == backward
         assert abs(nvi_forward - nvi_backward) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           clip_ids=st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=6,
+                             unique=True),
+           aggregate=st.sampled_from(["micro", "macro"]),
+           filter_nondialogic=st.booleans(),
+           bootstrap=st.sampled_from([None, BootstrapConfig(resamples=200, seed=5)]),
+           data=st.data())
+    def test_clip_order_does_not_change_the_report(self, seed, clip_ids, aggregate,
+                                                   filter_nondialogic, bootstrap, data):
+        rng = random.Random(seed)
+        gold, pred = {}, {}
+        for clip_id in clip_ids:
+            n_lines = rng.randint(1, 30)
+            gold[clip_id] = random_records(rng, n_lines, NAMES[:6], rng.random())
+            pred[clip_id] = random_records(rng, n_lines, NAMES[:6], rng.random())
+        gold_order = data.draw(st.permutations(clip_ids), label="gold order")
+        pred_order = data.draw(st.permutations(clip_ids), label="pred order")
+        config = EvalConfig(aggregate, filter_nondialogic, bootstrap)
+
+        def outcome(g, p):
+            try:
+                return json.dumps(evaluate_corpus(g, p, config).as_dict())
+            except MetricInputError as exc:  # every line filtered away
+                return repr(exc)
+
+        assert outcome({c: gold[c] for c in gold_order},
+                       {c: pred[c] for c in pred_order}) == outcome(gold, pred)
 
     def test_thread_metrics_average_per_clip(self):
         gold = {"c1": two_thread_clip(), "c2": two_thread_clip()}
