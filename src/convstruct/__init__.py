@@ -41,8 +41,7 @@ from .threads import (
 # that `import convstruct` loads neither numpy nor scipy.
 _LAZY = {
     **dict.fromkeys(("EvalConfig", "MetricReport", "evaluate_corpus", "exact_match",
-                     "link_f1", "nvi_score", "one_to_one", "role_set_f1",
-                     "speaker_accuracy"), "metrics"),
+                     "link_f1", "nvi_score", "one_to_one"), "metrics"),
     **dict.fromkeys(("AnnotatorBatch", "pairwise_agreement"), "agreement"),
     **dict.fromkeys(("FaceTrack", "WordToken", "face_word_counts", "run_baseline",
                      "run_reply_only_baseline"), "baseline"),
@@ -90,8 +89,6 @@ __all__ = [
     "link_f1",
     "nvi_score",
     "one_to_one",
-    "role_set_f1",
-    "speaker_accuracy",
     "AgreementError",
     "AnnotatorBatch",
     "pairwise_agreement",

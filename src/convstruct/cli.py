@@ -222,9 +222,7 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _require(path: str | None, what: str) -> Path:
-    if not path:
-        raise CorpusError(f"missing required input: {what}")
+def _require(path: str, what: str) -> Path:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"{what} not found: {p}")
@@ -235,7 +233,7 @@ def _clips(corpus: str) -> list:
     return list(load_corpus(corpus).values())  # in clip id order
 
 
-def _gender_map(path: str | None) -> dict:
+def _gender_map(path: str) -> dict:
     return parse_gender_map_tsv(_require(path, "--gender-map").read_bytes())
 
 
@@ -332,7 +330,7 @@ _FLAGS = {
     "--level": dict(type=float, default=0.95, help="confidence level for intervals"),
     "--strict": dict(action="store_true",
                      help="escalate warnings to errors; reject unknown keys"),
-    "--gender-map": dict(help="participant metadata TSV"),
+    "--gender-map": dict(required=True, help="participant metadata TSV"),
     "--permutations": dict(type=int, default=1000,
                            help="permutation count for tests/calibration"),
     "--seed": dict(type=int, default=0, help="random seed"),
@@ -417,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_logodds)
 
     p = analyses.add_parser("correlate", help="Spearman correlations of clip features")
-    p.add_argument("--features", help="clip-level feature CSV")
+    p.add_argument("--features", required=True, help="clip-level feature CSV")
     _flags(p, "--format")
     p.set_defaults(handler=cmd_correlate)
     return parser

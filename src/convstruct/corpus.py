@@ -296,16 +296,6 @@ def parse_transcript_tsv(data: bytes, clip_id: str = "") -> list[Utterance]:
     return utterances
 
 
-def format_transcript_tsv(utterances: Iterable[Utterance]) -> bytes:
-    """Serialize utterances back to transcript TSV (3-decimal seconds, LF)."""
-    out = ["\t".join(TRANSCRIPT_HEADER)]
-    for u in utterances:
-        out.append(
-            f"{u.start_s:.3f}\t{u.end_s:.3f}\t{u.speaker_hint or ''}\t{u.text}"
-        )
-    return ("\n".join(out) + "\n").encode("utf-8")
-
-
 _REQUIRED_KEYS = ("line_idx", "speaker", "addressee", "side_participant", "reply_to")
 _ANNOTATION_KEYS = frozenset(_REQUIRED_KEYS + ("extra_diegetic", "monologue"))
 

@@ -3,10 +3,11 @@
 Role scores (speaker accuracy, addressee and side-participant set F1) compare
 per-line labels; thread scores (link F1, 1-NVI, one-to-one overlap, exact
 match F1) compare reply-to links and the partitions they induce.
-`speaker_accuracy`, `set_f1`, `role_set_f1`, `link_f1` and `exact_match` return
-fractions; `nvi_score` and `one_to_one` return percents. `score_clip` puts
-every score on the 0..100 scale that `evaluate_corpus` reports, where
-evaluating any input against itself is exactly 100.
+`set_f1`, `link_f1` and `exact_match` return fractions; `nvi_score` and
+`one_to_one` return percents. `score_clip` is the one role scorer: it sums
+each line's speaker match and role-set F1s, and puts every score on the
+0..100 scale that `evaluate_corpus` reports, where evaluating any input
+against itself is exactly 100.
 """
 
 from __future__ import annotations
@@ -58,15 +59,6 @@ def _aligned(gold: Sequence[StructureRecord], pred: Sequence[StructureRecord]
     return list(zip(gold, pred))
 
 
-def speaker_accuracy(gold: Sequence[StructureRecord],
-                     pred: Sequence[StructureRecord]) -> float:
-    """Fraction of lines whose predicted speaker matches gold (kind + name)."""
-    pairs = _aligned(gold, pred)
-    if not pairs:
-        raise MetricInputError("cannot score an empty record list")
-    return sum(g.speaker == p.speaker for g, p in pairs) / len(pairs)
-
-
 def set_f1(gold_set: frozenset, pred_set: frozenset) -> float:
     """Per-line set F1. Both sets empty is a correct prediction and scores 1."""
     if not gold_set and not pred_set:
@@ -79,18 +71,6 @@ def set_f1(gold_set: frozenset, pred_set: frozenset) -> float:
     precision = tp / len(pred_set)
     recall = tp / len(gold_set)
     return 2 * precision * recall / (precision + recall)
-
-
-def role_set_f1(gold_sets: Sequence[frozenset],
-                pred_sets: Sequence[frozenset]) -> float:
-    """Macro average over lines of per-line set F1."""
-    if len(gold_sets) != len(pred_sets):
-        raise MetricInputError(
-            f"mismatched coverage: {len(gold_sets)} gold vs {len(pred_sets)} predicted sets"
-        )
-    if not gold_sets:
-        raise MetricInputError("cannot score an empty set list")
-    return sum(map(set_f1, gold_sets, pred_sets)) / len(gold_sets)
 
 
 def _prf(precision: float, recall: float) -> PRF:

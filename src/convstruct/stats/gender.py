@@ -9,6 +9,7 @@ permutation test; all reported means carry bootstrap CIs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -86,6 +87,8 @@ def gender_thread_shares(
     female share of that clip's events minus the female share of its speaking
     time; clips without any gendered event are skipped for the respective
     delta, and clips without gendered speaking time are skipped entirely.
+    Clips are taken in clip id order, so the bootstrap and sign-flip draws
+    do not depend on the order of `clips`.
     """
     if permutations < 1:
         raise StatsError(f"permutations must be >= 1, got {permutations}")
@@ -97,7 +100,7 @@ def gender_thread_shares(
     # female share of gendered speaking time (NaN without any)
     clip_ids: list[str] = []
     rows: list[tuple[float, ...]] = []
-    for clip in clips:
+    for clip in sorted(clips, key=attrgetter("clip_id")):
         if clip.gold is None:
             continue
         events = thread_events(clip.gold, include_nondialogic=include_nondialogic)

@@ -21,6 +21,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,9 +61,10 @@ class Document:
 def utterance_documents(clips: Iterable[Clip], filter_nondialogic: bool = False
                         ) -> list[Document]:
     """One document per annotated transcript line: group a without
-    side-participants, group b with them."""
+    side-participants, group b with them. Documents come in clip id order,
+    then line order, so calibration does not depend on the order of `clips`."""
     docs = []
-    for clip in clips:
+    for clip in sorted(clips, key=attrgetter("clip_id")):
         records = {r.line_idx: r for r in clip.gold or ()}
         for u in sorted(clip.utterances, key=lambda u: u.line_idx):
             record = records.get(u.line_idx)
@@ -107,14 +109,6 @@ class TermCounts:
     doc_show: np.ndarray | None = None     # (D,) show row index
     doc_in_a: np.ndarray | None = None     # (D,) True where the document is group a
 
-    @property
-    def n_a(self) -> np.ndarray:
-        return self.y_a.sum(axis=1)
-
-    @property
-    def n_b(self) -> np.ndarray:
-        return self.y_b.sum(axis=1)
-
     @classmethod
     def from_documents(cls, docs: Sequence[Document], min_count: int = 5) -> "TermCounts":
         """Build counts from documents, dropping terms rarer than min_count pooled."""
@@ -141,43 +135,6 @@ class TermCounts:
                                       np.vstack([doc_in_a, np.ones_like(doc_in_a)]))
         p = totals.sum(axis=0) / totals.sum()
         return cls(terms, shows, y_a, totals - y_a, p, doc_terms, doc_show, doc_in_a)
-
-    @classmethod
-    def from_count_tables(
-        cls,
-        terms: Sequence[str],
-        shows: Sequence[str],
-        y_a: np.ndarray,
-        y_b: np.ndarray,
-        p: np.ndarray | None = None,
-    ) -> "TermCounts":
-        """Build from explicit count tables; background defaults to pooled frequency."""
-        y_a = np.asarray(y_a, dtype=np.float64)
-        y_b = np.asarray(y_b, dtype=np.float64)
-        if y_a.shape != (len(shows), len(terms)) or y_b.shape != y_a.shape:
-            raise StatsError("count tables must be (n_shows, n_terms)")
-        if (y_a < 0).any() or (y_b < 0).any():
-            raise StatsError("counts must be non-negative")
-        if p is None:
-            total = y_a.sum() + y_b.sum()
-            if total == 0:
-                raise StatsError("all counts are zero")
-            p = (y_a.sum(axis=0) + y_b.sum(axis=0)) / total
-        else:
-            p = np.asarray(p, dtype=np.float64)
-            if p.shape != (len(terms),) or (p <= 0).any():
-                raise StatsError("background frequencies must be positive per term")
-            if abs(float(p.sum()) - 1.0) > 1e-9:
-                raise StatsError("background frequencies must sum to 1")
-        return cls(tuple(terms), tuple(shows), y_a, y_b, p)
-
-    def swapped(self) -> "TermCounts":
-        """Groups a and b exchanged; negates every delta and zeta exactly."""
-        return TermCounts(
-            self.terms, self.shows, self.y_b.copy(), self.y_a.copy(), self.p,
-            self.doc_terms, self.doc_show,
-            None if self.doc_in_a is None else ~self.doc_in_a,
-        )
 
 
 def _zeta_core(

@@ -84,19 +84,6 @@ def _fit_state(
     return ll, grad, probs
 
 
-def loglik_and_gradient(
-    beta: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Multinomial log-likelihood and its gradient.
-
-    beta has shape (J, p) for J non-reference outcomes; the gradient comes
-    back in the same shape. Exposed so the analytic gradient can be checked
-    against finite differences.
-    """
-    ll, grad, _ = _fit_state(beta, x, y, np.ones(x.shape[0]))
-    return ll, grad
-
-
 def _information(probs: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Observed information (negative Hessian) as a (J*p, J*p) block matrix:
     block (a, b) sums weights[i] * p_ia * (1[a == b] - p_ib) * x_i x_i^T."""

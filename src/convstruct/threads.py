@@ -36,14 +36,6 @@ class ThreadPartition:
             raise ThreadError("partition clusters must be pairwise disjoint")
         return cls(tuple(sorted(sets, key=min)))
 
-    @property
-    def elements(self) -> frozenset[int]:
-        return frozenset().union(*self.clusters) if self.clusters else frozenset()
-
-    @property
-    def n(self) -> int:
-        return sum(len(c) for c in self.clusters)
-
 
 def derive_threads(records: Sequence[StructureRecord]) -> ThreadPartition:
     """Thread partition from one pass over the records in line order.

@@ -7,6 +7,7 @@ i.e. waived, when it is absent.
 """
 
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -19,7 +20,7 @@ import pytest
 
 from convstruct.baseline import run_reply_only_baseline
 from convstruct.cli import main
-from convstruct.corpus import Clip, Utterance, load_corpus
+from convstruct.corpus import Clip, Utterance, load_corpus, serialize_annotation_json
 from convstruct.metrics import (
     EvalConfig,
     evaluate_corpus,
@@ -35,11 +36,7 @@ from convstruct.stats.logodds import (
     calibrate_prior,
     weighted_logodds,
 )
-from convstruct.stats.regression import (
-    _design,
-    loglik_and_gradient,
-    multinomial_logit,
-)
+from convstruct.stats.regression import _design, multinomial_logit
 from convstruct.threads import derive_threads, link_set
 
 from conftest import random_clip, random_partition, table4_records
@@ -48,6 +45,7 @@ from test_metrics import (
     direct_vi_score,
     enumeration_one_to_one,
 )
+from test_regression import loglik_and_gradient
 
 
 def criterion(number, description, limit_s=None):
@@ -193,7 +191,8 @@ def test_criterion_7_logodds_calibration():
     assert 0.9 <= sd <= 1.1, f"null-zeta sd {sd:.4f} with C*={c_star}"
 
     delta, _, zeta = weighted_logodds(counts, c_star)
-    swapped_delta, _, swapped_zeta = weighted_logodds(counts.swapped(), c_star)
+    swapped = dataclasses.replace(counts, y_a=counts.y_b, y_b=counts.y_a)
+    swapped_delta, _, swapped_zeta = weighted_logodds(swapped, c_star)
     assert np.array_equal(swapped_delta, -delta)
     assert np.array_equal(swapped_zeta, -zeta)
 
@@ -255,6 +254,13 @@ def test_criterion_9_bootstrap_coverage():
     assert 0.93 <= coverage <= 0.97, f"coverage {coverage:.3f}"
 
 
+def transcript_tsv(utterances) -> str:
+    """Transcript TSV of utterances: three-decimal seconds, no speaker hint."""
+    rows = ["start\tend\tspeaker\ttext"]
+    rows += [f"{u.start_s:.3f}\t{u.end_s:.3f}\t\t{u.text}" for u in utterances]
+    return "\n".join(rows) + "\n"
+
+
 @criterion(10, "CLI runs are byte-identical for fixed inputs, flags, and seed")
 def test_criterion_10_cli_determinism(tmp_path):
     corpus = tmp_path / "corpus"
@@ -264,11 +270,9 @@ def test_criterion_10_cli_determinism(tmp_path):
     seen = set()
     for k in range(6):
         clip = random_clip(rng, f"clip{k}", show_id="showx")
-        from convstruct.corpus import format_transcript_tsv, serialize_annotation_json
         (corpus / f"clip{k}.annotation.json").write_bytes(
             serialize_annotation_json(clip.gold))
-        (corpus / f"clip{k}.transcript.tsv").write_bytes(
-            format_transcript_tsv(clip.utterances))
+        (corpus / f"clip{k}.transcript.tsv").write_text(transcript_tsv(clip.utterances))
         (corpus / f"clip{k}.cast.json").write_text(json.dumps({
             "clip_id": clip.clip_id, "show_id": "showx",
             "cast": [p.token for p in clip.cast]}))

@@ -11,7 +11,9 @@ import pytest
 
 from convstruct.cli import build_parser, main
 from convstruct.corpus import parse_annotation_json
-from convstruct.stats.logodds import TermCounts, weighted_logodds
+from convstruct.stats.logodds import weighted_logodds
+
+from test_logodds import count_tables
 
 GOLD_CLIP = [
     {"line_idx": 1, "speaker": "ada", "addressee": ["max"],
@@ -305,11 +307,25 @@ class TestAnalyze:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "permutations" in err
 
-    def test_threads_requires_gender_map(self, tmp_path):
+    @staticmethod
+    def _assert_usage_error(argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the following arguments are required: {flag}" in captured.err
+
+    def test_threads_requires_gender_map(self, tmp_path, capsys):
         corpus = self._corpus_with_cast(tmp_path)
-        code, _, err = run(["analyze", "threads", str(corpus)])
-        assert code == 1
-        assert "gender-map" in err
+        self._assert_usage_error(["analyze", "threads", str(corpus)], "--gender-map",
+                                 capsys)
+
+    @pytest.mark.parametrize("analysis, flag", [("roles", "--gender-map"),
+                                                ("correlate", "--features")])
+    def test_missing_input_flag_is_a_usage_error(self, analysis, flag, tmp_path, capsys):
+        corpus = [str(self._corpus_with_cast(tmp_path))] if analysis == "roles" else []
+        self._assert_usage_error(["analyze", analysis, *corpus], flag, capsys)
 
     def test_roles_balanced_gives_unit_odds_ratio(self, tmp_path):
         clip = []
@@ -355,7 +371,7 @@ class TestAnalyze:
                               "--c-star", "2.0", "--min-count", "1"])
         assert code == 0, err
         report = json.loads(out)["report"]
-        counts = TermCounts.from_count_tables(
+        counts = count_tables(
             terms=("alpha", "beta"), shows=("",),
             y_a=np.array([[8.0, 2.0]]), y_b=np.array([[2.0, 8.0]]),
         )

@@ -1,12 +1,17 @@
+import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convstruct.corpus import Clip, Utterance
 from convstruct.stats.bootstrap import BootstrapConfig, StatsError
-from convstruct.stats.gender import gender_thread_shares, role_distributions
+from convstruct.stats.gender import gender_thread_shares, role_distributions, role_report
+from convstruct.stats.logodds import logodds_report, utterance_documents
 
-from conftest import record
+from conftest import NAMES, random_clip, record
 
 CONFIG = BootstrapConfig(resamples=200, seed=0)
 
@@ -179,3 +184,38 @@ class TestRoleDistributions:
     def test_empty_observations_raise(self):
         with pytest.raises(StatsError):
             role_distributions([])
+
+
+class TestAnalysesIgnoreClipOrder:
+    """Every analysis report is a function of the clip set, not of the order
+    the clips come in: the bootstrap, sign-flip and calibration draws are
+    made over clips taken in clip id order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_clips=st.integers(2, 6),
+           order=st.randoms(use_true_random=False))
+    def test_reports_are_equal_under_any_clip_order(self, seed, n_clips, order):
+        rng = random.Random(seed)
+        clips = [random_clip(rng, f"c{k:02d}", show_id=f"show{k % 2}")
+                 for k in range(n_clips)]
+        shuffled = order.sample(clips, n_clips)
+        genders = {("", name): ("female", "male")[k % 2] for k, name in enumerate(NAMES)}
+
+        def report(analysis, clips):
+            try:
+                return json.dumps(analysis(clips))
+            except StatsError as exc:
+                return f"error: {exc}"
+
+        analyses = [
+            lambda clips: gender_thread_shares(
+                clips, genders, config=BootstrapConfig(resamples=50, seed=3),
+                permutations=50).as_dict(),
+            lambda clips: role_report(clips, genders).as_dict(),
+            # a fine grid, so that a small move of the null SD moves C*
+            lambda clips: logodds_report(utterance_documents(clips), min_count=1,
+                                         grid=np.logspace(0, 3, 61).tolist(),
+                                         permutations=3),
+        ]
+        for analysis in analyses:
+            assert report(analysis, shuffled) == report(analysis, clips)

@@ -25,10 +25,8 @@ from convstruct.metrics import (
     link_f1,
     nvi_score,
     one_to_one,
-    role_set_f1,
     set_f1,
     score_clip,
-    speaker_accuracy,
 )
 from convstruct.stats.bootstrap import BootstrapConfig, bootstrap_ci
 from convstruct.threads import ThreadPartition, derive_threads, link_set
@@ -50,12 +48,12 @@ def enumeration_one_to_one(gold: ThreadPartition, pred: ThreadPartition) -> floa
     else:
         for perm in itertools.permutations(range(n_gold), n_pred):
             best = max(best, sum(matrix[perm[j]][j] for j in range(n_pred)))
-    return 100.0 * (best / gold.n)
+    return 100.0 * (best / sum(map(len, gold.clusters)))
 
 
 def direct_vi_score(gold: ThreadPartition, pred: ThreadPartition) -> float:
     """1-NVI recomputed from scratch: joint distribution built element-wise."""
-    elements = sorted(gold.elements)
+    elements = sorted(frozenset().union(*gold.clusters))
     n = len(elements)
     if n == 1:
         return 100.0
@@ -93,6 +91,12 @@ def brute_force_exact_match(gold: ThreadPartition, pred: ThreadPartition):
 # --- role metrics --------------------------------------------------------------
 
 
+def speaker_accuracy(gold, pred):
+    """The fraction of lines whose speaker matches, from score_clip's line sum."""
+    score = score_clip("c", gold, pred)
+    return score.values[0] / (100 * score.n_lines)
+
+
 class TestSpeakerAccuracy:
     def test_identity(self):
         records = [record(i, "a") for i in range(1, 5)]
@@ -127,12 +131,12 @@ class TestRoleSetF1:
         return frozenset(normalize_name(n) for n in names)
 
     def test_identity(self):
-        assert role_set_f1([self._sets("penny")], [self._sets("penny")]) == 1.0
+        assert set_f1(self._sets("penny"), self._sets("penny")) == 1.0
 
     def test_partial_overlap(self):
-        gold = [self._sets("sheldon cooper", "amy farrah fowler")]
-        pred = [self._sets("amy farrah fowler")]
-        assert role_set_f1(gold, pred) == pytest.approx(2 / 3, abs=1e-15)
+        gold = self._sets("sheldon cooper", "amy farrah fowler")
+        pred = self._sets("amy farrah fowler")
+        assert set_f1(gold, pred) == pytest.approx(2 / 3, abs=1e-15)
 
     def test_both_empty_scores_one(self):
         assert set_f1(frozenset(), frozenset()) == 1.0
@@ -145,10 +149,6 @@ class TestRoleSetF1:
         a = self._sets("a", "b", "c")
         b = frozenset(sorted(a, key=lambda p: p.token, reverse=True))
         assert set_f1(a, b) == 1.0
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(MetricInputError):
-            role_set_f1([frozenset()], [])
 
 
 class TestLinkF1:
@@ -345,7 +345,7 @@ def dense_one_to_one(gold: ThreadPartition, pred: ThreadPartition) -> float:
         for x in cluster:
             matrix[i, pred_of[x]] += 1
     rows, cols = linear_sum_assignment(matrix, maximize=True)
-    return 100.0 * (int(matrix[rows, cols].sum()) / gold.n)
+    return 100.0 * (int(matrix[rows, cols].sum()) / sum(map(len, gold.clusters)))
 
 
 def parts(*clusters):
@@ -745,8 +745,6 @@ class TestAlignedRoleScoring:
             score_clip("c", gold, [record(1, "a"), record(2, "a", reply_to=1)])
         with pytest.raises(MetricInputError, match="duplicate line_idx"):
             score_clip("c", gold, list(gold))
-        with pytest.raises(MetricInputError, match="duplicate line_idx"):
-            speaker_accuracy(gold, list(gold))
 
 
 class TestMetricReport:

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convstruct.stats.bootstrap import StatsError
-from convstruct.stats.regression import (
-    _design,
-    loglik_and_gradient,
-    multinomial_logit,
-)
+from convstruct.stats.regression import _design, _fit_state, multinomial_logit
+
+
+def loglik_and_gradient(beta, x, y):
+    """Log-likelihood and gradient with every row one observation, from the
+    state the Newton fit itself evaluates."""
+    return _fit_state(beta, x, y, np.ones(len(x)))[:2]
 
 
 def observations_from_counts(cells):

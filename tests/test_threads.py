@@ -87,8 +87,8 @@ class TestPartition:
     def test_ordering_by_min_member(self):
         part = ThreadPartition.from_clusters([{5, 6}, {1, 9}, {2}])
         assert [min(c) for c in part.clusters] == [1, 2, 5]
-        assert part.n == 5
-        assert part.elements == {1, 2, 5, 6, 9}
+        assert sum(len(c) for c in part.clusters) == 5
+        assert frozenset().union(*part.clusters) == {1, 2, 5, 6, 9}
 
     @pytest.mark.parametrize("build", [
         lambda: ThreadPartition.from_clusters([{1, 2}, {2, 3}]),
