@@ -4,7 +4,10 @@ Each annotator pair is evaluated in both directions and the two results
 averaged; the overall report is the unweighted mean over pairs. Without
 line filtering the two directions agree (up to the last bits of 1-NVI's
 mutual-information sum); with it they differ, because the lines kept are
-those the gold-side annotator did not flag non-dialogic.
+those the gold-side annotator did not flag non-dialogic. A pair's
+`n_utterances` and `n_clips` count the shared lines and clips scored in
+either direction: with filtering, the lines not flagged by both annotators.
+So neither count depends on which annotator id sorts first.
 """
 
 from __future__ import annotations
@@ -95,6 +98,16 @@ def _mean_report(reports: Sequence[MetricReport], n_utterances: int,
     return MetricReport(**values, n_utterances=n_utterances, n_clips=n_clips)
 
 
+def _lines_scored(first: Sequence[StructureRecord], second: Sequence[StructureRecord],
+                  filter_nondialogic: bool) -> int:
+    """A shared clip's lines scored in either direction: with filtering, the
+    lines that not both annotators flag non-dialogic; else all of them."""
+    if not filter_nondialogic:
+        return len(first)
+    flagged = {r.line_idx for r in first if r.is_nondialogic}
+    return len(first) - sum(r.is_nondialogic and r.line_idx in flagged for r in second)
+
+
 def pairwise_agreement(
     batches: Sequence[AnnotatorBatch], config: EvalConfig | None = None
 ) -> AgreementReport:
@@ -126,10 +139,12 @@ def pairwise_agreement(
             right = {c: second.records_by_clip[c] for c in shared}
             forward = evaluate_corpus(left, right, config)
             backward = evaluate_corpus(right, left, config)
+            lines = [_lines_scored(left[c], right[c], config.filter_nondialogic)
+                     for c in shared]
             per_pair[pair] = _mean_report(
                 [forward, backward],
-                n_utterances=forward.n_utterances,
-                n_clips=forward.n_clips,
+                n_utterances=sum(lines),
+                n_clips=sum(1 for n in lines if n),
             )
     if not per_pair:
         raise AgreementError("no annotator pair shares any clip")

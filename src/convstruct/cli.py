@@ -184,7 +184,8 @@ def cmd_baseline(args) -> int:
     if args.mode == "full" and not args.faces:
         raise CorpusError("--mode full requires --faces (and usually --words)")
     for flag, path in (("--faces", args.faces), ("--words", args.words)):
-        one_file = bool(path) and _require(path, flag).is_file()  # given paths must exist
+        # given paths must exist
+        one_file = path is not None and _require(path, flag).is_file()
         if one_file and len(corpus) > 1:
             raise CorpusError(f"{flag} {path} is one file but the corpus has "
                               f"{len(corpus)} clips; give a directory")
@@ -318,6 +319,14 @@ def _flatten_table(report: dict, prefix: str = "") -> list[str]:
 
 # --- parser -------------------------------------------------------------------
 
+def _path(text: str) -> str:
+    """Argument type of every path: an empty string names no file, and as a
+    `Path` it would silently mean the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
 # Flag definitions shared between parsers. Each parser declares only the flags
 # its command reads, in the order its manifest config lists them.
 _FLAGS = {
@@ -330,7 +339,7 @@ _FLAGS = {
     "--level": dict(type=float, default=0.95, help="confidence level for intervals"),
     "--strict": dict(action="store_true",
                      help="escalate warnings to errors; reject unknown keys"),
-    "--gender-map": dict(required=True, help="participant metadata TSV"),
+    "--gender-map": dict(type=_path, required=True, help="participant metadata TSV"),
     "--permutations": dict(type=int, default=1000,
                            help="permutation count for tests/calibration"),
     "--seed": dict(type=int, default=0, help="random seed"),
@@ -357,28 +366,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate",
                        help="validate corpus files, emit JSON-lines diagnostics")
-    p.add_argument("paths", nargs="+")
+    p.add_argument("paths", nargs="+", type=_path)
     _flags(p, "--strict")
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("evaluate", help="score predictions against gold")
-    p.add_argument("gold")
-    p.add_argument("pred")
+    p.add_argument("gold", type=_path)
+    p.add_argument("pred", type=_path)
     _flags(p, "--aggregate", "--filter-nondialogic", "--bootstrap", "--level",
            "--strict", "--seed", "--format")
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("agree", help="pairwise inter-annotator agreement")
-    p.add_argument("manifest", help="JSON mapping annotator_id to annotation file")
+    p.add_argument("manifest", type=_path,
+                   help="JSON mapping annotator_id to annotation file")
     _flags(p, "--aggregate", "--filter-nondialogic", "--format")
     p.set_defaults(handler=cmd_agree)
 
     p = sub.add_parser("baseline", help="run the heuristic baseline")
-    p.add_argument("corpus")
+    p.add_argument("corpus", type=_path)
     p.add_argument("--mode", choices=("full", "reply-only"), required=True)
-    p.add_argument("--faces", help="face track JSON file or directory")
-    p.add_argument("--words", help="word token TSV file or directory")
-    p.add_argument("--out", required=True, help="output file or directory")
+    p.add_argument("--faces", type=_path, help="face track JSON file or directory")
+    p.add_argument("--words", type=_path, help="word token TSV file or directory")
+    p.add_argument("--out", type=_path, required=True, help="output file or directory")
     _flags(p, "--strict", "--format")
     p.set_defaults(handler=cmd_baseline)
 
@@ -386,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyses = analyze.add_subparsers(dest="analysis", required=True)
 
     p = analyses.add_parser("threads", help="female shares of thread starts and holds")
-    p.add_argument("corpus")
+    p.add_argument("corpus", type=_path)
     _flags(p, "--gender-map")
     p.add_argument("--include-nondialogic", action="store_true",
                    help="keep extra-diegetic/monologue lines in thread events")
@@ -396,12 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_threads)
 
     p = analyses.add_parser("roles", help="role distributions and the gender logit")
-    p.add_argument("corpus")
+    p.add_argument("corpus", type=_path)
     _flags(p, "--gender-map", "--format")
     p.set_defaults(handler=cmd_roles)
 
     p = analyses.add_parser("logodds", help="register shift under side-participants")
-    p.add_argument("corpus")
+    p.add_argument("corpus", type=_path)
     _flags(p, "--filter-nondialogic")
     p.add_argument("--min-count", type=int, default=5,
                    help="minimum pooled term count for log-odds")
@@ -415,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_logodds)
 
     p = analyses.add_parser("correlate", help="Spearman correlations of clip features")
-    p.add_argument("--features", required=True, help="clip-level feature CSV")
+    p.add_argument("--features", type=_path, required=True,
+                   help="clip-level feature CSV")
     _flags(p, "--format")
     p.set_defaults(handler=cmd_correlate)
     return parser

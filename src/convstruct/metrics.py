@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
@@ -151,27 +152,79 @@ def one_to_one(gold: ThreadPartition, pred: ThreadPartition,
                table: Contingency | None = None) -> float:
     """Best injective gold-to-predicted cluster pairing, as percent of n.
 
-    Solved exactly as a maximum-weight rectangular assignment over the
-    nonzero contingency cells; unmatched clusters contribute zero overlap.
-    The assignment splits over the connected components of those cells, so
-    a cell alone in both its row and its column is always matched and is
-    summed directly; one assignment covers the rows and columns of the rest.
+    An exact maximum-overlap matching over the nonzero contingency cells;
+    unmatched clusters contribute zero overlap. The matching splits over the
+    connected components of those cells, so a cell alone in both its row and
+    its column is always matched and is summed directly; `_max_overlap`
+    matches the rest.
     """
-    from scipy.optimize import linear_sum_assignment
-
-    cells, gold_sizes, pred_sizes = table or _contingency(gold, pred)
-    counts, rows, cols = np.array(cells, dtype=np.int64).T
-    alone = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
-    total = int(counts[alone].sum())
-    rest = ~alone
-    if rest.any():
-        row_ids, rows = np.unique(rows[rest], return_inverse=True)
-        col_ids, cols = np.unique(cols[rest], return_inverse=True)
-        matrix = np.zeros((len(row_ids), len(col_ids)), dtype=np.int64)
-        matrix[rows, cols] = counts[rest]
-        rows, cols = linear_sum_assignment(matrix, maximize=True)
-        total += int(matrix[rows, cols].sum())
+    cells, gold_sizes, _ = table or _contingency(gold, pred)
+    in_row = Counter(i for _, i, _ in cells)
+    in_col = Counter(j for _, _, j in cells)
+    total = 0
+    rest = []
+    for cell in cells:
+        m, i, j = cell
+        if in_row[i] == 1 and in_col[j] == 1:
+            total += m
+        else:
+            rest.append(cell)
+    if rest:
+        total += _max_overlap(rest)
     return 100.0 * (total / sum(gold_sizes))
+
+
+def _max_overlap(cells: list[tuple[int, int, int]]) -> int:
+    """The largest total count of cells no two of which share a row or column.
+
+    Successive shortest augmenting paths over the cells alone, never a matrix:
+    row i takes column j at cost big - count, or its own dummy column ~i (so
+    the row may stay unmatched) at cost big, where big exceeds every count.
+    All costs are positive, so the row and column potentials start at 0. One
+    Dijkstra per row, on costs reduced by those potentials, finds the
+    cheapest path to a free column, and the potentials then keep every
+    reduced cost nonnegative. Costs are integers, so the optimum is exact.
+    """
+    big = max(m for m, _, _ in cells) + 1
+    edges: dict[int, dict[int, int]] = {}
+    for m, i, j in cells:
+        edges.setdefault(i, {~i: big})[j] = big - m
+    row_pot = dict.fromkeys(edges, 0)
+    col_pot: dict[int, int] = {}
+    row_of: dict[int, int] = {}  # matched column -> its row
+    col_of: dict[int, int] = {}  # matched row -> its column
+    for start in edges:
+        dist: dict[int, int] = {}  # settled column -> reduced distance from start
+        best: dict[int, int] = {}
+        came_from: dict[int, int] = {}
+        heap: list[tuple[int, int]] = []
+        row, base = start, 0
+        while True:
+            base += row_pot[row]
+            for col, cost in edges[row].items():
+                d = base + cost - col_pot.get(col, 0)
+                if col not in dist and d < best.get(col, d + 1):
+                    best[col] = d
+                    came_from[col] = row
+                    heappush(heap, (d, col))
+            d, col = heappop(heap)
+            while col in dist:  # an entry superseded by a shorter one
+                d, col = heappop(heap)
+            dist[col] = d
+            if col not in row_of:  # a free column: the path ends here
+                break
+            row, base = row_of[col], d
+        # each settled node's potential moves by its distance minus d: reduced
+        # costs stay nonnegative and every edge on the path costs 0
+        row_pot[start] -= d
+        for settled, dc in dist.items():
+            col_pot[settled] = col_pot.get(settled, 0) + dc - d
+            if settled in row_of:
+                row_pot[row_of[settled]] += dc - d
+        while col is not None:  # flip the path: each row takes the column after it
+            row = came_from[col]
+            row_of[col], col, col_of[row] = row, col_of.get(row), col
+    return sum(big - edges[i][j] for i, j in col_of.items())
 
 
 def exact_match(gold: ThreadPartition, pred: ThreadPartition,

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import random
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convstruct.agreement import (
@@ -99,6 +100,51 @@ class TestPairwiseAgreement:
                 return repr(exc)
 
         assert outcome(shuffled) == outcome(batches)
+
+    @pytest.mark.parametrize("flagging", ["x", "y"])
+    def test_filtered_line_count_counts_lines_either_direction_scores(self, flagging):
+        # line 2 flagged by one annotator only: one direction scores it, so it counts
+        lines = [record(i, "a", reply_to=max(1, i - 1)) for i in range(1, 4)]
+        flagged = [dataclasses.replace(r, monologue=r.line_idx == 2) for r in lines]
+        clips = {"x": {"c": lines}, "y": {"c": lines}}
+        clips[flagging] = {"c": flagged}
+        report = pairwise_agreement([batch("x", clips["x"]), batch("y", clips["y"])],
+                                    EvalConfig(filter_nondialogic=True))
+        assert report.overall.n_utterances == 3
+        assert report.per_pair[("x", "y")].n_utterances == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), flag_p=st.sampled_from([0.0, 0.2, 0.6]),
+           aggregate=st.sampled_from(["micro", "macro"]),
+           filter_nondialogic=st.booleans())
+    @example(seed=0, flag_p=0.6, aggregate="micro", filter_nondialogic=True)
+    def test_swapping_the_annotator_ids_does_not_change_the_report(
+            self, seed, flag_p, aggregate, filter_nondialogic):
+        # two annotators, so the overall mean sums one pair report whatever the
+        # ids' sort order; with three, reordering the pair sum moves its last bits
+        rng = random.Random(seed)
+        shape = {f"c{k}": rng.randint(1, 12) for k in range(rng.randint(1, 4))}
+
+        def annotation():
+            clips = sorted(rng.sample(sorted(shape), rng.randint(1, len(shape))))
+            return {c: [dataclasses.replace(r, extra_diegetic=rng.random() < flag_p,
+                                            monologue=False)
+                        for r in random_records(rng, shape[c], NAMES[:5], rng.random())]
+                    for c in clips}
+
+        first, second = annotation(), annotation()
+        config = EvalConfig(aggregate, filter_nondialogic)
+
+        def outcome(a, b):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # the two share no clip
+                    batches = [batch("a", a), batch("b", b)]
+                    return json.dumps(pairwise_agreement(batches, config).as_dict())
+            except (AgreementError, MetricInputError) as exc:
+                return repr(exc)
+
+        assert outcome(first, second) == outcome(second, first)
 
     def test_direction_symmetrized(self):
         # a pair's score must not depend on which annotator plays gold,

@@ -995,3 +995,38 @@ class TestManifestDigestsEachPathOnce:
         assert code == 0, err
         assert calls == [Path(corpus)]
         assert out == once
+
+
+class TestEmptyPaths:
+    """An empty path names no file; as a Path it would mean the working
+    directory, so argparse rejects it (exit 2) before any file is read."""
+
+    @pytest.mark.parametrize("flag", ["--faces", "--words", "--out", "--gender-map",
+                                      "--features", "gold", "manifest"])
+    def test_empty_path_is_a_usage_error_naming_it(self, tmp_path, monkeypatch,
+                                                    capsys, flag):
+        monkeypatch.chdir(tmp_path)
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, {"c1": GOLD_CLIP}, {"c1": TRANSCRIPT})
+        (corpus / "c1.faces.json").write_text(json.dumps(
+            {"clip_id": "c1", "faces": [{"name": "ada", "spans": [[0.0, 4.3]]}]}))
+        root, out_dir = str(corpus), str(tmp_path / "pred")
+        argv = {
+            "--faces": ["baseline", root, "--mode", "full", "--faces", "",
+                        "--out", out_dir],
+            "--words": ["baseline", root, "--mode", "full", "--faces", root,
+                        "--words", "", "--out", out_dir],
+            "--out": ["baseline", root, "--mode", "reply-only", "--out", ""],
+            "--gender-map": ["analyze", "roles", root, "--gender-map", ""],
+            "--features": ["analyze", "correlate", "--features", ""],
+            "gold": ["evaluate", "", root],
+            "manifest": ["agree", ""],
+        }[flag]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {flag}: empty path\n")
+        assert not (tmp_path / "pred").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]

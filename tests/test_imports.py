@@ -52,6 +52,11 @@ def corpus(tmp_path):
                  casts={c: {"clip_id": c, "show_id": "showx", "cast": ["ada", "max"]}
                         for c in ("c1", "c2")})
     (tmp_path / "genders.tsv").write_text(GENDERS)
+    for clip_id in ("c1", "c2"):
+        (tmp_path / "corpus" / f"{clip_id}.faces.json").write_text(json.dumps(
+            {"clip_id": clip_id, "faces": [{"name": "ada", "spans": [[0.0, 4.3]]}]}))
+    (tmp_path / "annotators.json").write_text(json.dumps(
+        {"a": "corpus/c1.annotation.json", "b": "corpus/c1.annotation.json"}))
     return tmp_path
 
 
@@ -70,12 +75,17 @@ class TestNoNumericStackAtStartup:
 
 
 class TestCommandsLoadNoScipy:
-    @pytest.mark.parametrize("name", ["baseline", "threads", "logodds"])
+    @pytest.mark.parametrize("name", ["evaluate", "agree", "baseline", "baseline full",
+                                      "threads", "logodds"])
     def test_numpy_only(self, corpus, name):
         root, genders = str(corpus / "corpus"), str(corpus / "genders.tsv")
         argv = {
+            "evaluate": ["evaluate", root, root, "--bootstrap", "50"],
+            "agree": ["agree", str(corpus / "annotators.json")],
             "baseline": ["baseline", root, "--mode", "reply-only",
                          "--out", str(corpus / "pred")],
+            "baseline full": ["baseline", root, "--mode", "full", "--faces", root,
+                              "--out", str(corpus / "pred")],
             "threads": ["analyze", "threads", root, "--gender-map", genders,
                         "--bootstrap", "50", "--permutations", "20"],
             "logodds": ["analyze", "logodds", root, "--min-count", "1",

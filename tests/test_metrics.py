@@ -404,6 +404,10 @@ class TestOneToOneAssignment:
     @example(pair=(parts({1}), parts({1})))
     # singleton cells beside a shared block
     @example(pair=(parts({1, 2}, {3, 4, 5}, {6}), parts({1, 2}, {3, 6}, {4, 5})))
+    # one column wanted by two rows: the optimum leaves a row with a cell unmatched
+    @example(pair=(parts({1, 2, 3}, {4}), parts({1, 2, 3, 4})))
+    # three rows over two columns: a later row pushes an earlier one to its dummy
+    @example(pair=(parts({1}, {2, 3}, {4, 5}), parts({1, 2, 4}, {3, 5})))
     def test_equals_dense_assignment(self, pair):
         gold, pred = pair
         assert one_to_one(gold, pred) == dense_one_to_one(gold, pred)
@@ -427,7 +431,6 @@ class TestOneToOneAssignment:
 
     def test_ten_thousand_lines_in_bounded_memory(self):
         gold, pred = reply_partitions(10_000, random.Random(10))
-        one_to_one(parts({1}), parts({1}))  # imports scipy.optimize outside the trace
         tracemalloc.start()
         try:
             score = one_to_one(gold, pred)
@@ -436,6 +439,19 @@ class TestOneToOneAssignment:
             tracemalloc.stop()
         # the dense G x P matrix of these partitions alone is about 110 MiB
         assert peak < 40 * 2**20
+        assert 0.0 < score < 100.0
+
+    def test_two_independent_partitions_of_thirty_thousand_lines(self):
+        gold, _ = reply_partitions(30_000, random.Random(30), rewire=0.0)
+        pred, _ = reply_partitions(30_000, random.Random(31), rewire=0.0)
+        tracemalloc.start()
+        try:
+            score = one_to_one(gold, pred)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 8 MiB; the dense G x P matrix of these partitions is over 1.7 GiB
+        assert peak < 32 * 2**20
         assert 0.0 < score < 100.0
 
 
