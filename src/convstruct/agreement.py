@@ -1,19 +1,17 @@
-"""Inter-annotator agreement: average of all pairwise metric comparisons.
+"""Inter-annotator agreement: the mean of all pairwise metric comparisons.
 
-Each annotator pair is evaluated in both directions and the two results
-averaged; the overall report is the unweighted mean over pairs. Without
-line filtering the two directions agree (up to the last bits of 1-NVI's
-mutual-information sum); with it they differ, because the lines kept are
-those the gold-side annotator did not flag non-dialogic. A pair's
-`n_utterances` and `n_clips` count the shared lines and clips scored in
-either direction: with filtering, the lines not flagged by both annotators.
-So neither count depends on which annotator id sorts first.
+Each annotator pair is evaluated once, the first annotator by id as gold.
+Every score is symmetric in its two annotations (1-NVI bitwise so, since
+its mutual-information sum is taken with `math.fsum`), so the direction
+does not matter. With line filtering a pair drops the lines that both
+annotators flag non-dialogic, and its `n_utterances` and `n_clips` count the
+lines and clips left. The overall report is the unweighted mean over pairs.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -24,7 +22,7 @@ from .corpus import (
     _decode_json,
     annotation_records,
 )
-from .metrics import METRIC_FIELDS, EvalConfig, MetricReport, evaluate_corpus
+from .metrics import METRIC_FIELDS, EvalConfig, MetricReport, _aligned, evaluate_corpus
 
 
 @dataclass(frozen=True)
@@ -45,9 +43,6 @@ class AgreementReport:
 
     def as_dict(self) -> dict:
         return {
-            # line filtering follows the gold side; pair scores average both
-            # gold/pred orientations, so callers can see the convention
-            "symmetrization": "mean of both gold/pred directions",
             "overall": self.overall.as_dict(),
             "per_pair": {
                 f"{a}|{b}": report.as_dict()
@@ -98,14 +93,13 @@ def _mean_report(reports: Sequence[MetricReport], n_utterances: int,
     return MetricReport(**values, n_utterances=n_utterances, n_clips=n_clips)
 
 
-def _lines_scored(first: Sequence[StructureRecord], second: Sequence[StructureRecord],
-                  filter_nondialogic: bool) -> int:
-    """A shared clip's lines scored in either direction: with filtering, the
-    lines that not both annotators flag non-dialogic; else all of them."""
-    if not filter_nondialogic:
-        return len(first)
-    flagged = {r.line_idx for r in first if r.is_nondialogic}
-    return len(first) - sum(r.is_nondialogic and r.line_idx in flagged for r in second)
+def _joint_flags(first: Sequence[StructureRecord], second: Sequence[StructureRecord]
+                 ) -> list[StructureRecord]:
+    """`first` with its non-dialogic flags cleared on the lines `second` does not
+    flag, so a line counts as flagged only when both annotators flag it."""
+    flagged = {r.line_idx for r in second if r.is_nondialogic}
+    return [r if not r.is_nondialogic or r.line_idx in flagged
+            else replace(r, extra_diegetic=False, monologue=False) for r in first]
 
 
 def pairwise_agreement(
@@ -113,9 +107,11 @@ def pairwise_agreement(
 ) -> AgreementReport:
     """Agreement over every unordered annotator pair, on their shared clips.
 
-    Pairs with no shared clips are skipped with a warning; if no pair shares
-    any clip the computation fails. Scores are direction-symmetrized by
-    evaluating each pair both ways and averaging.
+    Each pair is evaluated once, the first annotator as gold: every score is
+    symmetric, and with line filtering the first annotator's records carry
+    only the flags both annotators set. Pairs with no shared clip, or whose
+    shared lines both annotators flag non-dialogic, are skipped with a
+    warning; if no pair is left the computation fails.
     """
     if len(batches) < 2:
         raise AgreementError(f"need at least 2 annotators, got {len(batches)}")
@@ -137,17 +133,18 @@ def pairwise_agreement(
                 continue
             left = {c: first.records_by_clip[c] for c in shared}
             right = {c: second.records_by_clip[c] for c in shared}
-            forward = evaluate_corpus(left, right, config)
-            backward = evaluate_corpus(right, left, config)
-            lines = [_lines_scored(left[c], right[c], config.filter_nondialogic)
-                     for c in shared]
-            per_pair[pair] = _mean_report(
-                [forward, backward],
-                n_utterances=sum(lines),
-                n_clips=sum(1 for n in lines if n),
-            )
+            if config.filter_nondialogic:
+                left = {c: _joint_flags(left[c], right[c]) for c in shared}
+                if all(r.is_nondialogic for c in shared for r in left[c]):
+                    for c in shared:
+                        _aligned(left[c], right[c])  # a line on one side only raises
+                    warnings.warn(f"annotators {pair[0]!r} and {pair[1]!r} share no line "
+                                  f"that not both flag non-dialogic")
+                    skipped.append(pair)
+                    continue
+            per_pair[pair] = evaluate_corpus(left, right, config)
     if not per_pair:
-        raise AgreementError("no annotator pair shares any clip")
+        raise AgreementError("no annotator pair has a shared line to score")
 
     clip_sets = [set(b.records_by_clip) for b in batches]
     all_clips = set().union(*clip_sets)

@@ -139,10 +139,11 @@ def nvi_score(gold: ThreadPartition, pred: ThreadPartition,
     def entropy(sizes: list[int]) -> float:
         return -sum((s / n) * math.log2(s / n) for s in sizes)
 
-    # math.log2 summed in Python in row-major cell order, not as an ndarray sum:
-    # numpy's pairwise summation would move the last digits of every reported score
-    mutual = sum((m / n) * math.log2((m * n) / (gold_sizes[i] * pred_sizes[j]))
-                 for m, i, j in cells)
+    # each cell's term is the same bits with gold and pred swapped (the size
+    # product is an exact integer), and fsum rounds only once, so the score is
+    # bitwise symmetric whatever order the cells come in
+    mutual = math.fsum((m / n) * math.log2((m * n) / (gold_sizes[i] * pred_sizes[j]))
+                       for m, i, j in cells)
     vi = entropy(gold_sizes) + entropy(pred_sizes) - 2 * mutual
     score = 100.0 * (1.0 - vi / math.log2(n))
     return min(100.0, max(0.0, score))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from convstruct import metrics
 from convstruct.agreement import (
     AgreementError,
     AnnotatorBatch,
@@ -14,7 +15,7 @@ from convstruct.agreement import (
     pairwise_agreement,
 )
 from convstruct.corpus import ParseError
-from convstruct.metrics import METRIC_FIELDS, EvalConfig, MetricInputError
+from convstruct.metrics import METRIC_FIELDS, EvalConfig, MetricInputError, evaluate_corpus
 
 from conftest import NAMES, random_records, record
 
@@ -103,7 +104,7 @@ class TestPairwiseAgreement:
 
     @pytest.mark.parametrize("flagging", ["x", "y"])
     def test_filtered_line_count_counts_lines_either_direction_scores(self, flagging):
-        # line 2 flagged by one annotator only: one direction scores it, so it counts
+        # line 2 flagged by one annotator only: a line drops only when both flag it
         lines = [record(i, "a", reply_to=max(1, i - 1)) for i in range(1, 4)]
         flagged = [dataclasses.replace(r, monologue=r.line_idx == 2) for r in lines]
         clips = {"x": {"c": lines}, "y": {"c": lines}}
@@ -147,19 +148,115 @@ class TestPairwiseAgreement:
         assert outcome(first, second) == outcome(second, first)
 
     def test_direction_symmetrized(self):
-        # a pair's score must not depend on which annotator plays gold,
-        # so swapping the two batches leaves the pair report unchanged
-        first = random_clips(11)
-        rng = random.Random(12)
-        second = {c: random_records(rng, len(first[c]), NAMES[:4]) for c in first}
-        # same line counts so corpora align
-        second = {c: [record(r.line_idx, rng.choice(NAMES[:4]), reply_to=r.reply_to)
-                      for r in first[c]] for c in first}
-        one = pairwise_agreement([batch("a", first), batch("b", second)])
-        two = pairwise_agreement([batch("a", second), batch("b", first)])
-        for name in METRIC_FIELDS:
-            assert getattr(one.overall, name) == pytest.approx(
-                getattr(two.overall, name))
+        # a pair's score must not depend on which annotator plays gold: it is
+        # one evaluation, bitwise equal to the evaluation either way round
+        for seed in range(10):
+            first = random_clips(seed)
+            rng = random.Random(100 + seed)
+            second = {c: random_records(rng, len(first[c]), NAMES[:4], rng.random())
+                      for c in first}
+            one = pairwise_agreement([batch("a", first), batch("b", second)])
+            two = pairwise_agreement([batch("a", second), batch("b", first)])
+            assert one.as_dict() == two.as_dict()
+            assert one.per_pair[("a", "b")] == evaluate_corpus(first, second)
+            assert one.per_pair[("a", "b")] == evaluate_corpus(second, first)
+
+    @pytest.mark.parametrize("filter_nondialogic", [False, True])
+    def test_each_pair_scores_each_shared_clip_once(self, monkeypatch,
+                                                    filter_nondialogic):
+        calls = []
+        score_clip = metrics.score_clip
+
+        def counted(clip_id, *args, **kwargs):
+            calls.append(clip_id)
+            return score_clip(clip_id, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "score_clip", counted)
+        clips = random_clips(21)
+        batches = [batch("a", clips), batch("b", clips),
+                   batch("c", {c: clips[c] for c in ("c0", "c2")})]
+        report = pairwise_agreement(batches, EvalConfig(filter_nondialogic=filter_nondialogic))
+        assert len(report.per_pair) == 3
+        # (a, b) share three clips, (a, c) and (b, c) two each
+        assert sorted(calls) == sorted(["c0", "c1", "c2"] + ["c0", "c2"] * 2)
+
+    def test_one_annotator_flagging_every_line_filters_nothing(self):
+        clips = random_clips(23)
+        plain = {c: [dataclasses.replace(r, extra_diegetic=False, monologue=False)
+                     for r in records] for c, records in clips.items()}
+        flagged = {c: [dataclasses.replace(r, monologue=True) for r in records]
+                   for c, records in clips.items()}
+        config = EvalConfig(filter_nondialogic=True)
+        for ids in (("a", "b"), ("b", "a")):
+            report = pairwise_agreement(
+                [batch(ids[0], flagged), batch(ids[1], plain)], config)
+            pair = report.per_pair[("a", "b")]
+            assert pair.n_utterances == sum(map(len, clips.values()))
+            assert pair.n_clips == len(clips)
+            assert pair.scores() == evaluate_corpus(plain, plain).scores()
+
+    def test_pair_flagging_every_shared_line_is_skipped(self):
+        clips = {c: [dataclasses.replace(r, extra_diegetic=False, monologue=False)
+                     for r in records] for c, records in random_clips(25).items()}
+        flagged = {c: [dataclasses.replace(r, extra_diegetic=True) for r in records]
+                   for c, records in clips.items()}
+        config = EvalConfig(filter_nondialogic=True)
+        with pytest.warns(UserWarning, match="share no line that not both flag"):
+            report = pairwise_agreement(
+                [batch("a", flagged), batch("b", flagged), batch("c", clips)], config)
+        assert report.skipped_pairs == [("a", "b")]
+        assert sorted(report.per_pair) == [("a", "c"), ("b", "c")]
+        assert report.overall.n_utterances == 2 * sum(map(len, clips.values()))
+        with pytest.warns(UserWarning), pytest.raises(AgreementError):
+            pairwise_agreement([batch("a", flagged), batch("b", flagged)], config)
+
+    def test_pair_flagging_every_line_still_checks_the_lines_align(self):
+        flagged = [dataclasses.replace(record(1, "x"), monologue=True)]
+        longer = flagged + [dataclasses.replace(record(2, "x", reply_to=1), monologue=True)]
+        with pytest.raises(MetricInputError, match="different lines"):
+            pairwise_agreement([batch("a", {"c": flagged}), batch("b", {"c": longer})],
+                               EvalConfig(filter_nondialogic=True))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), flag_p=st.sampled_from([0.0, 0.3, 0.7]),
+           aggregate=st.sampled_from(["micro", "macro"]),
+           filter_nondialogic=st.booleans())
+    def test_pair_report_matches_the_two_direction_oracle(self, seed, flag_p, aggregate,
+                                                         filter_nondialogic):
+        # unfiltered, a pair's report is the mean of both evaluation directions;
+        # filtered, it is one evaluation on records flagged where both annotators flag
+        rng = random.Random(seed)
+        shape = {f"c{k}": rng.randint(1, 15) for k in range(rng.randint(1, 4))}
+
+        def annotation():
+            return {c: [dataclasses.replace(r, extra_diegetic=False,
+                                            monologue=rng.random() < flag_p)
+                        for r in random_records(rng, n, NAMES[:5], rng.random())]
+                    for c, n in shape.items()}
+
+        a, b = annotation(), annotation()
+        config = EvalConfig(aggregate, filter_nondialogic)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # every line flagged by both
+                report = pairwise_agreement([batch("a", a), batch("b", b)], config)
+        except AgreementError:
+            assert filter_nondialogic
+            assert all(x.is_nondialogic and y.is_nondialogic
+                       for c in shape for x, y in zip(a[c], b[c]))
+            return
+        pair = report.per_pair[("a", "b")]
+        if filter_nondialogic:
+            joint = {c: [dataclasses.replace(x, monologue=x.monologue and y.monologue)
+                         for x, y in zip(a[c], b[c])] for c in shape}
+            assert pair == evaluate_corpus(joint, b, config)
+        else:
+            forward, backward = evaluate_corpus(a, b, config), evaluate_corpus(b, a, config)
+            for name in METRIC_FIELDS:
+                mean = (getattr(forward, name) + getattr(backward, name)) / 2
+                assert abs(getattr(pair, name) - mean) <= 1e-12
+            assert (pair.n_utterances, pair.n_clips) == (forward.n_utterances,
+                                                         forward.n_clips)
 
     def test_pair_without_shared_clips_is_skipped(self):
         shared = random_clips(13)

@@ -172,6 +172,17 @@ class TestAgree:
             code, _, err = run(["agree", str(manifest)])
         assert code == 1
 
+    def test_one_annotator_flagging_every_line_filters_nothing(self, tmp_path):
+        (tmp_path / "a.json").write_text(json.dumps({"c1": GOLD_CLIP}))
+        flagged = [dict(entry, monologue=True) for entry in GOLD_CLIP]
+        (tmp_path / "b.json").write_text(json.dumps({"c1": flagged}))
+        manifest = self._manifest(tmp_path, {"a": "a.json", "b": "b.json"})
+        code, out, err = run(["agree", str(manifest), "--filter-nondialogic"])
+        assert code == 0, err
+        pair = json.loads(out)["report"]["per_pair"]["a|b"]
+        assert (pair["n_utterances"], pair["n_clips"]) == (len(GOLD_CLIP), 1)
+        assert set(pair["raw"].values()) == {100.0}
+
     def test_single_annotator_exits_one(self, tmp_path):
         (tmp_path / "a.json").write_text(json.dumps({"c1": GOLD_CLIP}))
         manifest = self._manifest(tmp_path, {"a": "a.json"})

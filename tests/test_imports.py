@@ -2,8 +2,10 @@
 
 `import convstruct` and `import convstruct.cli` load the standard library and
 the numpy-free `corpus` and `threads` modules; numpy and scipy load when a
-command or library name that needs them is used. Each check runs in a fresh
-interpreter, since this process has loaded everything already.
+command or library name that needs them is used, and of the analyses in
+`convstruct.stats`, `evaluate` and `agree` load `bootstrap` alone. Each check
+runs in a fresh interpreter, since this process has loaded everything
+already.
 """
 
 import json
@@ -22,14 +24,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 GENDERS = "canonical_name\tgender\tshow_id\nada\tfemale\tshowx\nmax\tmale\tshowx\n"
 
 
-def loaded_after(code: str) -> set[str]:
-    """The numpy and scipy modules a fresh interpreter holds after `code`."""
+def loaded_after(code: str, packages: tuple[str, ...] = ("numpy", "scipy")) -> set[str]:
+    """The modules of `packages` (and their submodules) that a fresh
+    interpreter holds after `code`."""
     probe = (
         "import io, json, sys, contextlib\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         + "".join(f"    {line}\n" for line in code.splitlines())
-        + "print(json.dumps(sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('numpy', 'scipy'))))\n"
+        + f"print(json.dumps(sorted(m for m in sys.modules if m in {packages!r}"
+        f" or m.startswith({tuple(p + '.' for p in packages)!r}))))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -94,6 +97,16 @@ class TestCommandsLoadNoScipy:
         loaded = loaded_after(cli_run(argv))
         assert "numpy" in loaded
         assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+
+
+class TestScoringLoadsNoOtherAnalysis:
+    @pytest.mark.parametrize("name", ["evaluate", "agree"])
+    def test_only_the_bootstrap_stats_module(self, corpus, name):
+        root = str(corpus / "corpus")
+        argv = {"evaluate": ["evaluate", root, root, "--bootstrap", "50"],
+                "agree": ["agree", str(corpus / "annotators.json")]}[name]
+        loaded = loaded_after(cli_run(argv), ("convstruct.stats",))
+        assert loaded == {"convstruct.stats", "convstruct.stats.bootstrap"}
 
 
 class TestPublicNames:

@@ -221,8 +221,7 @@ class TestNvi:
             elements = list(range(1, 12))
             gold = random_partition(rng, elements)
             pred = random_partition(rng, elements)
-            assert nvi_score(gold, pred) == pytest.approx(
-                nvi_score(pred, gold), abs=1e-12)
+            assert nvi_score(gold, pred) == nvi_score(pred, gold)
 
 
 class TestOneToOne:
@@ -540,8 +539,8 @@ class TestEvaluateCorpus:
            aggregate=st.sampled_from(["micro", "macro"]))
     def test_unfiltered_scores_are_symmetric(self, seed, n_clips, aggregate):
         # speaker matches, exact-match counts and 1-1 totals are symmetric
-        # integers, and the F1s swap precision and recall; only 1-NVI's
-        # mutual-information sum depends on the order of the cells
+        # integers, the F1s swap precision and recall, and 1-NVI sums the same
+        # per-cell terms with math.fsum, which rounds once whatever their order
         rng = random.Random(seed)
         a, b = {}, {}
         for k in range(n_clips):
@@ -549,11 +548,7 @@ class TestEvaluateCorpus:
             a[f"c{k}"] = random_records(rng, n_lines, NAMES[:6], rng.random())
             b[f"c{k}"] = random_records(rng, n_lines, NAMES[:6], rng.random())
         config = EvalConfig(aggregate=aggregate)
-        forward = evaluate_corpus(a, b, config).scores()
-        backward = evaluate_corpus(b, a, config).scores()
-        nvi_forward, nvi_backward = forward.pop("nvi_score"), backward.pop("nvi_score")
-        assert forward == backward
-        assert abs(nvi_forward - nvi_backward) <= 1e-12
+        assert evaluate_corpus(a, b, config) == evaluate_corpus(b, a, config)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
