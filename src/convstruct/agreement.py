@@ -10,6 +10,7 @@ lines and clips left. The overall report is the unweighted mean over pairs.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -20,6 +21,7 @@ from .corpus import (
     ParseError,
     StructureRecord,
     _decode_json,
+    _file_clip_id,
     annotation_records,
 )
 from .metrics import METRIC_FIELDS, EvalConfig, MetricReport, _aligned, evaluate_corpus
@@ -55,8 +57,9 @@ class AgreementReport:
 def load_annotators(manifest: str | Path) -> list[AnnotatorBatch]:
     """Read an agreement manifest (annotator id -> file) and every file in it.
 
-    A file holds one clip's annotation array (clip id = file stem) or an
-    object mapping clip ids to annotation arrays.
+    A file holds one clip's annotation array or an object mapping clip ids to
+    annotation arrays. An array's clip id is the file name without its
+    annotation suffix (`.annotation.json` or `.json`), as in a corpus directory.
     """
     manifest_path = Path(manifest)
     spec = _decode_json(manifest_path.read_bytes(), "agreement manifest")
@@ -74,7 +77,8 @@ def load_annotators(manifest: str | Path) -> list[AnnotatorBatch]:
         path = manifest_path.parent / rel
         payload = _decode_json(path.read_bytes(), f"annotator file {path}")
         if isinstance(payload, list):
-            by_clip = {path.stem: annotation_records(payload, clip_id=path.stem)}
+            clip_id = _file_clip_id(path)
+            by_clip = {clip_id: annotation_records(payload, clip_id=clip_id)}
         elif isinstance(payload, dict):
             by_clip = {clip_id: annotation_records(records, clip_id=clip_id)
                        for clip_id, records in sorted(payload.items())}
@@ -87,7 +91,7 @@ def load_annotators(manifest: str | Path) -> list[AnnotatorBatch]:
 def _mean_report(reports: Sequence[MetricReport], n_utterances: int,
                  n_clips: int) -> MetricReport:
     values = {
-        name: sum(getattr(r, name) for r in reports) / len(reports)
+        name: math.fsum(getattr(r, name) for r in reports) / len(reports)
         for name in METRIC_FIELDS
     }
     return MetricReport(**values, n_utterances=n_utterances, n_clips=n_clips)
@@ -109,9 +113,10 @@ def pairwise_agreement(
 
     Each pair is evaluated once, the first annotator as gold: every score is
     symmetric, and with line filtering the first annotator's records carry
-    only the flags both annotators set. Pairs with no shared clip, or whose
-    shared lines both annotators flag non-dialogic, are skipped with a
-    warning; if no pair is left the computation fails.
+    only the flags both annotators set. Pairs with no shared clip, with no
+    line in their shared clips, or whose shared lines both annotators flag
+    non-dialogic, are skipped with a warning; if no pair is left the
+    computation fails.
     """
     if len(batches) < 2:
         raise AgreementError(f"need at least 2 annotators, got {len(batches)}")
@@ -135,13 +140,15 @@ def pairwise_agreement(
             right = {c: second.records_by_clip[c] for c in shared}
             if config.filter_nondialogic:
                 left = {c: _joint_flags(left[c], right[c]) for c in shared}
-                if all(r.is_nondialogic for c in shared for r in left[c]):
-                    for c in shared:
-                        _aligned(left[c], right[c])  # a line on one side only raises
-                    warnings.warn(f"annotators {pair[0]!r} and {pair[1]!r} share no line "
-                                  f"that not both flag non-dialogic")
-                    skipped.append(pair)
-                    continue
+            # no line left to score: the shared clips are empty, or filtered out
+            if all(config.filter_nondialogic and r.is_nondialogic
+                   for c in shared for r in left[c]):
+                for c in shared:
+                    _aligned(left[c], right[c])  # a line on one side only raises
+                flagged = " that not both flag non-dialogic" if config.filter_nondialogic else ""
+                warnings.warn(f"annotators {pair[0]!r} and {pair[1]!r} share no line{flagged}")
+                skipped.append(pair)
+                continue
             per_pair[pair] = evaluate_corpus(left, right, config)
     if not per_pair:
         raise AgreementError("no annotator pair has a shared line to score")

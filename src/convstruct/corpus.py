@@ -652,6 +652,14 @@ class ClipFiles:
     cast: Path | None = None
 
 
+def _file_clip_id(path: Path) -> str:
+    """The clip id of a single-clip annotation file: its name without the
+    annotation suffix of the layout it ends with, else its stem."""
+    clip_id = next((path.name[: -len(suffix)] for suffix, field in _LAYOUT
+                    if field == "annotation" and path.name.endswith(suffix)), None)
+    return clip_id or path.stem
+
+
 def iter_clip_files(path: str | Path) -> list[ClipFiles]:
     """Pair a corpus path's files by clip id.
 
@@ -662,9 +670,7 @@ def iter_clip_files(path: str | Path) -> list[ClipFiles]:
     """
     root = Path(path)
     if root.is_file():
-        clip_id = next((root.name[: -len(suffix)] for suffix, field in _LAYOUT
-                        if field == "annotation" and root.name.endswith(suffix)), None)
-        return [ClipFiles(clip_id=clip_id or root.stem, annotation=root)]
+        return [ClipFiles(clip_id=_file_clip_id(root), annotation=root)]
     if not root.is_dir():
         raise FileNotFoundError(f"no such corpus path: {root}")
     fields: dict[str, dict[str, Path]] = {}

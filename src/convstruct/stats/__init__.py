@@ -16,7 +16,7 @@ _LAZY = {
                     "logodds"),
     **dict.fromkeys(("LogitResult", "OutcomeEstimate", "multinomial_logit"), "regression"),
     **dict.fromkeys(("RoleDistributions", "ThreadShareReport", "gender_thread_shares",
-                     "role_distributions", "role_observations", "role_report"), "gender"),
+                     "role_counts", "role_distributions", "role_report"), "gender"),
 }
 
 
@@ -55,7 +55,7 @@ __all__ = [
     "ThreadShareReport",
     "RoleDistributions",
     "gender_thread_shares",
+    "role_counts",
     "role_distributions",
-    "role_observations",
     "role_report",
 ]

@@ -1,9 +1,10 @@
-"""Seeded percentile bootstrap over arbitrary resampling units.
+"""Seeded resampling: percentile bootstrap intervals and the sign-flip test.
 
+`_draw_blocks` makes every seeded draw, the unit indices and `_sign_flip_p`'s
+signs, _BLOCK_ROWS rows at a time.
 `bootstrap_ratio_ci` covers every statistic that is a ratio of weighted sums
-over per-unit vectors (micro and macro averages, pooled shares, means): it
-turns the resample draw into unit counts and gets all resampled values of all
-statistics from matrix products. `bootstrap_ci` is the generic form that
+over per-unit vectors (micro and macro averages, pooled shares, means) from
+unit counts and matrix products. `bootstrap_ci` is the generic form that
 recomputes an arbitrary callable on each resample.
 """
 
@@ -36,22 +37,19 @@ class BootstrapInterval(NamedTuple):
     hi: float
 
 
-# Resamples drawn and counted at a time by bootstrap_ratio_ci; bounds its memory.
+# Rows of a seeded draw taken at a time; bounds every resampler's memory.
 _BLOCK_ROWS = 512
 
 
-def _index_blocks(n: int, config: BootstrapConfig, rows: int = _BLOCK_ROWS):
-    """The (resamples, n) unit index matrix, `rows` resamples at a time.
-
-    Every block comes from one generator seeded with config.seed, which carries
-    its stream across calls, so the blocks stacked are the single draw
-    `integers(0, n, size=(resamples, n))` whatever `rows` is.
-    """
+def _draw_blocks(high: int, rows: int, n: int, seed: int):
+    """`integers(0, high, size=(rows, n))` from one generator seeded with `seed`,
+    _BLOCK_ROWS rows at a time; the generator carries its stream across calls,
+    so the blocks stacked are that single draw. Zero units raise at once."""
     if n == 0:
         raise StatsError("bootstrap needs at least one resampling unit")
-    rng = np.random.default_rng(config.seed)
-    for start in range(0, config.resamples, rows):
-        yield rng.integers(0, n, size=(min(rows, config.resamples - start), n))
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, high, size=(min(_BLOCK_ROWS, rows - start), n))
+            for start in range(0, rows, _BLOCK_ROWS))
 
 
 def _percentiles(values: np.ndarray, level: float) -> np.ndarray:
@@ -68,13 +66,15 @@ def bootstrap_ci(
     """Percentile interval for `statistic` over units resampled with replacement.
 
     The point estimate is the statistic on the full data. The resample index
-    matrix is drawn up front from a generator seeded with config.seed, so the
-    interval is a deterministic function of (units, statistic, config) and two
-    calls with the same seed see identical resamples. Numeric unit arrays are
-    indexed one resample row at a time; anything else is resampled as plain lists.
+    rows come from `_draw_blocks` seeded with config.seed, so the interval is a
+    deterministic function of (units, statistic, config) and two calls with
+    the same seed see identical resamples. Numeric unit arrays are indexed one
+    resample row at a time; anything else is resampled as plain lists.
     """
     config = config or BootstrapConfig()
-    (idx,) = _index_blocks(len(units), config, rows=config.resamples)
+    n = len(units)
+    idx = (row for block in _draw_blocks(n, config.resamples, n, config.seed)
+           for row in block)
     point = float(statistic(units))
 
     arr = None
@@ -108,8 +108,8 @@ def bootstrap_ratio_ci(
     statistics; c is a resample's count of each of the n units. The draw is the
     one `bootstrap_ci` makes under the same config, so each interval equals
     `bootstrap_ci` with the matching ratio callable up to summation order.
-    The draw is taken and counted _BLOCK_ROWS resamples at a time (one offset
-    bincount per block), so memory beyond the (resamples, m) values is bounded.
+    Each block of the draw is counted with one offset bincount, so memory
+    beyond the (resamples, m) values is bounded.
     """
     config = config or BootstrapConfig()
     numerators = np.atleast_2d(np.asarray(numerators, dtype=np.float64))
@@ -121,7 +121,7 @@ def bootstrap_ratio_ci(
     weights = np.vstack([numerators, denominators]).T
     values = np.empty((config.resamples, m))
     start = 0
-    for block in _index_blocks(n, config):
+    for block in _draw_blocks(n, config.resamples, n, config.seed):
         rows = block.shape[0]
         offsets = block + n * np.arange(rows)[:, None]
         counts = np.bincount(offsets.ravel(), minlength=rows * n).reshape(rows, n)
@@ -130,3 +130,15 @@ def bootstrap_ratio_ci(
         start += rows
     lo, hi = _percentiles(values, config.level)
     return [(float(a), float(b)) for a, b in zip(lo, hi)]
+
+
+def _sign_flip_p(deltas: np.ndarray, permutations: int, seed: int) -> float:
+    """Two-sided p for mean(delta) = 0 under random sign flips of the deltas,
+    counted block by block; each row's mean is its own reduction, so p is the
+    one the whole sign matrix gives."""
+    observed = abs(float(deltas.mean()))
+    extreme = 0
+    for block in _draw_blocks(2, permutations, deltas.size, seed):
+        permuted = np.abs(((block * 2 - 1) * deltas[None, :]).mean(axis=1))
+        extreme += int((permuted >= observed).sum())
+    return (1 + extreme) / (permutations + 1)

@@ -3,11 +3,13 @@
 Measures who starts threads mid-clip and who holds them by receiving replies,
 as raw female shares and as per-clip deltas normalized by each clip's female
 share of speaking time. Delta significance comes from a seeded sign-flip
-permutation test; all reported means carry bootstrap CIs.
+permutation test; all reported means carry bootstrap CIs (both draws come
+from `stats.bootstrap`). Roles are counted in one (role, gender, show) table.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Mapping
@@ -16,7 +18,7 @@ import numpy as np
 
 from ..corpus import Clip, lookup_gender
 from ..threads import thread_events
-from .bootstrap import BootstrapConfig, StatsError, bootstrap_ratio_ci
+from .bootstrap import BootstrapConfig, StatsError, _sign_flip_p, bootstrap_ratio_ci
 from .regression import LogitResult, multinomial_logit
 
 
@@ -63,15 +65,6 @@ class ThreadShareReport:
         return {"start": self.start.as_dict(), "hold": self.hold.as_dict(),
                 "delta_start": self.delta_start.as_dict(),
                 "delta_hold": self.delta_hold.as_dict()}
-
-
-def _sign_flip_p(deltas: np.ndarray, permutations: int, seed: int) -> float:
-    """Two-sided p for mean(delta) = 0 under random sign flips of clip deltas."""
-    observed = abs(float(deltas.mean()))
-    rng = np.random.default_rng(seed)
-    signs = rng.integers(0, 2, size=(permutations, deltas.size)) * 2 - 1
-    permuted = np.abs((signs * deltas[None, :]).mean(axis=1))
-    return (1 + int((permuted >= observed).sum())) / (permutations + 1)
 
 
 def gender_thread_shares(
@@ -176,57 +169,46 @@ class RoleDistributions:
     counts: dict[str, dict[str, int]]  # role -> gender -> count
 
 
-def role_distributions(
-    observations: Iterable[tuple[str, str]]
-) -> RoleDistributions:
+def role_distributions(observations: Iterable[tuple[str, str]]) -> RoleDistributions:
     """Conditional frequency tables over (role, gender) observations.
 
-    Only observed roles and genders get a row, so no conditioning cell is empty.
+    The observations are counted with `Counter`, so a mapping of each
+    (role, gender) to its count works as well. Only observed roles and
+    genders get a row, so no conditioning cell is empty.
     """
-    counts: dict[str, dict[str, int]] = {}
-    for role, gender in observations:
-        counts.setdefault(role, {}).setdefault(gender, 0)
-        counts[role][gender] += 1
-    if not counts:
-        raise StatsError("no observations")
-
-    roles = sorted(counts)
-    genders = sorted({g for row in counts.values() for g in row})
-
-    p_gender_given_role: dict[str, dict[str, float]] = {}
-    for role in roles:
-        total = sum(counts[role].values())
-        p_gender_given_role[role] = {
-            g: counts[role].get(g, 0) / total for g in genders
-        }
-
-    p_role_given_gender: dict[str, dict[str, float]] = {}
-    for g in genders:
-        total = sum(counts[role].get(g, 0) for role in roles)
-        p_role_given_gender[g] = {
-            role: counts[role].get(g, 0) / total for role in roles
-        }
-    return RoleDistributions(p_gender_given_role, p_role_given_gender, counts)
+    cells = Counter(observations)
+    if not cells or min(cells.values()) < 1:
+        raise StatsError("observation counts must be >= 1" if cells else "no observations")
+    roles = sorted({role for role, _ in cells})
+    genders = sorted({g for _, g in cells})
+    role_totals = {role: sum(cells[role, g] for g in genders) for role in roles}
+    gender_totals = {g: sum(cells[role, g] for role in roles) for g in genders}
+    return RoleDistributions(
+        p_gender_given_role={role: {g: cells[role, g] / role_totals[role] for g in genders}
+                             for role in roles},
+        p_role_given_gender={g: {role: cells[role, g] / gender_totals[g] for role in roles}
+                             for g in genders},
+        counts={role: {g: cells[role, g] for g in genders if (role, g) in cells}
+                for role in roles},
+    )
 
 
-def role_observations(
+def role_counts(
     clips: Iterable[Clip], gender_map: Mapping[tuple[str, str], str]
-) -> list[tuple[str, str, str]]:
-    """(role, gender, show_id) for every gendered speaker, addressee and
-    side-participant of every gold line, in line order."""
-    observations = []
+) -> Counter[tuple[str, str, str]]:
+    """How many gendered speakers, addressees and side-participants of gold
+    lines each (role, gender, show_id) has."""
+    counts: Counter[tuple[str, str, str]] = Counter()
     for clip in clips:
-        for record in sorted(clip.gold or (), key=lambda r: r.line_idx):
-            members = [("speaker", record.speaker)]
-            members += [("addressee", p) for p in sorted(
-                record.addressees, key=lambda p: p.token)]
-            members += [("side-participant", p) for p in sorted(
-                record.side_participants, key=lambda p: p.token)]
-            for role, participant in members:
-                gender = lookup_gender(gender_map, clip.show_id, participant)
-                if gender is not None:
-                    observations.append((role, gender, clip.show_id))
-    return observations
+        for record in clip.gold or ():
+            for role, members in (("speaker", (record.speaker,)),
+                                  ("addressee", record.addressees),
+                                  ("side-participant", record.side_participants)):
+                for participant in members:
+                    gender = lookup_gender(gender_map, clip.show_id, participant)
+                    if gender is not None:
+                        counts[role, gender, clip.show_id] += 1
+    return counts
 
 
 @dataclass(frozen=True)
@@ -262,11 +244,15 @@ def role_report(
     clips: Iterable[Clip], gender_map: Mapping[tuple[str, str], str]
 ) -> RoleReport:
     """Who holds which role, by gender: distributions and the female odds ratios."""
-    observations = role_observations(clips, gender_map)
-    if not observations:
+    table = role_counts(clips, gender_map)
+    if not table:
         raise StatsError("no gendered role observations in the corpus")
+    by_gender: Counter[tuple[str, str]] = Counter()
+    for (role, gender, _), count in table.items():
+        by_gender[role, gender] += count
+    # lookup_gender gives only "female" or "male", so no two keys merge here
     return RoleReport(
-        distributions=role_distributions((role, g) for role, g, _ in observations),
-        fit=multinomial_logit(
-            [(role, g == "female", show) for role, g, show in observations]),
+        distributions=role_distributions(by_gender),
+        fit=multinomial_logit({(role, gender == "female", show): count
+                               for (role, gender, show), count in table.items()}),
     )

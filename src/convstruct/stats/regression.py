@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -117,19 +117,20 @@ class LogitResult:
     max_abs_gradient: float
 
 
-def multinomial_logit(observations: Sequence[tuple[str, bool, str]]) -> LogitResult:
+def multinomial_logit(observations: Iterable[tuple[str, bool, str]]) -> LogitResult:
     """Maximum-likelihood fit of the role model by damped Newton iterations.
 
-    Each observation is (role, is_female, show_id). Convergence means the
-    largest gradient component falls below TOL; each Newton step is halved
-    until the log-likelihood does not decrease or the step lands within TOL
-    (at the optimum, rounding can lower the log-likelihood of a converging
-    step by a few ulp). Rank-deficient designs and separation raise rather
-    than returning unstable estimates.
+    Each observation is (role, is_female, show_id); they are counted with
+    `Counter`, so a mapping of each observation to its count works as well.
+    Convergence means the largest gradient component falls below TOL; each
+    Newton step is halved until the log-likelihood does not decrease or the
+    step lands within TOL (at the optimum, rounding can lower the
+    log-likelihood of a converging step by a few ulp). Rank-deficient designs
+    and separation raise rather than returning unstable estimates.
     """
     counts = Counter(observations)
-    if not counts:
-        raise StatsError("no observations")
+    if not counts or min(counts.values()) < 1:
+        raise StatsError("observation counts must be >= 1" if counts else "no observations")
     distinct = sorted(counts)
     x, y, columns, outcome_names = _design(distinct, REFERENCE)
     weights = np.array([counts[obs] for obs in distinct], dtype=float)

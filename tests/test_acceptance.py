@@ -29,7 +29,7 @@ from convstruct.metrics import (
     nvi_score,
     one_to_one,
 )
-from convstruct.stats.bootstrap import BootstrapConfig, bootstrap_ci
+from convstruct.stats.bootstrap import BootstrapConfig, bootstrap_ratio_ci
 from convstruct.stats.logodds import (
     Document,
     TermCounts,
@@ -246,9 +246,10 @@ def test_criterion_9_bootstrap_coverage():
     for seed in range(trials):
         rng = np.random.default_rng(1_000_000 + seed)
         sample = rng.integers(0, 2, size=200).astype(float)
-        interval = bootstrap_ci(sample, lambda xs: float(np.mean(xs)),
-                                BootstrapConfig(resamples=1000, seed=seed))
-        if interval.lo <= 0.5 <= interval.hi:
+        # the mean is the ratio statistic with unit denominators
+        ((lo, hi),) = bootstrap_ratio_ci(sample, np.ones(sample.size),
+                                         BootstrapConfig(resamples=1000, seed=seed))
+        if lo <= 0.5 <= hi:
             hits += 1
     coverage = hits / trials
     assert 0.93 <= coverage <= 0.97, f"coverage {coverage:.3f}"

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 import warnings
@@ -121,8 +122,8 @@ class TestPairwiseAgreement:
     @example(seed=0, flag_p=0.6, aggregate="micro", filter_nondialogic=True)
     def test_swapping_the_annotator_ids_does_not_change_the_report(
             self, seed, flag_p, aggregate, filter_nondialogic):
-        # two annotators, so the overall mean sums one pair report whatever the
-        # ids' sort order; with three, reordering the pair sum moves its last bits
+        # three annotators under every relabelling of their ids: the overall mean
+        # sums the pair reports in a different order each time
         rng = random.Random(seed)
         shape = {f"c{k}": rng.randint(1, 12) for k in range(rng.randint(1, 4))}
 
@@ -133,19 +134,30 @@ class TestPairwiseAgreement:
                         for r in random_records(rng, shape[c], NAMES[:5], rng.random())]
                     for c in clips}
 
-        first, second = annotation(), annotation()
+        annotations = [annotation() for _ in range(3)]
         config = EvalConfig(aggregate, filter_nondialogic)
 
-        def outcome(a, b):
+        def outcome(ids):
+            # the report with each annotator named by its annotation's index
+            index = {a: str(k) for k, a in enumerate(ids)}
+
+            def pair(a, b):
+                return "|".join(sorted((index[a], index[b])))
+
             try:
                 with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")  # the two share no clip
-                    batches = [batch("a", a), batch("b", b)]
-                    return json.dumps(pairwise_agreement(batches, config).as_dict())
+                    warnings.simplefilter("ignore")  # pairs that share no line
+                    batches = [batch(a, ann) for a, ann in zip(ids, annotations)]
+                    report = pairwise_agreement(batches, config).as_dict()
             except (AgreementError, MetricInputError) as exc:
                 return repr(exc)
+            report["per_pair"] = {pair(*key.split("|")): value
+                                  for key, value in report["per_pair"].items()}
+            report["skipped_pairs"] = sorted(pair(*p) for p in report["skipped_pairs"])
+            return json.dumps(report, sort_keys=True)
 
-        assert outcome(first, second) == outcome(second, first)
+        outcomes = {outcome(ids) for ids in itertools.permutations("abc")}
+        assert len(outcomes) == 1
 
     def test_direction_symmetrized(self):
         # a pair's score must not depend on which annotator plays gold: it is
@@ -269,6 +281,19 @@ class TestPairwiseAgreement:
         assert ("a", "b") in report.per_pair
         assert ("a", "c") in report.skipped_pairs
         assert ("b", "c") in report.skipped_pairs
+
+    def test_pair_sharing_only_empty_clips_is_skipped(self):
+        lines = random_clips(17)["c0"]
+        with pytest.warns(UserWarning) as caught:
+            report = pairwise_agreement([batch("a", {"c1": [], "c2": lines}),
+                                         batch("b", {"c1": []}),
+                                         batch("c", {"c2": lines})])
+        assert sorted(str(w.message) for w in caught) == [
+            "annotators 'a' and 'b' share no line", "annotators 'b' and 'c' share no clips"]
+        assert sorted(report.skipped_pairs) == [("a", "b"), ("b", "c")]
+        assert list(report.per_pair) == [("a", "c")]
+        with pytest.warns(UserWarning), pytest.raises(AgreementError):
+            pairwise_agreement([batch("a", {"c1": []}), batch("b", {"c1": []})])
 
     def test_zero_usable_pairs_raises(self):
         with pytest.warns(UserWarning):

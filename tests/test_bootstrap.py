@@ -7,7 +7,8 @@ from convstruct.stats.bootstrap import (
     _BLOCK_ROWS,
     BootstrapConfig,
     StatsError,
-    _index_blocks,
+    _draw_blocks,
+    _sign_flip_p,
     bootstrap_ci,
     bootstrap_ratio_ci,
 )
@@ -87,11 +88,13 @@ class TestBootstrapCi:
 class TestBootstrapRatioCi:
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
     def test_index_blocks_stack_to_the_single_draw(self, n):
-        config = BootstrapConfig(resamples=3 * _BLOCK_ROWS + 5, seed=9)
-        single = np.random.default_rng(9).integers(0, n, size=(config.resamples, n))
-        blocks = list(_index_blocks(n, config))
-        assert [b.shape[0] for b in blocks] == [_BLOCK_ROWS] * 3 + [5]
-        assert np.array_equal(np.vstack(blocks), single)
+        # unit indices (high = n) and sign flips (high = 2) take the same path
+        rows = 3 * _BLOCK_ROWS + 5
+        for high in (n, 2):
+            single = np.random.default_rng(9).integers(0, high, size=(rows, n))
+            blocks = list(_draw_blocks(high, rows, n, 9))
+            assert [b.shape[0] for b in blocks] == [_BLOCK_ROWS] * 3 + [5]
+            assert np.array_equal(np.vstack(blocks), single)
 
     @pytest.mark.parametrize("resamples", [1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 37])
     def test_matches_callable_path(self, resamples):
@@ -156,3 +159,17 @@ class TestBootstrapRatioCi:
             assert lo <= hi
             assert ratios[k].min() - slack <= lo
             assert hi <= ratios[k].max() + slack
+
+
+class TestSignFlip:
+    @pytest.mark.parametrize("permutations", [1, 511, 512, 513, 1537])
+    @pytest.mark.parametrize("n", [1, 37, 600])
+    def test_equals_the_whole_matrix_formula(self, permutations, n):
+        deltas = np.random.default_rng(n).normal(0.02, 1.0, size=n)
+        for seed in (0, 5):
+            # the reference draws the whole (permutations, n) sign matrix at once
+            rng = np.random.default_rng(seed)
+            signs = rng.integers(0, 2, size=(permutations, n)) * 2 - 1
+            permuted = np.abs((signs * deltas[None, :]).mean(axis=1))
+            extreme = int((permuted >= abs(float(deltas.mean()))).sum())
+            assert _sign_flip_p(deltas, permutations, seed) == (1 + extreme) / (permutations + 1)

@@ -185,6 +185,12 @@ class TestRoleDistributions:
         with pytest.raises(StatsError):
             role_distributions([])
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_count_table_below_one_raises(self, count):
+        table = {("speaker", "female"): 3, ("addressee", "male"): count}
+        with pytest.raises(StatsError, match="counts must be >= 1"):
+            role_distributions(table)
+
 
 class TestAnalysesIgnoreClipOrder:
     """Every analysis report is a function of the clip set, not of the order

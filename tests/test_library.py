@@ -24,6 +24,7 @@ from convstruct.corpus import (
     Utterance,
     annotation_records,
     check_records,
+    iter_clip_files,
     load_corpus,
     parse_annotation_json,
     parse_gender_map_tsv,
@@ -38,7 +39,7 @@ from convstruct.stats import (
     gender_thread_shares,
     logodds_report,
     multinomial_logit,
-    role_observations,
+    role_counts,
     role_report,
     utterance_documents,
 )
@@ -141,26 +142,34 @@ class TestAgreementLoader:
         (tmp_path / "m.json").write_text(json.dumps({"a": "clip7.json"}))
         assert list(load_annotators(tmp_path / "m.json")[0].records_by_clip) == ["clip7"]
 
+    def test_single_clip_file_names_its_clip_as_the_corpus_does(self, tmp_path):
+        for name in ("c1.annotation.json", "c1.json"):
+            (tmp_path / name).write_text(json.dumps(GOLD_CLIP))
+            assert [f.clip_id for f in iter_clip_files(tmp_path / name)] == ["c1"]
+        (tmp_path / "m.json").write_text(
+            json.dumps({"a": "c1.annotation.json", "b": "c1.json"}))
+        batches = load_annotators(tmp_path / "m.json")
+        assert [list(b.records_by_clip) for b in batches] == [["c1"], ["c1"]]
+        report = cli_report(["agree", str(tmp_path / "m.json")])
+        assert set(report["per_pair"]["a|b"]["raw"].values()) == {100.0}
+
 
 class TestAnalyses:
-    def test_role_observations_order(self, corpus):
+    def test_role_counts_values(self, corpus):
         gender_map = parse_gender_map_tsv(GENDERS.encode())
-        observations = role_observations(clips_of(corpus)[:1], gender_map)
-        # zoe has no gender and is skipped
-        assert observations[:4] == [("speaker", "female", "showx"),
-                                    ("addressee", "male", "showx"),
-                                    ("speaker", "male", "showx"),
-                                    ("addressee", "female", "showx")]
-        assert len(observations) == 8
+        # zoe, c1's side-participant on line 2, has no gender and is not counted
+        assert role_counts(clips_of(corpus)[:1], gender_map) == {
+            ("speaker", "female", "showx"): 2, ("speaker", "male", "showx"): 2,
+            ("addressee", "female", "showx"): 2, ("addressee", "male", "showx"): 2}
 
     def test_role_report_is_the_cli_report(self, corpus):
         gender_map = parse_gender_map_tsv(GENDERS.encode())
         clips = clips_of(corpus)
         report = role_report(clips, gender_map)
-        observations = role_observations(clips, gender_map)
-        fit = multinomial_logit([(r, g == "female", s) for r, g, s in observations])
+        table = role_counts(clips, gender_map)
+        fit = multinomial_logit({(r, g == "female", s): k for (r, g, s), k in table.items()})
         assert report.fit.log_likelihood == fit.log_likelihood
-        assert report.as_dict()["n_observations"] == len(observations)
+        assert report.as_dict()["n_observations"] == sum(table.values())
         assert report.as_dict() == cli_report(
             ["analyze", "roles", str(corpus / "corpus"),
              "--gender-map", str(corpus / "genders.tsv")])

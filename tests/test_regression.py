@@ -119,6 +119,18 @@ class TestMultinomialLogit:
         with pytest.raises(StatsError):
             multinomial_logit([("speaker", False, "s")] * 10)
 
+    def test_count_table_fits_as_its_observations(self):
+        cells = {("speaker", False, "s1"): 30, ("speaker", True, "s1"): 20,
+                 ("addressee", False, "s1"): 10, ("addressee", True, "s2"): 15,
+                 ("speaker", True, "s2"): 12, ("addressee", False, "s2"): 9}
+        assert multinomial_logit(cells) == multinomial_logit(observations_from_counts(cells))
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_count_table_below_one_raises(self, count):
+        cells = {("speaker", False, "s"): 5, ("addressee", True, "s"): count}
+        with pytest.raises(StatsError, match="counts must be >= 1"):
+            multinomial_logit(cells)
+
     def test_missing_reference_raises(self):
         with pytest.raises(StatsError, match="reference"):
             multinomial_logit([("addressee", False, "s"),
