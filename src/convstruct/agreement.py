@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .corpus import (
     AgreementError,
@@ -54,7 +54,9 @@ class AgreementReport:
         }
 
 
-def load_annotators(manifest: str | Path) -> list[AnnotatorBatch]:
+def load_annotators(manifest: str | Path,
+                    read: Callable[[Path], bytes] = Path.read_bytes
+                    ) -> list[AnnotatorBatch]:
     """Read an agreement manifest (annotator id -> file) and every file in it.
 
     A file holds one clip's annotation array or an object mapping clip ids to
@@ -62,7 +64,7 @@ def load_annotators(manifest: str | Path) -> list[AnnotatorBatch]:
     annotation suffix (`.annotation.json` or `.json`), as in a corpus directory.
     """
     manifest_path = Path(manifest)
-    spec = _decode_json(manifest_path.read_bytes(), "agreement manifest")
+    spec = _decode_json(read(manifest_path), "agreement manifest")
     table = spec.get("annotators", spec) if isinstance(spec, dict) else None
     if not isinstance(table, dict) or not table:
         raise ParseError("agreement manifest must map annotator_id to file path")
@@ -75,7 +77,7 @@ def load_annotators(manifest: str | Path) -> list[AnnotatorBatch]:
             raise ParseError(f"agreement manifest: file path of annotator {annotator_id!r} "
                              f"contains a NUL character")
         path = manifest_path.parent / rel
-        payload = _decode_json(path.read_bytes(), f"annotator file {path}")
+        payload = _decode_json(read(path), f"annotator file {path}")
         if isinstance(payload, list):
             clip_id = _file_clip_id(path)
             by_clip = {clip_id: annotation_records(payload, clip_id=clip_id)}

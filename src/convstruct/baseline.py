@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from pathlib import Path
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -245,3 +246,38 @@ def run_reply_only_baseline(clip: Clip) -> list[StructureRecord]:
     forms one thread.
     """
     return run_baseline(clip, (), ())
+
+
+def _side_file(base: str | None, clip_id: str, suffix: str, what: str, parse, read) -> list:
+    """A clip's parsed --faces or --words input, [] if none is given: the path
+    itself if it is a file, else the clip's file in that directory."""
+    if base is None:
+        return []
+    path = Path(base) if Path(base).is_file() else Path(base) / f"{clip_id}{suffix}"
+    if not path.exists():
+        raise CorpusError(f"no {what} for clip {clip_id!r}")
+    return parse(read(path))
+
+
+def run_corpus_baseline(
+    clips: Mapping[str, Clip], faces: str | None = None, words: str | None = None,
+    read: Callable[[Path], bytes] = Path.read_bytes,
+) -> dict[str, list[StructureRecord]]:
+    """The baseline's records for each clip, by clip id. `faces` and `words`
+    each name one file (a one-clip corpus) or a directory of `<clip>.faces.json`
+    or `<clip>.words.tsv`; with no `faces` it is the reply-only baseline."""
+    for flag, path in (("--faces", faces), ("--words", words)):
+        if path is not None and not Path(path).exists():
+            raise FileNotFoundError(f"{flag} not found: {Path(path)}")
+        if path is not None and Path(path).is_file() and len(clips) > 1:
+            raise CorpusError(f"{flag} {path} is one file but the corpus has "
+                              f"{len(clips)} clips; give a directory")
+    predictions = {}
+    for clip_id, clip in sorted(clips.items()):
+        if not clip.utterances:
+            raise CorpusError(f"clip {clip_id!r} has no transcript; baseline needs one")
+        predictions[clip_id] = run_baseline(clip, _side_file(
+            faces, clip_id, ".faces.json", "face tracks", parse_face_tracks_json, read),
+            _side_file(words, clip_id, ".words.tsv", "word timings",
+                       parse_word_tokens_tsv, read))
+    return predictions

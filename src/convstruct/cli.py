@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -44,16 +45,30 @@ METRIC_LABELS = {
 }
 
 
-def _digest_path(path: Path) -> str:
+class _Reads(dict):
+    """The sha256 of each file a run read through `read`, by path, so that the
+    manifest digests the bytes parsed; a file never read is hashed on lookup."""
+
+    def read(self, path: Path) -> bytes:
+        data = path.read_bytes()
+        self[path] = hashlib.sha256(data).digest()
+        return data
+
+    def __missing__(self, path: Path) -> bytes:
+        self[path] = hashlib.sha256(path.read_bytes()).digest()
+        return self[path]
+
+
+def _digest_path(path: Path, reads: _Reads) -> str:
     if path.is_file():
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+        return reads[path].hex()
     digest = hashlib.sha256()
     for child in sorted(path.rglob("*")):
         if child.is_file():
             rel = child.relative_to(path).as_posix()
             digest.update(rel.encode("utf-8"))
             digest.update(b"\0")
-            digest.update(hashlib.sha256(child.read_bytes()).digest())
+            digest.update(reads[child])
     return digest.hexdigest()
 
 
@@ -65,14 +80,14 @@ _INPUTS = ("gold", "pred", "manifest", "corpus", "faces", "words", "gender_map",
 _NOT_CONFIG = ("command", "analysis", "handler", "out", "seed", "format")
 
 
-def _manifest(command: str, args: argparse.Namespace) -> dict:
+def _manifest(command: str, args: argparse.Namespace, reads: _Reads) -> dict:
     inputs, digests, config = {}, {}, {}
-    digested: dict[str, str] = {}  # a path given for several inputs is read once
+    digested: dict[str, str] = {}  # a path given for several inputs is digested once
     for name, value in vars(args).items():
         if name in _INPUTS:
             if value:
                 if value not in digested:
-                    digested[value] = _digest_path(Path(value))
+                    digested[value] = _digest_path(Path(value), reads)
                 inputs[name] = value
                 digests[name] = digested[value]
         elif name not in _NOT_CONFIG:
@@ -112,7 +127,7 @@ def _metric_table(report_dict: dict) -> list[str]:
 # --- commands -----------------------------------------------------------------
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, reads: _Reads) -> int:
     diags = validate_paths(args.paths, args.strict)
     for diag in diags:
         sys.stdout.write(json.dumps(diag.as_dict()) + "\n")
@@ -123,33 +138,33 @@ def cmd_validate(args) -> int:
     return 1 if has_error else 0
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, reads: _Reads) -> int:
     from .metrics import EvalConfig, evaluate_corpus
     from .stats import BootstrapConfig
 
-    gold = load_structures(args.gold, strict=args.strict)
-    pred = load_structures(args.pred, strict=args.strict)
+    gold = load_structures(args.gold, strict=args.strict, read=reads.read)
+    pred = load_structures(args.pred, strict=args.strict, read=reads.read)
     bootstrap = (BootstrapConfig(resamples=args.bootstrap, level=args.level,
                                  seed=args.seed) if args.bootstrap else None)
     report = evaluate_corpus(
         gold, pred, EvalConfig(args.aggregate, args.filter_nondialogic, bootstrap))
-    payload = {"manifest": _manifest("evaluate", args), "report": report.as_dict()}
+    payload = {"manifest": _manifest("evaluate", args, reads), "report": report.as_dict()}
     _emit(payload, args.format, _metric_table(report.as_dict()))
     return 0
 
 
-def cmd_agree(args) -> int:
+def cmd_agree(args, reads: _Reads) -> int:
     from .agreement import load_annotators, pairwise_agreement
     from .metrics import EvalConfig
 
-    batches = load_annotators(args.manifest)
+    batches = load_annotators(args.manifest, reads.read)
     report = pairwise_agreement(
         batches, EvalConfig(args.aggregate, args.filter_nondialogic))
-    manifest = _manifest("agree", args)
+    manifest = _manifest("agree", args, reads)
     # the manifest file only names the annotator files; digest what they hold too
     digest = hashlib.sha256(bytes.fromhex(manifest["digests"]["manifest"]))
     for batch in batches:
-        digest.update(hashlib.sha256(batch.path.read_bytes()).digest())
+        digest.update(reads[batch.path])
     manifest["digests"]["manifest"] = digest.hexdigest()
     payload = {"manifest": manifest, "report": report.as_dict()}
     table_lines = ["overall:"] + _metric_table(report.overall.as_dict())
@@ -160,66 +175,28 @@ def cmd_agree(args) -> int:
     return 0
 
 
-def _side_file(base: str, clip_id: str, suffix: str, what: str) -> bytes:
-    """The bytes of a --faces or --words input for one clip: the path itself
-    if it is a file, else the clip's file in that directory, which must exist."""
-    root = Path(base)
-    path = root if root.is_file() else root / f"{clip_id}{suffix}"
-    if not path.exists():
-        raise CorpusError(f"no {what} for clip {clip_id!r}")
-    return path.read_bytes()
+def cmd_baseline(args, reads: _Reads) -> int:
+    from .baseline import run_corpus_baseline
 
-
-def cmd_baseline(args) -> int:
-    from .baseline import (
-        parse_face_tracks_json,
-        parse_word_tokens_tsv,
-        run_baseline,
-        run_reply_only_baseline,
-    )
-
-    corpus = load_corpus(args.corpus, strict=args.strict)
-    if not corpus:
+    clips = load_corpus(args.corpus, strict=args.strict, read=reads.read)
+    if not clips:
         raise CorpusError(f"no clips found under {args.corpus}")
-    if args.mode == "full" and not args.faces:
-        raise CorpusError("--mode full requires --faces (and usually --words)")
-    for flag, path in (("--faces", args.faces), ("--words", args.words)):
-        # given paths must exist
-        one_file = path is not None and _require(path, flag).is_file()
-        if one_file and len(corpus) > 1:
-            raise CorpusError(f"{flag} {path} is one file but the corpus has "
-                              f"{len(corpus)} clips; give a directory")
-
-    # every clip's records come first, so a failing clip writes no file at all
-    predictions = {}
-    for clip_id in sorted(corpus):
-        clip = corpus[clip_id]
-        if not clip.utterances:
-            raise CorpusError(f"clip {clip_id!r} has no transcript; baseline needs one")
-        if args.mode == "reply-only":
-            records = run_reply_only_baseline(clip)
-        else:
-            tracks = parse_face_tracks_json(
-                _side_file(args.faces, clip_id, ".faces.json", "face tracks"))
-            words = []
-            if args.words:
-                words = parse_word_tokens_tsv(
-                    _side_file(args.words, clip_id, ".words.tsv", "word timings"))
-            records = run_baseline(clip, tracks, words)
-        predictions[clip_id] = serialize_annotation_json(records)
-
+    predictions = run_corpus_baseline(clips, args.faces, args.words, reads.read)
     out_root = Path(args.out)
-    single_file = out_root.suffix == ".json" and len(corpus) == 1
+    single_file = out_root.suffix == ".json" and len(predictions) == 1
+    targets = [out_root if single_file else out_root / f"{clip_id}.annotation.json"
+               for clip_id in predictions]
+    corpus, inputs = Path(args.corpus).resolve(), {path.resolve() for path in reads}
+    if any(t.resolve() in inputs or t.parent.resolve() == corpus for t in targets):
+        raise FileExistsError(f"--out {args.out} writes into the corpus or over an input")
+    # digest the inputs before any output lands beside them
+    payload = {"manifest": _manifest("baseline", args, reads),
+               "written": [str(target) for target in targets]}
     if not single_file:
         out_root.mkdir(parents=True, exist_ok=True)
-    written = []
-    for clip_id, blob in predictions.items():
-        target = out_root if single_file else out_root / f"{clip_id}.annotation.json"
-        target.write_bytes(blob)
-        written.append(str(target))
-
-    payload = {"manifest": _manifest("baseline", args), "written": written}
-    _emit(payload, args.format, ["written:"] + [f"  {w}" for w in written])
+    for target, records in zip(targets, predictions.values()):
+        target.write_bytes(serialize_annotation_json(records))
+    _emit(payload, args.format, ["written:"] + [f"  {w}" for w in payload["written"]])
     return 0
 
 
@@ -230,56 +207,56 @@ def _require(path: str, what: str) -> Path:
     return p
 
 
-def _clips(corpus: str) -> list:
-    return list(load_corpus(corpus).values())  # in clip id order
+def _clips(corpus: str, reads: _Reads) -> list:
+    return list(load_corpus(corpus, read=reads.read).values())  # in clip id order
 
 
-def _gender_map(path: str) -> dict:
-    return parse_gender_map_tsv(_require(path, "--gender-map").read_bytes())
+def _gender_map(path: str, reads: _Reads) -> dict:
+    return parse_gender_map_tsv(reads.read(_require(path, "--gender-map")))
 
 
-def _emit_analysis(args, report: dict) -> int:
-    manifest = _manifest(f"analyze {args.analysis}", args)
+def _emit_analysis(args, report: dict, reads: _Reads) -> int:
+    manifest = _manifest(f"analyze {args.analysis}", args, reads)
     _emit({"manifest": manifest, "report": report}, args.format, _flatten_table(report))
     return 0
 
 
-def cmd_threads(args) -> int:
+def cmd_threads(args, reads: _Reads) -> int:
     from .stats import BootstrapConfig, gender_thread_shares
 
     return _emit_analysis(args, gender_thread_shares(
-        _clips(args.corpus),
-        _gender_map(args.gender_map),
+        _clips(args.corpus, reads),
+        _gender_map(args.gender_map, reads),
         include_nondialogic=args.include_nondialogic,
         config=BootstrapConfig(resamples=args.bootstrap, level=args.level,
                                seed=args.seed),
         permutations=args.permutations,
-    ).as_dict())
+    ).as_dict(), reads)
 
 
-def cmd_roles(args) -> int:
+def cmd_roles(args, reads: _Reads) -> int:
     from .stats import role_report
 
     return _emit_analysis(args, role_report(
-        _clips(args.corpus), _gender_map(args.gender_map)).as_dict())
+        _clips(args.corpus, reads), _gender_map(args.gender_map, reads)).as_dict(), reads)
 
 
-def cmd_logodds(args) -> int:
+def cmd_logodds(args, reads: _Reads) -> int:
     from .stats import logodds_report, utterance_documents
 
-    docs = utterance_documents(_clips(args.corpus), args.filter_nondialogic)
+    docs = utterance_documents(_clips(args.corpus, reads), args.filter_nondialogic)
     return _emit_analysis(args, logodds_report(
         docs, min_count=args.min_count, c_star=args.c_star, grid=args.grid,
-        permutations=args.permutations, seed=args.seed, top=args.top))
+        permutations=args.permutations, seed=args.seed, top=args.top), reads)
 
 
-def cmd_correlate(args) -> int:
+def cmd_correlate(args, reads: _Reads) -> int:
     from .stats import feature_correlations, read_features_csv
 
-    features_path = _require(args.features, "features CSV")
-    with features_path.open(newline="", encoding="utf-8") as handle:
-        report = feature_correlations(read_features_csv(handle))
-    return _emit_analysis(args, report)
+    data = reads.read(_require(args.features, "features CSV"))
+    report = feature_correlations(read_features_csv(
+        io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")))
+    return _emit_analysis(args, report, reads)
 
 
 def _format_cell(value) -> str:
@@ -439,8 +416,10 @@ def main(argv: list[str] | None = None) -> int:
         for flag, path in (("--faces", args.faces), ("--words", args.words)):
             if path is not None:
                 parser.error(f"baseline --mode reply-only does not read {flag}")
+    if args.command == "baseline" and args.mode == "full" and args.faces is None:
+        parser.error("baseline --mode full requires --faces (and usually --words)")
     try:
-        return args.handler(args)
+        return args.handler(args, _Reads())
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

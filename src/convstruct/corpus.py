@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class CorpusError(ValueError):
@@ -688,27 +688,29 @@ def iter_clip_files(path: str | Path) -> list[ClipFiles]:
             if "annotation" in found or "transcript" in found]
 
 
-def load_structures(path: str | Path, strict: bool = False
+def load_structures(path: str | Path, strict: bool = False,
+                    read: Callable[[Path], bytes] = Path.read_bytes
                     ) -> dict[str, list[StructureRecord]]:
     """Load annotation records keyed by clip_id from a file or directory."""
     return {
         files.clip_id: parse_annotation_json(
-            files.annotation.read_bytes(), strict=strict, clip_id=files.clip_id)
+            read(files.annotation), strict=strict, clip_id=files.clip_id)
         for files in iter_clip_files(path)
         if files.annotation is not None
     }
 
 
-def _clip(files: ClipFiles, gold: tuple[StructureRecord, ...] | None) -> Clip:
+def _clip(files: ClipFiles, gold: tuple[StructureRecord, ...] | None,
+          read: Callable[[Path], bytes] = Path.read_bytes) -> Clip:
     """A clip from its annotation records plus any transcript/cast on disk; a
     cast list whose non-empty `clip_id` names another clip is a ParseError."""
     utterances: tuple[Utterance, ...] = ()
     if files.transcript is not None:
         utterances = tuple(parse_transcript_tsv(
-            files.transcript.read_bytes(), clip_id=files.clip_id))
+            read(files.transcript), clip_id=files.clip_id))
     show_id, cast = "", ()
     if files.cast is not None:
-        cast_clip, show_id, cast_list = parse_cast_json(files.cast.read_bytes())
+        cast_clip, show_id, cast_list = parse_cast_json(read(files.cast))
         if cast_clip and cast_clip != files.clip_id:
             raise ParseError(f"cast list is for clip {cast_clip!r}, "
                              f"not clip {files.clip_id!r}")
@@ -717,16 +719,16 @@ def _clip(files: ClipFiles, gold: tuple[StructureRecord, ...] | None) -> Clip:
                 utterances=utterances, gold=gold)
 
 
-def load_corpus(path: str | Path, strict: bool = False) -> dict[str, Clip]:
+def load_corpus(path: str | Path, strict: bool = False,
+                read: Callable[[Path], bytes] = Path.read_bytes) -> dict[str, Clip]:
     """Load full clips (annotations plus any transcripts/casts present)."""
     clips: dict[str, Clip] = {}
     for files in iter_clip_files(path):
         gold = None
         if files.annotation is not None:
             gold = tuple(parse_annotation_json(
-                files.annotation.read_bytes(), strict=strict,
-                clip_id=files.clip_id))
-        clips[files.clip_id] = _clip(files, gold)
+                read(files.annotation), strict=strict, clip_id=files.clip_id))
+        clips[files.clip_id] = _clip(files, gold, read)
     return clips
 
 

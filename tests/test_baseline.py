@@ -13,11 +13,12 @@ from convstruct.baseline import (
     parse_face_tracks_json,
     parse_word_tokens_tsv,
     run_baseline,
+    run_corpus_baseline,
     run_reply_only_baseline,
 )
 from convstruct.cli import main
 from convstruct.corpus import (
-    Clip, CorpusError, ParseError, Utterance, normalize_name, validate_clip,
+    Clip, CorpusError, ParseError, Utterance, load_corpus, normalize_name, validate_clip,
 )
 from convstruct.metrics import exact_match, link_f1
 from convstruct.threads import derive_threads, link_set
@@ -282,6 +283,30 @@ class TestParsers:
         tokens = parse_word_tokens_tsv(blob)
         assert [t.word for t in tokens] == ["hello", "there"]
         assert tokens[0].line_idx == 1
+
+
+class TestRunCorpusBaseline:
+    def test_each_clip_gets_the_per_clip_baseline_of_its_own_files(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for clip_id, name in (("c1", "ada"), ("c2", "bo")):
+            (corpus / f"{clip_id}.transcript.tsv").write_text(
+                "start\tend\tspeaker\ttext\n0.000\t1.000\t\thi\n1.100\t2.000\t\tyo\n")
+            (corpus / f"{clip_id}.faces.json").write_text(json.dumps(
+                {"clip_id": clip_id, "faces": [{"name": name, "spans": [[0.0, 5.0]]}]}))
+            (corpus / f"{clip_id}.words.tsv").write_text(
+                "line_idx\tword\tstart\tend\n1\thi\t0.0\t0.4\n2\tyo\t1.1\t1.5\n")
+        clips = load_corpus(corpus)
+        read = []
+        got = run_corpus_baseline(clips, str(corpus), str(corpus),
+                                  read=lambda path: read.append(path.name) or path.read_bytes())
+        assert got == {c: run_baseline(
+            clips[c], parse_face_tracks_json((corpus / f"{c}.faces.json").read_bytes()),
+            parse_word_tokens_tsv((corpus / f"{c}.words.tsv").read_bytes())) for c in clips}
+        assert got["c2"][0].speaker == normalize_name("bo")
+        assert read == ["c1.faces.json", "c1.words.tsv", "c2.faces.json", "c2.words.tsv"]
+        assert run_corpus_baseline(clips) == {c: run_reply_only_baseline(clips[c])
+                                              for c in clips}
 
 
 class TestBaselineCommandRejects:

@@ -201,12 +201,21 @@ class TestBaseline:
             (out_dir / "c1.annotation.json").read_bytes())
         assert [r.reply_to for r in records] == [1, 1, 2, 3]
 
-    def test_full_mode_without_faces_exits_one(self, tmp_path):
-        write_corpus(tmp_path / "corpus", {"c1": GOLD_CLIP}, {"c1": TRANSCRIPT})
-        code, _, err = run(["baseline", str(tmp_path / "corpus"),
-                            "--mode", "full", "--out", str(tmp_path / "pred")])
-        assert code == 1
-        assert "faces" in err
+    def test_full_mode_without_faces_is_a_usage_error(self, tmp_path, capsys):
+        # the corpus does not parse: the usage error comes before any file is read
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "c1.annotation.json").write_text("not json at all")
+        out_dir = tmp_path / "pred"
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline", str(corpus), "--mode", "full", "--out", str(out_dir)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert captured.err.endswith(
+            "error: baseline --mode full requires --faces (and usually --words)\n")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("mode", ["full"])
     @pytest.mark.parametrize("flag", ["--faces", "--words"])
@@ -240,6 +249,48 @@ class TestBaseline:
         assert captured.err.endswith(
             f"error: baseline --mode reply-only does not read {flag}\n")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("with_gold", [True, False])
+    def test_out_as_the_corpus_directory_exits_two_and_writes_nothing(
+            self, tmp_path, with_gold):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, {"c1": GOLD_CLIP} if with_gold else {}, {"c1": TRANSCRIPT})
+        before = {p.name: p.read_bytes() for p in corpus.iterdir()}
+        out = str(corpus / ".." / "corpus")
+        code, stdout, err = run(["baseline", str(corpus), "--mode", "reply-only",
+                                 "--out", out])
+        assert (code, stdout) == (2, "")
+        assert err == f"error: --out {out} writes into the corpus or over an input\n"
+        assert {p.name: p.read_bytes() for p in corpus.iterdir()} == before
+
+    @pytest.mark.parametrize("name, mode", [("c1.annotation.json", "reply-only"),
+                                            ("c1.faces.json", "full"),
+                                            ("new.json", "reply-only")])
+    def test_out_naming_an_input_or_a_new_clip_file_exits_two(self, tmp_path, name, mode):
+        # new.json would be read as the annotation of a clip "new" next time
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, {"c1": GOLD_CLIP}, {"c1": TRANSCRIPT})
+        (corpus / "c1.faces.json").write_text(json.dumps(
+            {"clip_id": "c1", "faces": [{"name": "ada", "spans": [[0.0, 4.3]]}]}))
+        before = {p.name: p.read_bytes() for p in corpus.iterdir()}
+        faces = ["--faces", str(corpus)] if mode == "full" else []
+        code, stdout, err = run(["baseline", str(corpus), "--mode", mode, *faces,
+                                 "--out", str(corpus / name)])
+        assert (code, stdout) == (2, "")
+        assert err == f"error: --out {corpus / name} writes into the corpus or over an input\n"
+        assert {p.name: p.read_bytes() for p in corpus.iterdir()} == before
+
+    def test_manifest_digests_the_inputs_before_writing(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, {"c1": GOLD_CLIP}, {"c1": TRANSCRIPT})
+        digests = []
+        for out in (tmp_path / "pred", corpus / "pred"):
+            code, stdout, err = run(["baseline", str(corpus), "--mode", "reply-only",
+                                     "--out", str(out)])
+            assert code == 0, err
+            assert (out / "c1.annotation.json").exists()
+            digests.append(json.loads(stdout)["manifest"]["digests"]["corpus"])
+        assert digests[0] == digests[1]
 
     def test_output_revalidates_cleanly(self, tmp_path):
         write_corpus(tmp_path / "corpus", {"c1": GOLD_CLIP}, {"c1": TRANSCRIPT})
@@ -997,9 +1048,9 @@ class TestManifestDigestsEachPathOnce:
         digest = cli._digest_path
         calls = []
 
-        def counting(path):
+        def counting(path, reads):
             calls.append(path)
-            return digest(path)
+            return digest(path, reads)
 
         monkeypatch.setattr(cli, "_digest_path", counting)
         code, out, err = run(["evaluate", corpus, corpus])
