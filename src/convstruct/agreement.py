@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -105,7 +105,7 @@ def _joint_flags(first: Sequence[StructureRecord], second: Sequence[StructureRec
     flag, so a line counts as flagged only when both annotators flag it."""
     flagged = {r.line_idx for r in second if r.is_nondialogic}
     return [r if not r.is_nondialogic or r.line_idx in flagged
-            else replace(r, extra_diegetic=False, monologue=False) for r in first]
+            else r._replace(extra_diegetic=False, monologue=False) for r in first]
 
 
 def pairwise_agreement(

@@ -27,6 +27,7 @@ from .corpus import (
     CorpusError,
     MetricInputError,
     StatsError,
+    _sorted_files,
     load_corpus,
     load_structures,
     parse_gender_map_tsv,
@@ -46,29 +47,28 @@ METRIC_LABELS = {
 
 
 class _Reads(dict):
-    """The sha256 of each file a run read through `read`, by path, so that the
-    manifest digests the bytes parsed; a file never read is hashed on lookup."""
+    """The sha256 of each file a run read through `read`, by path string, so
+    that the manifest digests the bytes parsed; a file never read is hashed
+    on lookup."""
 
     def read(self, path: Path) -> bytes:
         data = path.read_bytes()
-        self[path] = hashlib.sha256(data).digest()
+        self[str(path)] = hashlib.sha256(data).digest()
         return data
 
-    def __missing__(self, path: Path) -> bytes:
-        self[path] = hashlib.sha256(path.read_bytes()).digest()
-        return self[path]
+    def __missing__(self, path: str) -> bytes:
+        digest = self[path] = hashlib.sha256(Path(path).read_bytes()).digest()
+        return digest
 
 
 def _digest_path(path: Path, reads: _Reads) -> str:
     if path.is_file():
-        return reads[path].hex()
+        return reads[str(path)].hex()
     digest = hashlib.sha256()
-    for child in sorted(path.rglob("*")):
-        if child.is_file():
-            rel = child.relative_to(path).as_posix()
-            digest.update(rel.encode("utf-8"))
-            digest.update(b"\0")
-            digest.update(reads[child])
+    for rel, child in _sorted_files(path):
+        digest.update(rel.encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(reads[child])
     return digest.hexdigest()
 
 
@@ -164,7 +164,7 @@ def cmd_agree(args, reads: _Reads) -> int:
     # the manifest file only names the annotator files; digest what they hold too
     digest = hashlib.sha256(bytes.fromhex(manifest["digests"]["manifest"]))
     for batch in batches:
-        digest.update(reads[batch.path])
+        digest.update(reads[str(batch.path)])
     manifest["digests"]["manifest"] = digest.hexdigest()
     payload = {"manifest": manifest, "report": report.as_dict()}
     table_lines = ["overall:"] + _metric_table(report.overall.as_dict())
@@ -186,7 +186,7 @@ def cmd_baseline(args, reads: _Reads) -> int:
     single_file = out_root.suffix == ".json" and len(predictions) == 1
     targets = [out_root if single_file else out_root / f"{clip_id}.annotation.json"
                for clip_id in predictions]
-    corpus, inputs = Path(args.corpus).resolve(), {path.resolve() for path in reads}
+    corpus, inputs = Path(args.corpus).resolve(), {Path(path).resolve() for path in reads}
     if any(t.resolve() in inputs or t.parent.resolve() == corpus for t in targets):
         raise FileExistsError(f"--out {args.out} writes into the corpus or over an input")
     # digest the inputs before any output lands beside them
@@ -207,8 +207,9 @@ def _require(path: str, what: str) -> Path:
     return p
 
 
-def _clips(corpus: str, reads: _Reads) -> list:
-    return list(load_corpus(corpus, read=reads.read).values())  # in clip id order
+def _clips(corpus: str, reads: _Reads, utterances: bool = True) -> list:
+    # in clip id order
+    return list(load_corpus(corpus, read=reads.read, utterances=utterances).values())
 
 
 def _gender_map(path: str, reads: _Reads) -> dict:
@@ -237,8 +238,11 @@ def cmd_threads(args, reads: _Reads) -> int:
 def cmd_roles(args, reads: _Reads) -> int:
     from .stats import role_report
 
+    # the role counts read no transcript, so none is parsed; the manifest
+    # still digests them
     return _emit_analysis(args, role_report(
-        _clips(args.corpus, reads), _gender_map(args.gender_map, reads)).as_dict(), reads)
+        _clips(args.corpus, reads, utterances=False),
+        _gender_map(args.gender_map, reads)).as_dict(), reads)
 
 
 def cmd_logodds(args, reads: _Reads) -> int:

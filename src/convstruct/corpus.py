@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 
 class CorpusError(ValueError):
@@ -65,11 +66,12 @@ _OS_SUFFIX = "_os"
 GENDERS = ("female", "male", "unspecified")
 
 
-@dataclass(frozen=True)
-class Participant:
+class Participant(NamedTuple):
     """A conversational participant, identified by kind plus canonical name.
 
-    Gender comes from a separate metadata table (`lookup_gender`).
+    Gender comes from a separate metadata table (`lookup_gender`). Like
+    `StructureRecord` and `Utterance` it is a named tuple: it equals, hashes
+    and orders as the plain tuple of its fields, `(canonical_name, kind)`.
     """
 
     canonical_name: str
@@ -119,8 +121,7 @@ def _file_name(raw: str, where: str) -> Participant:
         raise ParseError(f"{where}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class Utterance:
+class Utterance(NamedTuple):
     """One transcribed line, with clip-relative index and timestamps in seconds."""
 
     clip_id: str
@@ -135,8 +136,7 @@ class Utterance:
         return self.end_s - self.start_s
 
 
-@dataclass(frozen=True)
-class StructureRecord:
+class StructureRecord(NamedTuple):
     """Gold or predicted structure for one line.
 
     The speaker is excluded from both role sets by construction; a self
@@ -660,6 +660,41 @@ def _file_clip_id(path: Path) -> str:
     return clip_id or path.stem
 
 
+def _sorted_files(root: Path, recursive: bool = True) -> list[tuple[str, str]]:
+    """(relative POSIX name, path) of each file under directory `root`, with
+    the entries and order of `sorted(root.rglob("*"))` (or `root.iterdir()`
+    when not `recursive`) filtered by `Path.is_file`: hidden files count, a
+    link to a file is a file, a link to a directory is not descended and a
+    dangling link is skipped. Names sort by their parts, as `Path`s compare,
+    only links are stat'ed, and each path is the string of
+    `root.joinpath(name)`."""
+    prefix = "" if str(root) == "." else os.path.join(str(root), "")
+    found: list[tuple[str, ...]] = []
+    pending: list[tuple[str, ...]] = [()]
+    while pending:
+        parts = pending.pop()
+        try:
+            entries = os.scandir(prefix + "/".join(parts) or ".")
+        except (FileNotFoundError, NotADirectoryError, PermissionError):
+            if recursive:  # rglob yields nothing from a directory it cannot list
+                continue
+            raise
+        with entries:
+            for entry in entries:
+                name = (*parts, entry.name)
+                if recursive and entry.is_dir(follow_symlinks=False):
+                    pending.append(name)
+                    continue
+                try:
+                    is_file = entry.is_file()
+                except OSError:  # a link loop, say: ask as `Path.is_file` does
+                    is_file = Path(entry.path).is_file()
+                if is_file:
+                    found.append(name)
+    found.sort()
+    return [(rel, prefix + rel) for rel in map("/".join, found)]
+
+
 def iter_clip_files(path: str | Path) -> list[ClipFiles]:
     """Pair a corpus path's files by clip id.
 
@@ -673,18 +708,16 @@ def iter_clip_files(path: str | Path) -> list[ClipFiles]:
         return [ClipFiles(clip_id=_file_clip_id(root), annotation=root)]
     if not root.is_dir():
         raise FileNotFoundError(f"no such corpus path: {root}")
-    fields: dict[str, dict[str, Path]] = {}
-    for path in sorted(root.iterdir()):
-        if not path.is_file():
-            continue
-        name = path.name
+    fields: dict[str, dict[str, str]] = {}
+    for name, _ in _sorted_files(root, recursive=False):
         for suffix, field in _LAYOUT:
             if name.endswith(suffix):
                 if field is not None:
                     stem = name[: -len(suffix)]
-                    fields.setdefault(stem, {}).setdefault(field, path)
+                    fields.setdefault(stem, {}).setdefault(field, name)
                 break
-    return [ClipFiles(clip_id, **found) for clip_id, found in sorted(fields.items())
+    return [ClipFiles(clip_id, **{field: root / name for field, name in found.items()})
+            for clip_id, found in sorted(fields.items())
             if "annotation" in found or "transcript" in found]
 
 
@@ -701,13 +734,14 @@ def load_structures(path: str | Path, strict: bool = False,
 
 
 def _clip(files: ClipFiles, gold: tuple[StructureRecord, ...] | None,
-          read: Callable[[Path], bytes] = Path.read_bytes) -> Clip:
+          read: Callable[[Path], bytes] = Path.read_bytes,
+          utterances: bool = True) -> Clip:
     """A clip from its annotation records plus any transcript/cast on disk; a
-    cast list whose non-empty `clip_id` names another clip is a ParseError."""
-    utterances: tuple[Utterance, ...] = ()
-    if files.transcript is not None:
-        utterances = tuple(parse_transcript_tsv(
-            read(files.transcript), clip_id=files.clip_id))
+    cast list whose non-empty `clip_id` names another clip is a ParseError.
+    Without `utterances` the transcript is neither read nor parsed."""
+    lines: tuple[Utterance, ...] = ()
+    if utterances and files.transcript is not None:
+        lines = tuple(parse_transcript_tsv(read(files.transcript), clip_id=files.clip_id))
     show_id, cast = "", ()
     if files.cast is not None:
         cast_clip, show_id, cast_list = parse_cast_json(read(files.cast))
@@ -716,19 +750,24 @@ def _clip(files: ClipFiles, gold: tuple[StructureRecord, ...] | None,
                              f"not clip {files.clip_id!r}")
         cast = tuple(cast_list)
     return Clip(clip_id=files.clip_id, show_id=show_id, cast=cast,
-                utterances=utterances, gold=gold)
+                utterances=lines, gold=gold)
 
 
 def load_corpus(path: str | Path, strict: bool = False,
-                read: Callable[[Path], bytes] = Path.read_bytes) -> dict[str, Clip]:
-    """Load full clips (annotations plus any transcripts/casts present)."""
+                read: Callable[[Path], bytes] = Path.read_bytes,
+                utterances: bool = True) -> dict[str, Clip]:
+    """Load full clips (annotations plus any transcripts/casts present).
+
+    With `utterances=False` no transcript is read, so a broken one is no
+    error, and every clip's `utterances` is empty; for callers that read
+    only the annotations and the show id."""
     clips: dict[str, Clip] = {}
     for files in iter_clip_files(path):
         gold = None
         if files.annotation is not None:
             gold = tuple(parse_annotation_json(
                 read(files.annotation), strict=strict, clip_id=files.clip_id))
-        clips[files.clip_id] = _clip(files, gold, read)
+        clips[files.clip_id] = _clip(files, gold, read, utterances)
     return clips
 
 

@@ -140,22 +140,32 @@ class TermCounts:
 def _zeta_core(
     y_a: np.ndarray, y_b: np.ndarray, p: np.ndarray, c_star: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """delta, sigma2, zeta arrays; cells with bad denominators come back NaN."""
+    """delta, sigma2, zeta arrays; cells with bad denominators come back NaN.
+
+    Each `y + alpha` serves both its log and its variance term, and every
+    step after it writes into its own temporaries; `y_a` and `y_b` are only
+    read."""
     alpha = c_star * p
     alpha0 = c_star  # sum of alpha since p sums to 1
-    n_a = y_a.sum(axis=1, keepdims=True)
-    n_b = y_b.sum(axis=1, keepdims=True)
-    den_a = n_a + alpha0 - y_a - alpha
-    den_b = n_b + alpha0 - y_b - alpha
-    valid = (den_a > 0) & (den_b > 0)
+    den_a = y_a.sum(axis=1, keepdims=True) + alpha0 - y_a
+    den_a -= alpha
+    den_b = y_b.sum(axis=1, keepdims=True) + alpha0 - y_b
+    den_b -= alpha
+    invalid = ~((den_a > 0) & (den_b > 0))
+    y_a = y_a + alpha
+    y_b = y_b + alpha
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta = (np.log(y_a + alpha) - np.log(den_a)) - (
-            np.log(y_b + alpha) - np.log(den_b)
-        )
-        sigma2 = 1.0 / (y_a + alpha) + 1.0 / (y_b + alpha)
-        zeta = delta / np.sqrt(sigma2)
-    delta = np.where(valid, delta, np.nan)
-    zeta = np.where(valid, zeta, np.nan)
+        delta = np.log(y_a)
+        delta -= np.log(den_a, out=den_a)
+        log_b = np.log(y_b)
+        log_b -= np.log(den_b, out=den_b)
+        delta -= log_b
+        sigma2 = np.divide(1.0, y_a, out=y_a)
+        sigma2 += np.divide(1.0, y_b, out=y_b)
+        zeta = np.sqrt(sigma2)
+        np.divide(delta, zeta, out=zeta)
+    np.copyto(delta, np.nan, where=invalid)
+    np.copyto(zeta, np.nan, where=invalid)
     return delta, sigma2, zeta
 
 
@@ -245,11 +255,16 @@ def calibrate_prior(
             rng = np.random.default_rng(child)
             for rows in show_rows:
                 row[rows] = rng.permutation(counts.doc_in_a[rows])
-        null_a = _group_a_tables(counts.doc_terms, counts.doc_show, counts.y_a.shape,
-                                 labels)
+        # one label row at a time: each cell sums the same entries in the same
+        # order as a whole-block tabulation, in a fraction of its temporaries
+        null_a = np.empty((len(labels), *counts.y_a.shape))
+        for table, row in zip(null_a, labels):
+            table[...] = _group_a_tables(counts.doc_terms, counts.doc_show,
+                                         counts.y_a.shape, row[None])[0]
+        null_b = totals - null_a
         for k, candidate in enumerate(candidates):
-            for y_a in null_a:
-                _, _, zeta = _zeta_core(y_a, totals - y_a, counts.p, candidate)
+            for y_a, y_b in zip(null_a, null_b):
+                _, _, zeta = _zeta_core(y_a, y_b, counts.p, candidate)
                 moments[k] = _merge_moments(moments[k], zeta[np.isfinite(zeta)])
 
     best_c = None

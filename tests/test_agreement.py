@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -107,7 +106,7 @@ class TestPairwiseAgreement:
     def test_filtered_line_count_counts_lines_either_direction_scores(self, flagging):
         # line 2 flagged by one annotator only: a line drops only when both flag it
         lines = [record(i, "a", reply_to=max(1, i - 1)) for i in range(1, 4)]
-        flagged = [dataclasses.replace(r, monologue=r.line_idx == 2) for r in lines]
+        flagged = [r._replace(monologue=r.line_idx == 2) for r in lines]
         clips = {"x": {"c": lines}, "y": {"c": lines}}
         clips[flagging] = {"c": flagged}
         report = pairwise_agreement([batch("x", clips["x"]), batch("y", clips["y"])],
@@ -129,8 +128,8 @@ class TestPairwiseAgreement:
 
         def annotation():
             clips = sorted(rng.sample(sorted(shape), rng.randint(1, len(shape))))
-            return {c: [dataclasses.replace(r, extra_diegetic=rng.random() < flag_p,
-                                            monologue=False)
+            return {c: [r._replace(extra_diegetic=rng.random() < flag_p,
+                                   monologue=False)
                         for r in random_records(rng, shape[c], NAMES[:5], rng.random())]
                     for c in clips}
 
@@ -194,9 +193,9 @@ class TestPairwiseAgreement:
 
     def test_one_annotator_flagging_every_line_filters_nothing(self):
         clips = random_clips(23)
-        plain = {c: [dataclasses.replace(r, extra_diegetic=False, monologue=False)
+        plain = {c: [r._replace(extra_diegetic=False, monologue=False)
                      for r in records] for c, records in clips.items()}
-        flagged = {c: [dataclasses.replace(r, monologue=True) for r in records]
+        flagged = {c: [r._replace(monologue=True) for r in records]
                    for c, records in clips.items()}
         config = EvalConfig(filter_nondialogic=True)
         for ids in (("a", "b"), ("b", "a")):
@@ -208,9 +207,9 @@ class TestPairwiseAgreement:
             assert pair.scores() == evaluate_corpus(plain, plain).scores()
 
     def test_pair_flagging_every_shared_line_is_skipped(self):
-        clips = {c: [dataclasses.replace(r, extra_diegetic=False, monologue=False)
+        clips = {c: [r._replace(extra_diegetic=False, monologue=False)
                      for r in records] for c, records in random_clips(25).items()}
-        flagged = {c: [dataclasses.replace(r, extra_diegetic=True) for r in records]
+        flagged = {c: [r._replace(extra_diegetic=True) for r in records]
                    for c, records in clips.items()}
         config = EvalConfig(filter_nondialogic=True)
         with pytest.warns(UserWarning, match="share no line that not both flag"):
@@ -223,8 +222,8 @@ class TestPairwiseAgreement:
             pairwise_agreement([batch("a", flagged), batch("b", flagged)], config)
 
     def test_pair_flagging_every_line_still_checks_the_lines_align(self):
-        flagged = [dataclasses.replace(record(1, "x"), monologue=True)]
-        longer = flagged + [dataclasses.replace(record(2, "x", reply_to=1), monologue=True)]
+        flagged = [record(1, "x")._replace(monologue=True)]
+        longer = flagged + [record(2, "x", reply_to=1)._replace(monologue=True)]
         with pytest.raises(MetricInputError, match="different lines"):
             pairwise_agreement([batch("a", {"c": flagged}), batch("b", {"c": longer})],
                                EvalConfig(filter_nondialogic=True))
@@ -241,8 +240,8 @@ class TestPairwiseAgreement:
         shape = {f"c{k}": rng.randint(1, 15) for k in range(rng.randint(1, 4))}
 
         def annotation():
-            return {c: [dataclasses.replace(r, extra_diegetic=False,
-                                            monologue=rng.random() < flag_p)
+            return {c: [r._replace(extra_diegetic=False,
+                                   monologue=rng.random() < flag_p)
                         for r in random_records(rng, n, NAMES[:5], rng.random())]
                     for c, n in shape.items()}
 
@@ -259,7 +258,7 @@ class TestPairwiseAgreement:
             return
         pair = report.per_pair[("a", "b")]
         if filter_nondialogic:
-            joint = {c: [dataclasses.replace(x, monologue=x.monologue and y.monologue)
+            joint = {c: [x._replace(monologue=x.monologue and y.monologue)
                          for x, y in zip(a[c], b[c])] for c in shape}
             assert pair == evaluate_corpus(joint, b, config)
         else:

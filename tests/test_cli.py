@@ -1092,3 +1092,58 @@ class TestEmptyPaths:
         assert captured.err.endswith(f"error: argument {flag}: empty path\n")
         assert not (tmp_path / "pred").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+
+
+class TestBrokenTranscript:
+    """A transcript that cannot be parsed fails only what reads transcripts:
+    `analyze roles` parses none and reports as if it were sound, `validate`
+    reports it for its clip, and `analyze threads` and `logodds` exit 1."""
+
+    FAULTS = {
+        "bad UTF-8": (b"\xff\xfe\x00 not a transcript",
+                      "error: transcript is not valid UTF-8: 'utf-8' codec can't decode "
+                      "byte 0xff in position 0: invalid start byte\n"),
+        "bad cell": (TRANSCRIPT.replace("0.000", "zero").encode(),
+                     "error: row 1: non-numeric start timestamp 'zero'\n"),
+    }
+
+    @staticmethod
+    def _corpus(root, transcript: bytes):
+        write_corpus(root, {"c1": GOLD_CLIP, "c2": GOLD_CLIP},
+                     {"c1": TRANSCRIPT, "c2": TRANSCRIPT},
+                     casts={c: {"clip_id": c, "show_id": "showx", "cast": ["ada", "max"]}
+                            for c in ("c1", "c2")})
+        (root / "c2.transcript.tsv").write_bytes(transcript)
+        return str(root)
+
+    @pytest.fixture(params=list(FAULTS))
+    def corpora(self, request, tmp_path):
+        data, message = self.FAULTS[request.param]
+        genders = tmp_path / "genders.tsv"
+        genders.write_text("canonical_name\tgender\tshow_id\n"
+                           "ada\tfemale\tshowx\nmax\tmale\tshowx\n")
+        return (self._corpus(tmp_path / "good", TRANSCRIPT.encode()),
+                self._corpus(tmp_path / "bad", data), str(genders), message)
+
+    def test_roles_reports_as_with_a_sound_transcript(self, corpora):
+        good, bad, genders, _ = corpora
+        outputs = [run(["analyze", "roles", corpus, "--gender-map", genders])
+                   for corpus in (good, bad)]
+        assert [(code, err) for code, _, err in outputs] == [(0, ""), (0, "")]
+        reports = [json.loads(out) for _, out, _ in outputs]
+        assert reports[0]["report"] == reports[1]["report"]
+        assert reports[0]["manifest"]["digests"] != reports[1]["manifest"]["digests"]
+
+    def test_validate_reports_one_parse_line_for_the_clip(self, corpora):
+        _, bad, _, message = corpora
+        code, out, _ = run(["validate", bad])
+        assert code == 1
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"clip_id": "c2", "line_idx": None, "code": "PARSE", "severity": "error",
+             "message": message[len("error: "):-1]}]
+
+    @pytest.mark.parametrize("analysis", ["threads", "logodds"])
+    def test_analyses_that_read_transcripts_exit_one(self, corpora, analysis):
+        _, bad, genders, message = corpora
+        flags = ["--gender-map", genders, "--bootstrap", "20"] if analysis == "threads" else []
+        assert run(["analyze", analysis, bad, *flags]) == (1, "", message)

@@ -125,6 +125,40 @@ class TestNormalizeName:
             normalize_name("   ")
 
 
+class TestRecordSemantics:
+    """Participants, records and utterances are named tuples: each equals,
+    hashes and orders as the plain tuple of its fields, unpacks like one, and
+    is copied with `_replace`."""
+
+    def test_participant_is_the_tuple_of_its_fields(self):
+        ada = normalize_name("Ada")
+        assert ada == ("ada", REGULAR) and hash(ada) == hash(("ada", REGULAR))
+        assert len({ada, ("ada", REGULAR)}) == 1
+        assert sorted([ada, normalize_name("ada_OS")]) == [("ada", OFF_SCREEN), ada]
+        name, kind = ada
+        assert (name, kind) == ("ada", REGULAR)
+        assert ada._replace(kind=OFF_SCREEN).token == "ada_OS" and ada.token == "ada"
+
+    def test_record_is_the_tuple_of_its_fields(self):
+        first = record(2, "ada", ["max"], reply_to=1)
+        fields = (2, normalize_name("ada"), frozenset({normalize_name("max")}),
+                  frozenset(), 1, False, False)
+        assert first == fields and hash(first) == hash(fields)
+        line_idx, speaker, addressees, side, reply_to, extra, monologue = first
+        assert (line_idx, speaker.canonical_name, reply_to) == (2, "ada", 1)
+        flagged = first._replace(monologue=True)
+        assert flagged.is_nondialogic and not first.is_nondialogic
+        assert flagged != first and first < flagged  # False < True in the last field
+        assert sorted([record(3, "max"), first]) == [first, record(3, "max")]
+        with pytest.raises(AttributeError):
+            first.reply_to = 2
+
+    def test_utterance_is_the_tuple_of_its_fields(self):
+        line = Utterance("c", 1, 0.5, 2.0, "hi")
+        assert line == ("c", 1, 0.5, 2.0, "hi", None) and line.speaker_hint is None
+        assert line._replace(end_s=3.5).duration_s == 3.0 and line.duration_s == 1.5
+
+
 ANNOTATION = json.dumps([
     {"line_idx": 1, "speaker": "sheldon cooper",
      "addressee": ["stephanie barnett", "leonard hofstadter"],

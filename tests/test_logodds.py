@@ -123,6 +123,47 @@ class TestWeightedLogodds:
         weighted_logodds(counts, 2.0)  # the two-term table is fine
 
 
+def reference_zeta(y_a, y_b, p, c_star):
+    """`_zeta_core` as its formulas read: a fresh array for every step, and
+    NaN where a denominator is not positive."""
+    alpha = c_star * p
+    den_a = y_a.sum(axis=1, keepdims=True) + c_star - y_a - alpha
+    den_b = y_b.sum(axis=1, keepdims=True) + c_star - y_b - alpha
+    valid = (den_a > 0) & (den_b > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = (np.log(y_a + alpha) - np.log(den_a)) - (
+            np.log(y_b + alpha) - np.log(den_b))
+        sigma2 = 1.0 / (y_a + alpha) + 1.0 / (y_b + alpha)
+        zeta = delta / np.sqrt(sigma2)
+    return np.where(valid, delta, np.nan), sigma2, np.where(valid, zeta, np.nan)
+
+
+class TestZetaCore:
+    """The in-place `_zeta_core` gives the formulas' bits and writes no input."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shows=st.integers(1, 5),
+           terms=st.integers(1, 30), c_star=st.floats(0.01, 1e5),
+           uniform=st.booleans())
+    def test_bitwise_equal_to_the_formulas(self, seed, shows, terms, c_star, uniform):
+        rng = np.random.default_rng(seed)
+        y_a, y_b = rng.poisson(rng.uniform(0, 4, size=2)[:, None, None],
+                               (2, shows, terms)).astype(float)
+        p = np.full(terms, 1.0 / terms) if uniform else rng.dirichlet(np.ones(terms))
+        inputs = y_a.copy(), y_b.copy()
+        found = logodds._zeta_core(y_a, y_b, p, c_star)
+        expected = reference_zeta(y_a, y_b, p, c_star)
+        assert [a.tobytes() for a in found] == [a.tobytes() for a in expected]
+        assert np.array_equal(y_a, inputs[0]) and np.array_equal(y_b, inputs[1])
+
+    def test_non_positive_denominator_is_nan(self):
+        # one term holding its show's whole count: n + C - y - C is 0
+        y_a, y_b, p = np.array([[3.0]]), np.array([[1.0]]), np.array([1.0])
+        delta, sigma2, zeta = logodds._zeta_core(y_a, y_b, p, 1.0)
+        assert np.isnan(delta).all() and np.isnan(zeta).all()
+        assert sigma2.tobytes() == reference_zeta(y_a, y_b, p, 1.0)[1].tobytes()
+
+
 class TestTermCounts:
     def test_from_documents_counts_and_background(self):
         docs = [

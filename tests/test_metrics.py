@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -702,8 +701,8 @@ def reference_score_clip(clip_id, gold, pred, filter_nondialogic=False):
 
 def flagged_records(rng, n_lines):
     """Random records with about a fifth of the lines flagged non-dialogic."""
-    return [dataclasses.replace(r, extra_diegetic=rng.random() < 0.1,
-                                monologue=rng.random() < 0.1)
+    return [r._replace(extra_diegetic=rng.random() < 0.1,
+                       monologue=rng.random() < 0.1)
             for r in random_records(rng, n_lines, NAMES[:4])]
 
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from convstruct import corpus as corpus_module
 from convstruct.cli import main
 from convstruct.corpus import serialize_annotation_json
 
@@ -29,7 +30,9 @@ from test_acceptance import transcript_tsv
 def reference_digest(path: Path) -> str:
     """The manifest digest of a path, hashed from disk: the sha256 of a file,
     or of each file under a directory in sorted `Path` order, as its relative
-    name, a NUL and the sha256 of its bytes."""
+    name, a NUL and the sha256 of its bytes. `rglob` lists hidden files and
+    links but does not descend a link to a directory, and `is_file` keeps a
+    link to a file and drops a dangling one."""
     if path.is_file():
         return hashlib.sha256(path.read_bytes()).hexdigest()
     digest = hashlib.sha256()
@@ -141,6 +144,29 @@ COMMANDS = {
 }
 
 
+class TestTranscriptsAreParsedOnlyWhereRead:
+    """`analyze roles` counts roles from annotations and casts, so it parses
+    no transcript; the analyses that read them parse each clip's once."""
+
+    @pytest.mark.parametrize("command, parsed", [
+        ("analyze roles", []),
+        ("analyze threads", ["clip0", "clip1", "clip2"]),
+        ("analyze logodds", ["clip0", "clip1", "clip2"]),
+    ])
+    def test_transcript_parses_per_command(self, tmp_path, monkeypatch, command, parsed):
+        paths = write_inputs(tmp_path / "in")
+        calls = []
+        parse = corpus_module.parse_transcript_tsv
+
+        def counting(data, clip_id=""):
+            calls.append(clip_id)
+            return parse(data, clip_id)
+
+        monkeypatch.setattr(corpus_module, "parse_transcript_tsv", counting)
+        run(COMMANDS[command](paths, tmp_path / "out"))
+        assert sorted(calls) == parsed
+
+
 class TestEachInputFileIsReadOnce:
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_command_reads_each_input_file_once(self, tmp_path, reads, command):
@@ -154,6 +180,19 @@ class TestEachInputFileIsReadOnce:
             files |= {os.path.realpath(f) for f in paths["agree"].parent.iterdir()}
         assert files  # every file of every input is read, and only once
         assert dict(reads) == dict.fromkeys(files, 1)
+
+    @pytest.mark.parametrize("where, spelling", [
+        ("corpus", "."), ("corpus", "./"), ("in", "corpus"), ("in", "./corpus/"),
+        ("in", "corpus//"), ("in", "../in/corpus")])
+    def test_any_spelling_of_the_corpus_reads_each_file_once(self, tmp_path, reads,
+                                                            monkeypatch, where, spelling):
+        paths = write_inputs(tmp_path / "in")
+        monkeypatch.chdir(paths["corpus"] if where == "corpus" else tmp_path / "in")
+        report = run(["analyze", "logodds", spelling, "--min-count", "1",
+                      "--permutations", "2"])
+        files = {os.path.realpath(f) for f in paths["corpus"].iterdir()}
+        assert dict(reads) == dict.fromkeys(files, 1)
+        assert report["manifest"]["digests"] == {"corpus": reference_digest(paths["corpus"])}
 
     def test_a_path_given_for_two_inputs_is_read_once_by_each(self, tmp_path, reads):
         paths = write_inputs(tmp_path / "in")
@@ -184,6 +223,20 @@ TREE = st.recursive(st.binary(max_size=8),
                     max_leaves=12)
 
 
+def write_links(corpus: Path, outside: Path) -> None:
+    """At the top of `corpus` and one directory down: a hidden file, a link to
+    a file, links to a directory outside the corpus and to the corpus itself
+    (a loop if descended), a dangling link and a link to itself."""
+    for where in (corpus, corpus / "links"):
+        where.mkdir(exist_ok=True)
+        (where / ".hidden").write_bytes(b"hidden")
+        (where / "file-link").symlink_to(corpus / "clip0.annotation.json")
+        (where / "dir-link").symlink_to(outside, target_is_directory=True)
+        (where / "loop-link").symlink_to(corpus, target_is_directory=True)
+        (where / "dangling").symlink_to(where / "missing")
+        (where / "self-link").symlink_to(where / "self-link")
+
+
 def write_tree(root: Path, tree) -> None:
     """Write dictionaries as directories and bytes as files (often empty)."""
     if isinstance(tree, bytes):
@@ -206,6 +259,7 @@ class TestManifestDigestsMatchTheReference:
             corpus = paths["corpus"]
             for name, tree in extra.items():
                 write_tree(corpus / name, tree)
+            write_links(corpus, paths["pred"])
             expected = reference_digest(corpus)
             genders = reference_digest(paths["genders"])
             evaluate = run(["evaluate", corpus, corpus])
