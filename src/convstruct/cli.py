@@ -18,6 +18,7 @@ import io
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .corpus import (
@@ -102,9 +103,11 @@ def _manifest(command: str, args: argparse.Namespace, reads: _Reads) -> dict:
     }
 
 
-def _emit(payload: dict, fmt: str, table_lines: list[str] | None = None) -> None:
-    if fmt == "table" and table_lines is not None:
-        sys.stdout.write("\n".join(table_lines) + "\n")
+def _emit(payload: dict, fmt: str, table: Callable[[], list[str]]) -> None:
+    """Write the payload as JSON, or with `--format table` the lines that
+    `table` builds; they are built only then."""
+    if fmt == "table":
+        sys.stdout.write("\n".join(table()) + "\n")
     else:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
@@ -121,6 +124,14 @@ def _metric_table(report_dict: dict) -> list[str]:
     lines.append(
         f"n_utterances={report_dict['n_utterances']} n_clips={report_dict['n_clips']}"
     )
+    return lines
+
+
+def _agreement_table(report) -> list[str]:
+    lines = ["overall:"] + _metric_table(report.overall.as_dict())
+    for pair, pair_report in sorted(report.per_pair.items()):
+        lines.append(f"pair {pair[0]} x {pair[1]}:")
+        lines.extend(_metric_table(pair_report.as_dict()))
     return lines
 
 
@@ -148,8 +159,9 @@ def cmd_evaluate(args, reads: _Reads) -> int:
                                  seed=args.seed) if args.bootstrap else None)
     report = evaluate_corpus(
         gold, pred, EvalConfig(args.aggregate, args.filter_nondialogic, bootstrap))
-    payload = {"manifest": _manifest("evaluate", args, reads), "report": report.as_dict()}
-    _emit(payload, args.format, _metric_table(report.as_dict()))
+    report_dict = report.as_dict()
+    payload = {"manifest": _manifest("evaluate", args, reads), "report": report_dict}
+    _emit(payload, args.format, lambda: _metric_table(report_dict))
     return 0
 
 
@@ -167,11 +179,7 @@ def cmd_agree(args, reads: _Reads) -> int:
         digest.update(reads[str(batch.path)])
     manifest["digests"]["manifest"] = digest.hexdigest()
     payload = {"manifest": manifest, "report": report.as_dict()}
-    table_lines = ["overall:"] + _metric_table(report.overall.as_dict())
-    for pair, pair_report in sorted(report.per_pair.items()):
-        table_lines.append(f"pair {pair[0]} x {pair[1]}:")
-        table_lines.extend(_metric_table(pair_report.as_dict()))
-    _emit(payload, args.format, table_lines)
+    _emit(payload, args.format, lambda: _agreement_table(report))
     return 0
 
 
@@ -196,7 +204,8 @@ def cmd_baseline(args, reads: _Reads) -> int:
         out_root.mkdir(parents=True, exist_ok=True)
     for target, records in zip(targets, predictions.values()):
         target.write_bytes(serialize_annotation_json(records))
-    _emit(payload, args.format, ["written:"] + [f"  {w}" for w in payload["written"]])
+    _emit(payload, args.format,
+          lambda: ["written:"] + [f"  {w}" for w in payload["written"]])
     return 0
 
 
@@ -218,7 +227,8 @@ def _gender_map(path: str, reads: _Reads) -> dict:
 
 def _emit_analysis(args, report: dict, reads: _Reads) -> int:
     manifest = _manifest(f"analyze {args.analysis}", args, reads)
-    _emit({"manifest": manifest, "report": report}, args.format, _flatten_table(report))
+    _emit({"manifest": manifest, "report": report}, args.format,
+          lambda: _flatten_table(report))
     return 0
 
 

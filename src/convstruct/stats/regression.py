@@ -5,6 +5,7 @@ Models log P(role = j) / P(role = reference) as intercept + a female indicator
 odds ratio per outcome is exp(beta_female) with Wald standard errors. The
 fit runs on the distinct observations, each weighted by its count: the
 covariates are one indicator and one show, so a corpus has few distinct rows.
+The fit uses numpy alone.
 """
 
 from __future__ import annotations
@@ -68,16 +69,28 @@ def _check_rank(x: np.ndarray, columns: list[str]) -> None:
     raise StatsError("design matrix is rank deficient")
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) in the order of scipy.special.logsumexp (1.17):
+    the maxima of each row are taken out of the sum and counted, so a row
+    gives the same bits as there. A row whose maximum is -inf gives nan where
+    scipy gives -inf; the fit's rows hold a 0 and never have one."""
+    top = a.max(axis=1, keepdims=True)
+    is_top = a == top
+    k = is_top.sum(axis=1, keepdims=True, dtype=a.dtype)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(is_top, -np.inf, a) - top).sum(axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / k)
+        return (np.log1p(s) + np.log(k) + top)[:, 0]
+
+
 def _fit_state(
     beta: np.ndarray, x: np.ndarray, y: np.ndarray, weights: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Log-likelihood, gradient and non-reference probabilities at beta, with
     row i standing for weights[i] identical observations."""
-    from scipy.special import logsumexp
-
     eta = x @ beta.T  # (n, J)
     padded = np.concatenate([np.zeros((x.shape[0], 1)), eta], axis=1)
-    lse = logsumexp(padded, axis=1)
+    lse = _logsumexp_rows(padded)
     ll = float(weights @ ((y * eta).sum(axis=1) - lse))
     probs = np.exp(eta - lse[:, None])  # (n, J)
     grad = (weights[:, None] * (y - probs)).T @ x  # (J, p)

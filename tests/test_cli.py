@@ -972,6 +972,30 @@ class TestTableFormat:
             json.loads(out)
         assert run(argv) == (code, out, err)
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "{root}/corpus", "{root}/corpus"],
+        ["agree", "{root}/annotators.json"],
+        ["analyze", "roles", "{root}/corpus", "--gender-map", "{root}/genders.tsv"],
+        ["analyze", "correlate", "--features", "{root}/features.csv"],
+    ], ids=["evaluate", "agree", "roles", "correlate"])
+    def test_json_output_builds_no_table(self, inputs, argv, monkeypatch):
+        import convstruct.cli as cli
+
+        calls = []
+        for name in ("_flatten_table", "_metric_table"):
+            def counting(*args, _name=name, _built=getattr(cli, name)):
+                calls.append(_name)
+                return _built(*args)
+
+            monkeypatch.setattr(cli, name, counting)
+        argv = [a.format(root=inputs) for a in argv]
+        code, _, err = run(argv)
+        assert code == 0, err
+        assert calls == []
+        code, _, err = run(argv + ["--format", "table"])
+        assert code == 0, err
+        assert calls
+
 
 class TestCorrelateHeaderFaults:
     @pytest.mark.parametrize("csv_text, message", [

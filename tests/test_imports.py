@@ -1,11 +1,11 @@
 """Cold start: each import path and command loads only what it runs.
 
 `import convstruct` and `import convstruct.cli` load the standard library and
-the numpy-free `corpus` and `threads` modules; numpy and scipy load when a
-command or library name that needs them is used, and of the analyses in
-`convstruct.stats`, `evaluate` and `agree` load `bootstrap` alone. Each check
-runs in a fresh interpreter, since this process has loaded everything
-already.
+the numpy-free `corpus` and `threads` modules; numpy loads when a command or
+library name that needs it is used, and scipy only for `analyze correlate`.
+Of the analyses in `convstruct.stats`, `evaluate` and `agree` load
+`bootstrap` alone. Each check runs in a fresh interpreter, since this process
+has loaded everything already.
 """
 
 import json
@@ -79,7 +79,7 @@ class TestNoNumericStackAtStartup:
 
 class TestCommandsLoadNoScipy:
     @pytest.mark.parametrize("name", ["evaluate", "agree", "baseline", "baseline full",
-                                      "threads", "logodds"])
+                                      "threads", "roles", "logodds"])
     def test_numpy_only(self, corpus, name):
         root, genders = str(corpus / "corpus"), str(corpus / "genders.tsv")
         argv = {
@@ -91,6 +91,7 @@ class TestCommandsLoadNoScipy:
                               "--out", str(corpus / "pred")],
             "threads": ["analyze", "threads", root, "--gender-map", genders,
                         "--bootstrap", "50", "--permutations", "20"],
+            "roles": ["analyze", "roles", root, "--gender-map", genders],
             "logodds": ["analyze", "logodds", root, "--min-count", "1",
                         "--permutations", "4"],
         }[name]

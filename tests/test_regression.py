@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convstruct.stats.bootstrap import StatsError
-from convstruct.stats.regression import _design, _fit_state, multinomial_logit
+from convstruct.stats.regression import (
+    _design,
+    _fit_state,
+    _logsumexp_rows,
+    multinomial_logit,
+)
 
 
 def loglik_and_gradient(beta, x, y):
@@ -212,3 +217,58 @@ class TestFitOnDistinctObservations:
                     estimate.coef[column], abs=1e-9)
                 assert again.outcomes[name].se[column] == pytest.approx(
                     estimate.se[column], abs=1e-9)
+
+
+def five_step_logsumexp(a):
+    """scipy.special.logsumexp(a, axis=1) as scipy 1.17 computes it, one row
+    at a time: take the maxima out of the sum, then add them back."""
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for row in a:
+            top = row.max()
+            k = float(np.count_nonzero(row == top))
+            s = np.exp(np.where(row == top, -np.inf, row) - top).sum()
+            if s != 0:
+                s = s / k
+            out.append(np.log1p(s) + np.log(k) + top)
+    return np.array(out)
+
+
+def padded_rows(rng, n=400):
+    """Rows as the fit builds them, a 0 before each row of linear predictors:
+    random scales, integer ties, all-equal rows, large magnitudes and
+    non-finite entries."""
+    blocks = []
+    for width in (1, 2, 3, 5, 9):
+        blocks += [
+            rng.normal(scale=rng.choice([1e-3, 1.0, 10.0, 60.0]), size=(n, width)),
+            rng.integers(-2, 3, size=(n, width)).astype(float),
+            np.repeat(rng.normal(scale=5.0, size=(n, 1)), width, axis=1),
+            rng.choice([0.0, 1.5, 800.0, -800.0, 1e308, -1e308], size=(n, width)),
+            rng.choice([0.0, -2.0, np.inf, -np.inf, np.nan], size=(n, width)),
+        ]
+    return [np.concatenate([np.zeros((len(b), 1)), b], axis=1) for b in blocks]
+
+
+class TestLogSumExpRows:
+    """The fit's numpy log-sum-exp follows scipy's order of operations, so the
+    role report does not depend on whether or which scipy is installed."""
+
+    def test_bitwise_equal_to_the_five_step_formula(self):
+        rng = np.random.default_rng(0)
+        rows = padded_rows(rng) + [
+            np.zeros((1, 4)), np.full((2, 3), 7.25), np.full((1, 3), -np.inf),
+            np.array([[np.inf, np.inf, 1.0], [np.nan, 0.0, 1.0], [3.0, 3.0, -np.inf]])]
+        for a in rows:
+            got, want = _logsumexp_rows(a), five_step_logsumexp(a)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_matches_scipy_within_rounding(self):
+        logsumexp = pytest.importorskip("scipy.special").logsumexp
+        rng = np.random.default_rng(1)
+        for a in padded_rows(rng):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                want = logsumexp(a, axis=1)
+            # older scipy (1.10 among them) returns log(sum(exp(a - max))) + max,
+            # whose rounding is absolute where the result is near 0
+            np.testing.assert_allclose(_logsumexp_rows(a), want, rtol=1e-14, atol=1e-14)
