@@ -62,9 +62,11 @@ def __dir__() -> list[str]:
 
 __all__ = [
     "__version__",
+    "AgreementError",
     "Clip",
     "CorpusError",
     "Diagnostic",
+    "MetricInputError",
     "ParseError",
     "Participant",
     "StructureRecord",
@@ -81,20 +83,5 @@ __all__ = [
     "derive_threads",
     "link_set",
     "thread_events",
-    "EvalConfig",
-    "MetricInputError",
-    "MetricReport",
-    "evaluate_corpus",
-    "exact_match",
-    "link_f1",
-    "nvi_score",
-    "one_to_one",
-    "AgreementError",
-    "AnnotatorBatch",
-    "pairwise_agreement",
-    "FaceTrack",
-    "WordToken",
-    "face_word_counts",
-    "run_baseline",
-    "run_reply_only_baseline",
+    *_LAZY,
 ]

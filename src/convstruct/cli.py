@@ -318,6 +318,17 @@ def _path(text: str) -> str:
     return text
 
 
+def _seed(text: str) -> int:
+    """Argument type of `--seed`: numpy seeds only from non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 # Flag definitions shared between parsers. Each parser declares only the flags
 # its command reads, in the order its manifest config lists them.
 _FLAGS = {
@@ -333,7 +344,7 @@ _FLAGS = {
     "--gender-map": dict(type=_path, required=True, help="participant metadata TSV"),
     "--permutations": dict(type=int, default=1000,
                            help="permutation count for tests/calibration"),
-    "--seed": dict(type=int, default=0, help="random seed"),
+    "--seed": dict(type=_seed, default=0, help="random seed (>= 0)"),
     "--format": dict(choices=("json", "table"), default="json"),
 }
 

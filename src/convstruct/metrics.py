@@ -153,26 +153,11 @@ def one_to_one(gold: ThreadPartition, pred: ThreadPartition,
                table: Contingency | None = None) -> float:
     """Best injective gold-to-predicted cluster pairing, as percent of n.
 
-    An exact maximum-overlap matching over the nonzero contingency cells;
-    unmatched clusters contribute zero overlap. The matching splits over the
-    connected components of those cells, so a cell alone in both its row and
-    its column is always matched and is summed directly; `_max_overlap`
-    matches the rest.
+    An exact maximum-overlap matching over the nonzero contingency cells,
+    found by `_max_overlap`; unmatched clusters contribute zero overlap.
     """
     cells, gold_sizes, _ = table or _contingency(gold, pred)
-    in_row = Counter(i for _, i, _ in cells)
-    in_col = Counter(j for _, _, j in cells)
-    total = 0
-    rest = []
-    for cell in cells:
-        m, i, j = cell
-        if in_row[i] == 1 and in_col[j] == 1:
-            total += m
-        else:
-            rest.append(cell)
-    if rest:
-        total += _max_overlap(rest)
-    return 100.0 * (total / sum(gold_sizes))
+    return 100.0 * (_max_overlap(cells) / sum(gold_sizes))
 
 
 def _max_overlap(cells: list[tuple[int, int, int]]) -> int:

@@ -32,30 +32,4 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY})
 
 
-__all__ = [
-    "BootstrapConfig",
-    "BootstrapInterval",
-    "bootstrap_ci",
-    "bootstrap_ratio_ci",
-    "spearman",
-    "signed_rank_variance",
-    "feature_correlations",
-    "read_features_csv",
-    "Document",
-    "TermCounts",
-    "tokenize",
-    "weighted_logodds",
-    "utterance_documents",
-    "logodds_report",
-    "calibrate_prior",
-    "stouffer",
-    "LogitResult",
-    "OutcomeEstimate",
-    "multinomial_logit",
-    "ThreadShareReport",
-    "RoleDistributions",
-    "gender_thread_shares",
-    "role_counts",
-    "role_distributions",
-    "role_report",
-]
+__all__ = list(_LAZY)

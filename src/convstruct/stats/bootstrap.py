@@ -29,6 +29,8 @@ class BootstrapConfig:
             raise StatsError(f"resamples must be >= 1, got {self.resamples}")
         if not 0.0 < self.level < 1.0:
             raise StatsError(f"level must be in (0, 1), got {self.level}")
+        if self.seed < 0:
+            raise StatsError(f"seed must be >= 0, got {self.seed}")
 
 
 class BootstrapInterval(NamedTuple):

@@ -33,8 +33,6 @@ GROUP_A = "a"
 GROUP_B = "b"
 # prior strengths tried by calibration unless a grid is given: 1 to 10^4
 DEFAULT_GRID = tuple(float(c) for c in np.logspace(0, 4, 9))
-# permuted label rows tabulated at once during calibration
-_CALIBRATION_BLOCK = 8
 
 _APOSTROPHES = str.maketrans({"’": "'", "ʼ": "'"})
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:'[a-z0-9]+)*")
@@ -221,9 +219,9 @@ def calibrate_prior(
     Document group labels are permuted within each show; the same permutation
     set is reused for every candidate so the comparison is paired and the
     result deterministic in (counts, grid, permutations, seed). Ties resolve
-    to the smaller prior strength. Label rows are drawn and tabulated
-    `_CALIBRATION_BLOCK` at a time, and each candidate keeps only the running
-    moments of its null z-scores, so memory does not grow with `permutations`.
+    to the smaller prior strength. Permutations are drawn and tabulated one at
+    a time, and each candidate keeps only the running moments of its null
+    z-scores, so memory does not grow with `permutations`.
     """
     if not len(grid):
         raise StatsError("calibration grid is empty")
@@ -232,6 +230,8 @@ def calibrate_prior(
                          f"got {[float(c) for c in grid]}")
     if permutations < 1:
         raise StatsError(f"permutations must be >= 1, got {permutations}")
+    if seed < 0:
+        raise StatsError(f"seed must be >= 0, got {seed}")
     if counts.doc_terms is None or counts.doc_show is None or counts.doc_in_a is None:
         raise StatsError(
             "calibration permutes document labels: build TermCounts.from_documents"
@@ -246,26 +246,19 @@ def calibrate_prior(
     # running (count, mean, M2) of each candidate's finite null z-scores
     moments = [(0, 0.0, 0.0)] * len(candidates)
     totals = counts.y_a + counts.y_b
-    # spawning block by block yields the children of one spawn(permutations)
+    labels = np.empty_like(counts.doc_in_a)
+    # spawning one child at a time yields the children of one spawn(permutations)
     root = np.random.SeedSequence(seed)
-    for first in range(0, permutations, _CALIBRATION_BLOCK):
-        block = root.spawn(min(_CALIBRATION_BLOCK, permutations - first))
-        labels = np.empty((len(block), counts.doc_in_a.size), dtype=bool)
-        for row, child in zip(labels, block):
-            rng = np.random.default_rng(child)
-            for rows in show_rows:
-                row[rows] = rng.permutation(counts.doc_in_a[rows])
-        # one label row at a time: each cell sums the same entries in the same
-        # order as a whole-block tabulation, in a fraction of its temporaries
-        null_a = np.empty((len(labels), *counts.y_a.shape))
-        for table, row in zip(null_a, labels):
-            table[...] = _group_a_tables(counts.doc_terms, counts.doc_show,
-                                         counts.y_a.shape, row[None])[0]
+    for _ in range(permutations):
+        rng = np.random.default_rng(root.spawn(1)[0])
+        for rows in show_rows:
+            labels[rows] = rng.permutation(counts.doc_in_a[rows])
+        (null_a,) = _group_a_tables(counts.doc_terms, counts.doc_show,
+                                    counts.y_a.shape, labels[None])
         null_b = totals - null_a
         for k, candidate in enumerate(candidates):
-            for y_a, y_b in zip(null_a, null_b):
-                _, _, zeta = _zeta_core(y_a, y_b, counts.p, candidate)
-                moments[k] = _merge_moments(moments[k], zeta[np.isfinite(zeta)])
+            _, _, zeta = _zeta_core(null_a, null_b, counts.p, candidate)
+            moments[k] = _merge_moments(moments[k], zeta[np.isfinite(zeta)])
 
     best_c = None
     best_gap = None

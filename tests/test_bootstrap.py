@@ -26,6 +26,10 @@ class TestConfig:
         with pytest.raises(StatsError):
             BootstrapConfig(level=1.0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(StatsError, match="seed must be >= 0"):
+            BootstrapConfig(seed=-1)
+
 
 class TestBootstrapCi:
     def test_constant_statistic_is_degenerate(self):

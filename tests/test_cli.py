@@ -704,6 +704,22 @@ class TestEachCommandReadsItsFlags:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "{corpus}", "{corpus}", "--bootstrap", "10"],
+        ["analyze", "threads", "{corpus}", "--gender-map", "{genders}"],
+        ["analyze", "logodds", "{corpus}"],
+    ])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):
+        corpus, genders = TestAnalyzeManifestConfig()._inputs(tmp_path)
+        argv = [a.format(corpus=corpus, genders=genders) for a in command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: must be >= 0, got -1" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_threads_zero_resamples_exits_one(self, tmp_path):
         corpus, genders = TestAnalyzeManifestConfig()._inputs(tmp_path)
         code, out, err = run(["analyze", "threads", corpus, "--gender-map", genders,

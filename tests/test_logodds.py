@@ -315,10 +315,12 @@ class TestCalibratePrior:
         monkeypatch.setattr(logodds, "_zeta_core", recording)
         c_star = calibrate_prior(counts, grid, permutations=permutations, seed=seed)
         assert c_star == expected
-        # every candidate scores every permuted table, in permutation order
-        assert [c for c, _, _ in scored] == [c for c in sorted(grid)
-                                             for _ in range(permutations)]
-        for (_, y_a, y_b), (ref_a, ref_b) in zip(scored, tables * len(grid)):
+        # each permuted table is scored by every candidate before the next is
+        # drawn, so each candidate sees the tables in permutation order
+        assert [c for c, _, _ in scored] == [c for _ in range(permutations)
+                                             for c in sorted(grid)]
+        for i, (_, y_a, y_b) in enumerate(scored):
+            ref_a, ref_b = tables[i // len(grid)]
             assert np.array_equal(y_a, ref_a) and np.array_equal(y_b, ref_b)
 
 
@@ -366,6 +368,12 @@ class TestCalibratePrior:
         with pytest.raises(StatsError):
             calibrate_prior(counts, [], permutations=2)
 
+    def test_negative_seed_raises(self):
+        rng = np.random.default_rng(3)
+        counts = TermCounts.from_documents(null_documents(rng, 1, 4), min_count=1)
+        with pytest.raises(StatsError, match="seed must be >= 0"):
+            calibrate_prior(counts, [1.0], permutations=2, seed=-1)
+
 
 class TestAnalysisPipeline:
     def test_aggregates_with_stouffer(self):
@@ -406,9 +414,9 @@ class TestLogoddsReportTop:
 
 
 def oracle_calibration(counts, grid, permutations, seed):
-    """The unblocked calibration: every null table drawn at once, every
-    candidate's finite null z pooled, then one SD. Returns C* and each
-    candidate's gap |SD - 1|."""
+    """Calibration with every null table drawn and tabulated at once, every
+    candidate's finite null z pooled, then one SD (not running moments).
+    Returns C* and each candidate's gap |SD - 1|."""
     show_rows = [np.flatnonzero(counts.doc_show == s) for s in range(len(counts.shows))]
     labels = np.empty((permutations, counts.doc_in_a.size), dtype=bool)
     for row, child in zip(labels, np.random.SeedSequence(seed).spawn(permutations)):
@@ -483,3 +491,24 @@ class TestBlockedCalibration:
             finally:
                 tracemalloc.stop()
         assert peaks[256] <= 1.5 * peaks[8], peaks
+
+    def test_peak_memory_is_a_few_tables(self):
+        # 40 shows x 3,000 terms: one (S, T) table is 0.96 MB, far above the
+        # calibration's other allocations. One permutation at a time holds
+        # about 12 tables at its peak; tabulating 8 permutations at once held 35.
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        vocab = [f"t{k}" for k in range(3000)]
+        docs = [Document(f"show{s}", "ab"[d % 2],
+                         tuple(vocab[k] for k in rng.integers(0, len(vocab), 400)))
+                for s in range(40) for d in range(10)]
+        counts = TermCounts.from_documents(docs, min_count=1)
+        assert counts.y_a.shape == (40, 3000)
+        tracemalloc.start()
+        try:
+            calibrate_prior(counts, [1.0, 10.0, 100.0], permutations=16, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * counts.y_a.nbytes, peak / counts.y_a.nbytes

@@ -391,13 +391,13 @@ def reply_partitions(n: int, rng: random.Random, rewire: float = 0.1):
 
 
 class TestOneToOneAssignment:
-    """1-1 sums the cells alone in their row and column and assigns the rest."""
+    """1-1 matches the nonzero contingency cells, with no dense matrix."""
 
     @settings(max_examples=80, deadline=None)
     @given(pair=st.one_of(partition_pairs(), nearby_partition_pairs()))
     # no singleton cell: every row and every column holds two cells
     @example(pair=(parts({1, 2}, {3, 4}), parts({1, 3}, {2, 4})))
-    # every cell a singleton: the assignment is never run
+    # every cell alone in its row and column: each row settles at once
     @example(pair=(parts({1, 2}, {3}, {4, 5, 6}), parts({1, 2}, {3}, {4, 5, 6})))
     @example(pair=(parts({1}), parts({1})))
     # singleton cells beside a shared block
