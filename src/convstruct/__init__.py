@@ -43,8 +43,8 @@ _LAZY = {
     **dict.fromkeys(("EvalConfig", "MetricReport", "evaluate_corpus", "exact_match",
                      "link_f1", "nvi_score", "one_to_one"), "metrics"),
     **dict.fromkeys(("AnnotatorBatch", "pairwise_agreement"), "agreement"),
-    **dict.fromkeys(("FaceTrack", "WordToken", "face_word_counts", "run_baseline",
-                     "run_reply_only_baseline"), "baseline"),
+    **dict.fromkeys(("FaceTrack", "WordToken", "face_word_counts", "run_baseline"),
+                    "baseline"),
 }
 
 

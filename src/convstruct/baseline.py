@@ -239,15 +239,6 @@ def run_baseline(
     return records
 
 
-def run_reply_only_baseline(clip: Clip) -> list[StructureRecord]:
-    """Previous-line links only; roles come back unknown/empty.
-
-    This is `run_baseline` with no faces and no words, so the whole clip
-    forms one thread.
-    """
-    return run_baseline(clip, (), ())
-
-
 def _side_file(base: str | None, clip_id: str, suffix: str, what: str, parse, read) -> list:
     """A clip's parsed --faces or --words input, [] if none is given: the path
     itself if it is a file, else the clip's file in that directory."""

@@ -269,7 +269,7 @@ def cmd_correlate(args, reads: _Reads) -> int:
 
     data = reads.read(_require(args.features, "features CSV"))
     report = feature_correlations(read_features_csv(
-        io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")))
+        io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")))
     return _emit_analysis(args, report, reads)
 
 
@@ -450,6 +450,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (CorpusError, MetricInputError, StatsError, AgreementError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return 1
 
 

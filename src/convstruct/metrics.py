@@ -263,9 +263,6 @@ class MetricReport:
     n_clips: int
     ci: dict[str, tuple[float, float]] = field(default_factory=dict)
 
-    def scores(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in METRIC_FIELDS}
-
     def as_dict(self) -> dict:
         """Fixed key order, 2-decimal display values, full precision under raw."""
         out: dict = {name: round(getattr(self, name), 2) for name in METRIC_FIELDS}

@@ -12,7 +12,7 @@ _LAZY = {
     **dict.fromkeys(("feature_correlations", "read_features_csv", "signed_rank_variance",
                      "spearman"), "correlation"),
     **dict.fromkeys(("Document", "TermCounts", "calibrate_prior", "logodds_report",
-                     "stouffer", "tokenize", "utterance_documents", "weighted_logodds"),
+                     "tokenize", "utterance_documents", "weighted_logodds"),
                     "logodds"),
     **dict.fromkeys(("LogitResult", "OutcomeEstimate", "multinomial_logit"), "regression"),
     **dict.fromkeys(("RoleDistributions", "ThreadShareReport", "gender_thread_shares",

@@ -5,7 +5,7 @@ signs, _BLOCK_ROWS rows at a time.
 `bootstrap_ratio_ci` covers every statistic that is a ratio of weighted sums
 over per-unit vectors (micro and macro averages, pooled shares, means) from
 unit counts and matrix products. `bootstrap_ci` is the generic form that
-recomputes an arbitrary callable on each resample.
+recomputes an arbitrary callable on each resample, passed as a list of units.
 """
 
 from __future__ import annotations
@@ -70,31 +70,15 @@ def bootstrap_ci(
     The point estimate is the statistic on the full data. The resample index
     rows come from `_draw_blocks` seeded with config.seed, so the interval is a
     deterministic function of (units, statistic, config) and two calls with
-    the same seed see identical resamples. Numeric unit arrays are indexed one
-    resample row at a time; anything else is resampled as plain lists.
+    the same seed see identical resamples. `statistic` gets the full `units`
+    once, for the point estimate, and each resample as a list of units.
     """
     config = config or BootstrapConfig()
     n = len(units)
     idx = (row for block in _draw_blocks(n, config.resamples, n, config.seed)
            for row in block)
     point = float(statistic(units))
-
-    arr = None
-    if isinstance(units, np.ndarray) and units.ndim == 1 and units.dtype != object:
-        arr = units
-    else:
-        try:
-            candidate = np.asarray(units)
-            if candidate.ndim == 1 and candidate.dtype.kind in "bifu":
-                arr = candidate
-        except (ValueError, TypeError):
-            arr = None
-
-    if arr is not None:
-        values = np.array([float(statistic(arr[row])) for row in idx])
-    else:
-        values = np.array([float(statistic([units[j] for j in row])) for row in idx])
-
+    values = np.array([float(statistic([units[j] for j in row])) for row in idx])
     lo, hi = _percentiles(values, config.level)
     return BootstrapInterval(point, float(lo), float(hi))
 

@@ -166,7 +166,6 @@ class RoleDistributions:
 
     p_gender_given_role: dict[str, dict[str, float]]
     p_role_given_gender: dict[str, dict[str, float]]
-    counts: dict[str, dict[str, int]]  # role -> gender -> count
 
 
 def role_distributions(observations: Iterable[tuple[str, str]]) -> RoleDistributions:
@@ -188,8 +187,6 @@ def role_distributions(observations: Iterable[tuple[str, str]]) -> RoleDistribut
                              for role in roles},
         p_role_given_gender={g: {role: cells[role, g] / gender_totals[g] for role in roles}
                              for g in genders},
-        counts={role: {g: cells[role, g] for g in genders if (role, g) in cells}
-                for role in roles},
     )
 
 

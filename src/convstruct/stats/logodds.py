@@ -183,16 +183,6 @@ def weighted_logodds(
     return delta, sigma2, zeta
 
 
-def stouffer(zetas: Sequence[float]) -> float:
-    """Equal-weight Stouffer combination: sum(z) / sqrt(k)."""
-    values = np.asarray(zetas, dtype=np.float64)
-    if values.size < 1:
-        raise StatsError("Stouffer combination needs at least one z-score")
-    if not np.isfinite(values).all():
-        raise StatsError("Stouffer combination requires finite z-scores")
-    return float(values.sum() / np.sqrt(values.size))
-
-
 def _merge_moments(moments: tuple[int, float, float], values: np.ndarray
                    ) -> tuple[int, float, float]:
     """Fold `values` into running (count, mean, M2) with the pairwise update of

@@ -112,7 +112,6 @@ class OutcomeEstimate:
 
     coef: dict[str, float]
     se: dict[str, float]
-    z: dict[str, float]
     p: dict[str, float]
 
     @property
@@ -203,7 +202,7 @@ def multinomial_logit(observations: Iterable[tuple[str, bool, str]]) -> LogitRes
         ses = {c: float(se[a, k]) for k, c in enumerate(columns)}
         zs = {c: coef[c] / ses[c] if ses[c] > 0 else math.inf for c in columns}
         ps = {c: math.erfc(abs(zs[c]) / math.sqrt(2)) for c in columns}
-        outcomes[name] = OutcomeEstimate(coef=coef, se=ses, z=zs, p=ps)
+        outcomes[name] = OutcomeEstimate(coef=coef, se=ses, p=ps)
     return LogitResult(
         reference=REFERENCE,
         outcomes=outcomes,

@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from convstruct.baseline import run_reply_only_baseline
+from convstruct.baseline import run_baseline
 from convstruct.cli import main
 from convstruct.corpus import Clip, Utterance, load_corpus, serialize_annotation_json
 from convstruct.metrics import (
@@ -77,7 +77,7 @@ def test_criterion_1_identity_suite():
         clip = random_clip(rng, f"clip{k}")
         report = evaluate_corpus({clip.clip_id: list(clip.gold)},
                                  {clip.clip_id: list(clip.gold)})
-        for name, value in report.scores().items():
+        for name, value in report.as_dict()["raw"].items():
             assert value == 100.0, (clip.clip_id, name, value)
 
 
@@ -125,7 +125,7 @@ def test_criterion_5_worked_example():
         Utterance("bbt", i, float(i), float(i) + 0.8, "line")
         for i in (11, 12, 13, 14)
     )
-    pred = run_reply_only_baseline(Clip(clip_id="bbt", utterances=utterances))
+    pred = run_baseline(Clip(clip_id="bbt", utterances=utterances), (), ())
     score = link_f1(link_set(gold), link_set(pred))
     assert score.precision == pytest.approx(2 / 3, abs=1e-12)
     assert score.recall == 1.0
@@ -154,8 +154,8 @@ def test_criterion_6_dataset_reproduction():
         lines = sorted(r.line_idx for r in records)
         utterances = tuple(Utterance(clip_id, i, float(i), float(i) + 0.5, "")
                            for i in lines)
-        pred[clip_id] = run_reply_only_baseline(
-            Clip(clip_id=clip_id, utterances=utterances))
+        pred[clip_id] = run_baseline(
+            Clip(clip_id=clip_id, utterances=utterances), (), ())
     expected = {"link_f1": 92.67, "nvi_score": 83.34,
                 "one_to_one": 76.20, "exact_match_f1": 31.93}
     hit = False

@@ -34,7 +34,7 @@ class TestPairwiseAgreement:
     def test_identical_annotators_score_100(self):
         clips = random_clips(5)
         report = pairwise_agreement([batch("a1", clips), batch("a2", clips)])
-        for value in report.overall.scores().values():
+        for value in report.overall.as_dict()["raw"].values():
             assert value == 100.0
 
     def test_four_annotators_make_six_pairs(self):
@@ -204,7 +204,7 @@ class TestPairwiseAgreement:
             pair = report.per_pair[("a", "b")]
             assert pair.n_utterances == sum(map(len, clips.values()))
             assert pair.n_clips == len(clips)
-            assert pair.scores() == evaluate_corpus(plain, plain).scores()
+            assert pair.as_dict()["raw"] == evaluate_corpus(plain, plain).as_dict()["raw"]
 
     def test_pair_flagging_every_shared_line_is_skipped(self):
         clips = {c: [r._replace(extra_diegetic=False, monologue=False)

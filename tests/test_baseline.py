@@ -14,7 +14,6 @@ from convstruct.baseline import (
     parse_word_tokens_tsv,
     run_baseline,
     run_corpus_baseline,
-    run_reply_only_baseline,
 )
 from convstruct.cli import main
 from convstruct.corpus import (
@@ -182,31 +181,24 @@ class TestRunBaseline:
 
 
 class TestReplyOnlyBaseline:
-    @given(st.lists(st.integers(1, 40), min_size=1, max_size=30, unique=True))
-    def test_is_the_full_baseline_without_faces(self, lines):
-        utterances = tuple(Utterance("c", i, float(i), float(i) + 0.5, "t")
-                           for i in lines)
-        clip = Clip(clip_id="c", utterances=utterances)
-        assert run_reply_only_baseline(clip) == run_baseline(clip, (), ())
-
     def test_empty_clip_raises(self):
         with pytest.raises(CorpusError, match="has no utterances"):
-            run_reply_only_baseline(Clip(clip_id="c"))
+            run_baseline(Clip(clip_id="c"), (), ())
 
     def test_single_thread(self):
-        records = run_reply_only_baseline(make_clip(6))
+        records = run_baseline(make_clip(6), (), ())
         part = derive_threads(records)
         assert [sorted(c) for c in part.clusters] == [[1, 2, 3, 4, 5, 6]]
 
     def test_perfect_on_chain_gold(self):
         clip = make_clip(5)
-        pred = run_reply_only_baseline(clip)
+        pred = run_baseline(clip, (), ())
         gold_links = frozenset((i, i - 1) for i in range(2, 6))
         assert link_f1(gold_links, link_set(pred)).f1 == 1.0
 
     def test_em_f1_positive_iff_gold_single_threaded(self):
         clip = make_clip(4)
-        pred_part = derive_threads(run_reply_only_baseline(clip))
+        pred_part = derive_threads(run_baseline(clip, (), ()))
         single = derive_threads([record(1, "a")] + [
             record(i, "a", reply_to=i - 1) for i in range(2, 5)])
         two_threads = derive_threads([
@@ -220,7 +212,7 @@ class TestReplyOnlyBaseline:
         utterances = tuple(
             Utterance("c", i, float(i), float(i) + 0.5, "t") for i in (11, 12, 13, 14)
         )
-        pred = run_reply_only_baseline(Clip(clip_id="c", utterances=utterances))
+        pred = run_baseline(Clip(clip_id="c", utterances=utterances), (), ())
         assert link_set(pred) == {(12, 11), (13, 12), (14, 13)}
         score = link_f1(link_set(gold), link_set(pred))
         assert score.precision == pytest.approx(2 / 3)
@@ -305,7 +297,7 @@ class TestRunCorpusBaseline:
             parse_word_tokens_tsv((corpus / f"{c}.words.tsv").read_bytes())) for c in clips}
         assert got["c2"][0].speaker == normalize_name("bo")
         assert read == ["c1.faces.json", "c1.words.tsv", "c2.faces.json", "c2.words.tsv"]
-        assert run_corpus_baseline(clips) == {c: run_reply_only_baseline(clips[c])
+        assert run_corpus_baseline(clips) == {c: run_baseline(clips[c], (), ())
                                               for c in clips}
 
 

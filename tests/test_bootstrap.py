@@ -56,7 +56,7 @@ class TestBootstrapCi:
         with pytest.raises(StatsError):
             bootstrap_ci([], lambda xs: 0.0)
 
-    def test_object_units_take_list_path(self):
+    def test_object_units_are_resampled(self):
         units = [{"v": k} for k in range(10)]
         interval = bootstrap_ci(
             units, lambda us: sum(u["v"] for u in us) / len(us),
@@ -65,15 +65,15 @@ class TestBootstrapCi:
         assert interval.point == 4.5
         assert interval.lo <= interval.point <= interval.hi
 
-    def test_numeric_and_list_paths_agree(self):
+    def test_numeric_and_object_units_give_one_interval(self):
         rng = np.random.default_rng(21)
         values = rng.normal(size=30)
         config = BootstrapConfig(resamples=300, seed=2)
-        fast = bootstrap_ci(values, lambda xs: float(np.mean(xs)), config)
-        slow = bootstrap_ci([{"x": float(v)} for v in values],
-                            lambda us: float(np.mean([u["x"] for u in us])), config)
-        assert fast.lo == pytest.approx(slow.lo, abs=1e-12)
-        assert fast.hi == pytest.approx(slow.hi, abs=1e-12)
+        numeric = bootstrap_ci(values, lambda xs: float(np.mean(xs)), config)
+        objects = bootstrap_ci([{"x": float(v)} for v in values],
+                               lambda us: float(np.mean([u["x"] for u in us])), config)
+        assert numeric.lo == pytest.approx(objects.lo, abs=1e-12)
+        assert numeric.hi == pytest.approx(objects.hi, abs=1e-12)
 
     def test_rough_coverage_on_bernoulli_mean(self):
         # light version of the acceptance check: 200 trials, wide bounds

@@ -1027,10 +1027,23 @@ class TestCorrelateHeaderFaults:
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
 
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        text = "clip_id,n_lines,f1_speaker\nc0,0,10\nc1,1,12\nc2,2,15\n"
+        reports = []
+        for name, encoding in (("plain.csv", "utf-8"), ("bom.csv", "utf-8-sig")):
+            path = tmp_path / name
+            path.write_text(text, encoding=encoding)
+            code, out, err = run(["analyze", "correlate", "--features", str(path)])
+            assert code == 0, err
+            reports.append(json.loads(out)["report"])
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert reports[1] == reports[0]
+        assert "error" not in json.dumps(reports[0])
+
 
 class TestOnlyInputErrorsExitOne:
-    """Exit 1 is a library input error with one `error:` line; an internal
-    fault is not caught."""
+    """Exit 1 is a library input error, or a request too large to hold in
+    memory, with one `error:` line; an internal fault is not caught."""
 
     def _one_line(self, argv):
         code, out, err = run(argv)
@@ -1065,6 +1078,27 @@ class TestOnlyInputErrorsExitOne:
         (tmp_path / "pred" / "c1.annotation.json").write_text(text)
         err = self._one_line(["evaluate", str(tmp_path / "gold"), str(tmp_path / "pred")])
         assert "annotation JSON is unreadable" in err
+
+    # more resamples than the address space holds: the allocation fails at once
+    HUGE = "100000000000000"
+
+    def test_a_bootstrap_too_large_to_hold_for_evaluate(self, tmp_path):
+        write_corpus(tmp_path / "corpus", {"c1": GOLD_CLIP})
+        err = self._one_line(["evaluate", str(tmp_path / "corpus"),
+                              str(tmp_path / "corpus"), "--bootstrap", self.HUGE])
+        assert "Unable to allocate" in err
+
+    def test_a_bootstrap_too_large_to_hold_for_analyze_threads(self, tmp_path):
+        write_corpus(tmp_path / "corpus", {"c1": GOLD_CLIP}, {"c1": TRANSCRIPT},
+                     casts={"c1": {"clip_id": "c1", "show_id": "showx",
+                                   "cast": ["ada", "max"]}})
+        genders = tmp_path / "genders.tsv"
+        genders.write_text("canonical_name\tgender\tshow_id\n"
+                           "ada\tfemale\tshowx\nmax\tmale\tshowx\n")
+        err = self._one_line(["analyze", "threads", str(tmp_path / "corpus"),
+                              "--gender-map", str(genders), "--permutations", "10",
+                              "--bootstrap", self.HUGE])
+        assert "Unable to allocate" in err
 
     def test_an_internal_value_error_is_not_caught(self, tmp_path, monkeypatch):
         import convstruct.metrics as metrics

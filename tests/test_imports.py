@@ -10,6 +10,7 @@ has loaded everything already.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -139,3 +140,20 @@ class TestPublicNames:
         assert agreement.AgreementError is corpus.AgreementError
         assert convstruct.MetricInputError is corpus.MetricInputError
         assert convstruct.AgreementError is corpus.AgreementError
+
+    @staticmethod
+    def _readme_names(opening: str, end: str) -> list[str]:
+        """The backticked names of the README sentence that starts `opening`,
+        up to the first `end` after it."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = readme.index(opening) + len(opening)
+        return re.findall(r"`([^`]+)`", readme[start:readme.index(end, start)])
+
+    def test_readme_lists_every_package_export(self):
+        names = self._readme_names("`convstruct` exports", ").")
+        assert len(names) == len(set(names))
+        assert set(names) == set(convstruct.__all__) - {"__version__"}
+
+    def test_readme_lists_only_stats_exports(self):
+        names = self._readme_names("`convstruct.stats` exposes", " above.")
+        assert names and set(names) <= set(convstruct.stats.__all__)

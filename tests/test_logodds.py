@@ -15,7 +15,6 @@ from convstruct.stats.logodds import (
     TermCounts,
     calibrate_prior,
     logodds_report,
-    stouffer,
     tokenize,
     weighted_logodds,
 )
@@ -218,29 +217,6 @@ class TestTermCountsProperty:
         assert counts.p.tolist() == (kept / kept.sum()).tolist()
 
 
-class TestStouffer:
-    def test_single_value(self):
-        assert stouffer([1.0]) == 1.0
-
-    def test_four_ones(self):
-        assert stouffer([1.0, 1.0, 1.0, 1.0]) == 2.0
-
-    def test_cancellation(self):
-        assert stouffer([2.5, -2.5]) == 0.0
-
-    def test_identical_values_scale_by_sqrt_k(self):
-        for k in (2, 3, 9):
-            assert stouffer([0.7] * k) == pytest.approx(0.7 * math.sqrt(k), abs=1e-12)
-
-    def test_empty_raises(self):
-        with pytest.raises(StatsError):
-            stouffer([])
-
-    def test_nonfinite_raises(self):
-        with pytest.raises(StatsError):
-            stouffer([1.0, float("nan")])
-
-
 def null_documents(rng, n_shows=4, docs_per_show=60, vocab=30, doc_len=15):
     """Both groups drawn from one multinomial: no real group signal."""
     weights = np.arange(1, vocab + 1, dtype=float)[::-1]
@@ -385,7 +361,7 @@ class TestAnalysisPipeline:
         _, _, zeta = weighted_logodds(TermCounts.from_documents(docs, min_count=1), 2.0)
         assert report["shows"] == ["s1", "s2"]
         for t, term in enumerate(("alpha", "beta", "gamma")):
-            assert report["z"][term] == stouffer(list(zeta[:, t]))
+            assert report["z"][term] == float(zeta[:, t].sum() / np.sqrt(zeta.shape[0]))
         ranked = [term for term, _ in report["top_group_a"]]
         assert ranked[0] == "alpha"
         assert ranked[-1] == "beta"

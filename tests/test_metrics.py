@@ -448,7 +448,7 @@ class TestOneToOneAssignment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # about 8 MiB; the dense G x P matrix of these partitions is over 1.7 GiB
+        # about 9 MiB; the dense G x P matrix of these partitions is over 1.7 GiB
         assert peak < 32 * 2**20
         assert 0.0 < score < 100.0
 
@@ -473,7 +473,7 @@ class TestEvaluateCorpus:
         gold = {f"c{k}": random_records(rng, rng.randint(2, 12), NAMES[:4])
                 for k in range(5)}
         report = evaluate_corpus(gold, gold)
-        for value in report.scores().values():
+        for value in report.as_dict()["raw"].values():
             assert value == 100.0
 
     def test_identity_bootstrap_ci_degenerate_at_100(self):
