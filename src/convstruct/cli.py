@@ -29,6 +29,7 @@ from .corpus import (
     MetricInputError,
     StatsError,
     _sorted_files,
+    iter_corpus,
     load_corpus,
     load_structures,
     parse_gender_map_tsv,
@@ -216,11 +217,6 @@ def _require(path: str, what: str) -> Path:
     return p
 
 
-def _clips(corpus: str, reads: _Reads, utterances: bool = True) -> list:
-    # in clip id order
-    return list(load_corpus(corpus, read=reads.read, utterances=utterances).values())
-
-
 def _gender_map(path: str, reads: _Reads) -> dict:
     return parse_gender_map_tsv(reads.read(_require(path, "--gender-map")))
 
@@ -236,7 +232,7 @@ def cmd_threads(args, reads: _Reads) -> int:
     from .stats import BootstrapConfig, gender_thread_shares
 
     return _emit_analysis(args, gender_thread_shares(
-        _clips(args.corpus, reads),
+        load_corpus(args.corpus, read=reads.read).values(),
         _gender_map(args.gender_map, reads),
         include_nondialogic=args.include_nondialogic,
         config=BootstrapConfig(resamples=args.bootstrap, level=args.level,
@@ -249,16 +245,18 @@ def cmd_roles(args, reads: _Reads) -> int:
     from .stats import role_report
 
     # the role counts read no transcript, so none is parsed; the manifest
-    # still digests them
+    # still digests them. Each clip is counted as it is parsed.
     return _emit_analysis(args, role_report(
-        _clips(args.corpus, reads, utterances=False),
+        iter_corpus(args.corpus, read=reads.read, utterances=False),
         _gender_map(args.gender_map, reads)).as_dict(), reads)
 
 
 def cmd_logodds(args, reads: _Reads) -> int:
     from .stats import logodds_report, utterance_documents
 
-    docs = utterance_documents(_clips(args.corpus, reads), args.filter_nondialogic)
+    # each clip's documents are counted as it is parsed, in clip id order
+    docs = utterance_documents(iter_corpus(args.corpus, read=reads.read),
+                               args.filter_nondialogic)
     return _emit_analysis(args, logodds_report(
         docs, min_count=args.min_count, c_star=args.c_star, grid=args.grid,
         permutations=args.permutations, seed=args.seed, top=args.top), reads)

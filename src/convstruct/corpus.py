@@ -753,22 +753,34 @@ def _clip(files: ClipFiles, gold: tuple[StructureRecord, ...] | None,
                 utterances=lines, gold=gold)
 
 
+def iter_corpus(path: str | Path, strict: bool = False,
+                read: Callable[[Path], bytes] = Path.read_bytes,
+                utterances: bool = True) -> Iterator[Clip]:
+    """Yield full clips (annotations plus any transcripts/casts present) one
+    at a time, in clip id order, so a caller keeps only its own reduction.
+
+    Each clip's annotation, then transcript, then cast is parsed as the clip
+    is reached, so the first broken file raises as `load_corpus` would. The
+    path is listed at the call, and a missing one raises there. With
+    `utterances=False` no transcript is read, so a broken one is no error,
+    and every clip's `utterances` is empty; for callers that read only the
+    annotations and the show id."""
+    def clips(found: list[ClipFiles]) -> Iterator[Clip]:
+        for files in found:
+            gold = None
+            if files.annotation is not None:
+                gold = tuple(parse_annotation_json(
+                    read(files.annotation), strict=strict, clip_id=files.clip_id))
+            yield _clip(files, gold, read, utterances)
+
+    return clips(iter_clip_files(path))
+
+
 def load_corpus(path: str | Path, strict: bool = False,
                 read: Callable[[Path], bytes] = Path.read_bytes,
                 utterances: bool = True) -> dict[str, Clip]:
-    """Load full clips (annotations plus any transcripts/casts present).
-
-    With `utterances=False` no transcript is read, so a broken one is no
-    error, and every clip's `utterances` is empty; for callers that read
-    only the annotations and the show id."""
-    clips: dict[str, Clip] = {}
-    for files in iter_clip_files(path):
-        gold = None
-        if files.annotation is not None:
-            gold = tuple(parse_annotation_json(
-                read(files.annotation), strict=strict, clip_id=files.clip_id))
-        clips[files.clip_id] = _clip(files, gold, read, utterances)
-    return clips
+    """Every clip of `iter_corpus`, keyed and ordered by clip id."""
+    return {clip.clip_id: clip for clip in iter_corpus(path, strict, read, utterances)}
 
 
 def validate_paths(paths: Iterable[str | Path], strict: bool = False

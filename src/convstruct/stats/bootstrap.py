@@ -1,7 +1,8 @@
 """Seeded resampling: percentile bootstrap intervals and the sign-flip test.
 
-`_draw_blocks` makes every seeded draw, the unit indices and `_sign_flip_p`'s
-signs, _BLOCK_ROWS rows at a time.
+`_draw_blocks` makes every seeded draw, the unit indices and `_sign_flip_ps`'s
+signs, _BLOCK_ROWS rows at a time; statistics over equally many units share
+one draw.
 `bootstrap_ratio_ci` covers every statistic that is a ratio of weighted sums
 over per-unit vectors (micro and macro averages, pooled shares, means) from
 unit counts and matrix products. `bootstrap_ci` is the generic form that
@@ -97,34 +98,75 @@ def bootstrap_ratio_ci(
     Each block of the draw is counted with one offset bincount, so memory
     beyond the (resamples, m) values is bounded.
     """
-    config = config or BootstrapConfig()
-    numerators = np.atleast_2d(np.asarray(numerators, dtype=np.float64))
-    denominators = np.atleast_2d(np.asarray(denominators, dtype=np.float64))
-    if numerators.shape != denominators.shape:
-        raise StatsError(f"numerators {numerators.shape} and denominators "
-                         f"{denominators.shape} differ in shape")
-    m, n = numerators.shape
-    weights = np.vstack([numerators, denominators]).T
-    values = np.empty((config.resamples, m))
-    start = 0
+    (intervals,) = _ratio_cis([(numerators, denominators)], config)
+    return intervals
+
+
+def _by_size(sizes: Sequence[int]) -> dict[int, list[int]]:
+    """The positions of each distinct size, in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for k, n in enumerate(sizes):
+        groups.setdefault(n, []).append(k)
+    return groups
+
+
+def _count_blocks(n: int, config: BootstrapConfig):
+    """The resample draw of n units as counts, one (rows, n) block at a time:
+    row r holds how often resample r drew each unit."""
     for block in _draw_blocks(n, config.resamples, n, config.seed):
         rows = block.shape[0]
         offsets = block + n * np.arange(rows)[:, None]
-        counts = np.bincount(offsets.ravel(), minlength=rows * n).reshape(rows, n)
-        sums = counts @ weights
-        values[start:start + rows] = sums[:, :m] / sums[:, m:]
-        start += rows
-    lo, hi = _percentiles(values, config.level)
-    return [(float(a), float(b)) for a, b in zip(lo, hi)]
+        yield np.bincount(offsets.ravel(), minlength=rows * n).reshape(rows, n)
 
 
-def _sign_flip_p(deltas: np.ndarray, permutations: int, seed: int) -> float:
-    """Two-sided p for mean(delta) = 0 under random sign flips of the deltas,
-    counted block by block; each row's mean is its own reduction, so p is the
-    one the whole sign matrix gives."""
-    observed = abs(float(deltas.mean()))
-    extreme = 0
-    for block in _draw_blocks(2, permutations, deltas.size, seed):
-        permuted = np.abs(((block * 2 - 1) * deltas[None, :]).mean(axis=1))
-        extreme += int((permuted >= observed).sum())
-    return (1 + extreme) / (permutations + 1)
+def _ratio_cis(
+    statistics: Sequence[tuple[np.ndarray, np.ndarray]],
+    config: BootstrapConfig | None,
+) -> list[list[tuple[float, float]]]:
+    """`bootstrap_ratio_ci(numerators, denominators, config)` of each pair.
+
+    The draw depends only on the unit count n and the seed, so pairs of equal
+    n share one draw and its counts. Each pair keeps its own `counts @ weights`
+    product, at the shape it has alone, so its intervals keep their bits.
+    """
+    config = config or BootstrapConfig()
+    weights, values = [], []
+    for numerators, denominators in statistics:
+        numerators = np.atleast_2d(np.asarray(numerators, dtype=np.float64))
+        denominators = np.atleast_2d(np.asarray(denominators, dtype=np.float64))
+        if numerators.shape != denominators.shape:
+            raise StatsError(f"numerators {numerators.shape} and denominators "
+                             f"{denominators.shape} differ in shape")
+        weights.append(np.vstack([numerators, denominators]).T)
+        values.append(np.empty((config.resamples, numerators.shape[0])))
+    for n, group in _by_size([w.shape[0] for w in weights]).items():
+        start = 0
+        for counts in _count_blocks(n, config):
+            rows = counts.shape[0]
+            for k in group:
+                m = values[k].shape[1]
+                sums = counts @ weights[k]
+                values[k][start:start + rows] = sums[:, :m] / sums[:, m:]
+            start += rows
+    intervals = []
+    for v in values:
+        lo, hi = _percentiles(v, config.level)
+        intervals.append([(float(a), float(b)) for a, b in zip(lo, hi)])
+    return intervals
+
+
+def _sign_flip_ps(deltas: Sequence[np.ndarray], permutations: int, seed: int
+                  ) -> list[float]:
+    """Two-sided p for mean(delta) = 0 under random sign flips of each delta
+    vector, counted block by block; each row's mean is its own reduction, so
+    p is the one the whole sign matrix gives. Vectors of equal size share
+    one sign draw, as their separate draws would be equal."""
+    observed = [abs(float(d.mean())) for d in deltas]
+    extreme = [0] * len(deltas)
+    for n, group in _by_size([d.size for d in deltas]).items():
+        for block in _draw_blocks(2, permutations, n, seed):
+            signs = block * 2 - 1
+            for k in group:
+                permuted = np.abs((signs * deltas[k][None, :]).mean(axis=1))
+                extreme[k] += int((permuted >= observed[k]).sum())
+    return [(1 + e) / (permutations + 1) for e in extreme]

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..corpus import Clip, lookup_gender
 from ..threads import thread_events
-from .bootstrap import BootstrapConfig, StatsError, _sign_flip_p, bootstrap_ratio_ci
+from .bootstrap import BootstrapConfig, StatsError, _ratio_cis, _sign_flip_ps
 from .regression import LogitResult, multinomial_logit
 
 
@@ -126,38 +126,35 @@ def gender_thread_shares(
     columns = {"start": (table[:, 0], table[:, 1]), "hold": (table[:, 2], table[:, 3])}
     time_share = table[:, 4]
 
-    def raw_share(kind: str) -> ShareStats:
+    def share_units(kind: str) -> tuple[np.ndarray, np.ndarray]:
         female, total = columns[kind]
         units = total > 0
         if not units.any():
             raise StatsError(f"no gendered {kind} events in the corpus")
-        female, total = female[units], total[units]
-        (ci,) = bootstrap_ratio_ci(female, total, config)
-        return ShareStats(share=float(female.sum() / total.sum()), ci=ci,
-                          n_events=int(total.sum()))
+        return female[units], total[units]
 
-    def delta_stats(kind: str) -> DeltaStats:
+    def delta_units(kind: str) -> tuple[np.ndarray, np.ndarray]:
         female, total = columns[kind]
         usable = (total > 0) & ~np.isnan(time_share)
         if not usable.any():
             raise StatsError(f"no clips usable for the {kind} delta")
-        values = female[usable] / total[usable] - time_share[usable]
-        (ci,) = bootstrap_ratio_ci(values, np.ones(values.size), config)
-        p = _sign_flip_p(values, permutations, config.seed)
-        return DeltaStats(
-            mean=float(np.mean(values)),
-            ci=ci,
-            p_value=p,
-            n_clips=values.size,
-            per_clip=dict(zip(np.array(clip_ids)[usable].tolist(), values.tolist())),
-        )
+        return usable, female[usable] / total[usable] - time_share[usable]
 
-    return ThreadShareReport(
-        start=raw_share("start"),
-        hold=raw_share("hold"),
-        delta_start=delta_stats("start"),
-        delta_hold=delta_stats("hold"),
-    )
+    shares = [share_units("start"), share_units("hold")]
+    deltas = [delta_units("start"), delta_units("hold")]
+    # statistics over equally many clips share one resample and one sign draw
+    intervals = _ratio_cis(
+        [*shares, *((values, np.ones(values.size)) for _, values in deltas)], config)
+    p_values = _sign_flip_ps([values for _, values in deltas], permutations, config.seed)
+    raw = [ShareStats(share=float(female.sum() / total.sum()), ci=ci,
+                      n_events=int(total.sum()))
+           for (female, total), (ci,) in zip(shares, intervals)]
+    ids = np.array(clip_ids)
+    normalized = [DeltaStats(mean=float(np.mean(values)), ci=ci, p_value=p,
+                             n_clips=values.size,
+                             per_clip=dict(zip(ids[usable].tolist(), values.tolist())))
+                  for (usable, values), (ci,), p in zip(deltas, intervals[2:], p_values)]
+    return ThreadShareReport(*raw, *normalized)
 
 
 @dataclass(frozen=True)

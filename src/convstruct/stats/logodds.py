@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,36 +58,47 @@ class Document:
 
 
 def utterance_documents(clips: Iterable[Clip], filter_nondialogic: bool = False
-                        ) -> list[Document]:
-    """One document per annotated transcript line: group a without
+                        ) -> Iterator[Document]:
+    """Yield one document per annotated transcript line: group a without
     side-participants, group b with them. Documents come in clip id order,
-    then line order, so calibration does not depend on the order of `clips`."""
-    docs = []
-    for clip in sorted(clips, key=attrgetter("clip_id")):
+    then line order, so calibration does not depend on the order of `clips`:
+    a re-iterable `clips` (a list, say) is sorted by clip id, and a one-shot
+    iterator such as `iter_corpus` is read as it comes and must ascend."""
+    if iter(clips) is not clips:
+        clips = sorted(clips, key=attrgetter("clip_id"))
+    previous = None
+    for clip in clips:
+        if previous is not None and clip.clip_id < previous:
+            raise StatsError(f"clip {clip.clip_id!r} comes after clip {previous!r}: "
+                             f"a clip stream must ascend by clip id")
+        previous = clip.clip_id
         records = {r.line_idx: r for r in clip.gold or ()}
         for u in sorted(clip.utterances, key=lambda u: u.line_idx):
             record = records.get(u.line_idx)
             if record is None or (filter_nondialogic and record.is_nondialogic):
                 continue
             group = GROUP_A if not record.side_participants else GROUP_B
-            docs.append(Document(show_id=clip.show_id, group=group,
-                                 tokens=tuple(tokenize(u.text))))
-    return docs
+            yield Document(show_id=clip.show_id, group=group,
+                           tokens=tuple(tokenize(u.text)))
 
 
-def _group_a_tables(doc_terms: np.ndarray, doc_show: np.ndarray,
-                    shape: tuple[int, int], in_a: np.ndarray) -> np.ndarray:
-    """Group-a term counts per show, (k, S, T), for k label rows `in_a` (k, D).
+class _Ids(dict):
+    """Ids in order of first lookup: a missing key gets the next one."""
 
-    One offset bincount over the nonzero (document, term, count) entries:
-    label row i adds the entries of its group-a documents to table i.
-    """
-    doc, term, count = doc_terms
-    k, (n_shows, n_terms) = in_a.shape[0], shape
-    rows, entries = np.nonzero(in_a[:, doc])
-    cells = (rows * n_shows + doc_show[doc[entries]]) * n_terms + term[entries]
-    tables = np.bincount(cells, weights=count[entries], minlength=k * n_shows * n_terms)
-    return tables.reshape(k, n_shows, n_terms)
+    def __missing__(self, key: str) -> int:
+        value = self[key] = len(self)
+        return value
+
+
+def _cells(doc_terms: np.ndarray, doc_show: np.ndarray, n_terms: int) -> np.ndarray:
+    """The flat (show, term) cell of each nonzero document-term entry."""
+    return doc_show[doc_terms[0]] * n_terms + doc_terms[1]
+
+
+def _table(cells: np.ndarray, weights: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The (S, T) table of `weights` summed by cell; exact for integer counts."""
+    return np.bincount(cells, weights=weights, minlength=shape[0] * shape[1]
+                       ).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -108,29 +120,57 @@ class TermCounts:
     doc_in_a: np.ndarray | None = None     # (D,) True where the document is group a
 
     @classmethod
-    def from_documents(cls, docs: Sequence[Document], min_count: int = 5) -> "TermCounts":
-        """Build counts from documents, dropping terms rarer than min_count pooled."""
-        if not docs:
-            raise StatsError("no documents")
-        pooled: Counter = Counter()
+    def from_documents(cls, docs: Iterable[Document], min_count: int = 5) -> "TermCounts":
+        """Build counts from documents, dropping terms rarer than min_count pooled.
+
+        `docs` is read once, and no document is held after its turn: each
+        token becomes the int id of a growing vocabulary, and the kept terms
+        get their sorted columns once every document is in."""
+        vocabulary, show_ids = _Ids(), _Ids()
+        token_ids, lengths = array("i"), array("q")
+        doc_show, doc_in_a = array("q"), array("b")
         for d in docs:
-            pooled.update(d.tokens)
-        terms = tuple(sorted(t for t, c in pooled.items() if c >= min_count))
+            token_ids.extend(map(vocabulary.__getitem__, d.tokens))
+            lengths.append(len(d.tokens))
+            doc_show.append(show_ids[d.show_id])
+            doc_in_a.append(d.group == GROUP_A)
+        if not lengths:
+            raise StatsError("no documents")
+        pooled = np.bincount(np.asarray(token_ids), minlength=len(vocabulary))
+        names = list(vocabulary)
+        terms = tuple(sorted(names[i] for i in np.flatnonzero(pooled >= min_count)))
         if not terms:
             raise StatsError(f"no term reaches the minimum pooled count of {min_count}")
-        term_idx = {t: i for i, t in enumerate(terms)}
-        shows = tuple(sorted({d.show_id for d in docs}))
-        show_idx = {s: i for i, s in enumerate(shows)}
+        shows = tuple(sorted(show_ids))
+        shape = (len(shows), len(terms))
+        # provisional ids to sorted columns and rows; a dropped term's column is -1
+        column = np.full(len(vocabulary), -1, dtype=np.int64)
+        column[[vocabulary[t] for t in terms]] = np.arange(len(terms))
+        row = np.empty(len(shows), dtype=np.int64)
+        row[[show_ids[s] for s in shows]] = np.arange(len(shows))
 
-        kept = [row * len(terms) + term_idx[t] for row, d in enumerate(docs)
-                for t in d.tokens if t in term_idx]
-        cells, count = np.unique(np.array(kept, dtype=np.int64), return_counts=True)
-        doc_terms = np.vstack([*np.divmod(cells, len(terms)), count])
-        doc_show = np.array([show_idx[d.show_id] for d in docs], dtype=np.int64)
-        doc_in_a = np.array([d.group == GROUP_A for d in docs])
+        # the key (document row * T + term column) of each kept token, built in
+        # place, and its unique cells unpacked into the rows of `doc_terms`
+        # (document, term, count), so each int64 temporary is freed when used
+        term = column[np.asarray(token_ids)]
+        del token_ids
+        keys = np.repeat(np.arange(len(lengths), dtype=np.int64) * len(terms),
+                         np.asarray(lengths))
+        keys += term
+        keys = keys[term >= 0]
+        del term
+        cells, count = np.unique(keys, return_counts=True)
+        del keys
+        doc_terms = np.empty((3, cells.size), dtype=np.int64)
+        np.divmod(cells, len(terms), out=(doc_terms[0], doc_terms[1]))
+        doc_terms[2] = count
+        del cells, count
+        doc_show = row[np.asarray(doc_show)]
+        doc_in_a = np.asarray(doc_in_a).view(np.bool_)
         # group b is totals - group a, exact since every entry is an integer count
-        y_a, totals = _group_a_tables(doc_terms, doc_show, (len(shows), len(terms)),
-                                      np.vstack([doc_in_a, np.ones_like(doc_in_a)]))
+        cell = _cells(doc_terms, doc_show, len(terms))
+        totals = _table(cell, doc_terms[2], shape)
+        y_a = _table(cell, doc_terms[2] * doc_in_a[doc_terms[0]], shape)
         p = totals.sum(axis=0) / totals.sum()
         return cls(terms, shows, y_a, totals - y_a, p, doc_terms, doc_show, doc_in_a)
 
@@ -236,6 +276,10 @@ def calibrate_prior(
     # running (count, mean, M2) of each candidate's finite null z-scores
     moments = [(0, 0.0, 0.0)] * len(candidates)
     totals = counts.y_a + counts.y_b
+    # each permuted group-a table is one bincount of the labelled entries' counts
+    doc = counts.doc_terms[0]
+    cell = _cells(counts.doc_terms, counts.doc_show, counts.y_a.shape[1])
+    weights = counts.doc_terms[2].astype(np.float64)
     labels = np.empty_like(counts.doc_in_a)
     # spawning one child at a time yields the children of one spawn(permutations)
     root = np.random.SeedSequence(seed)
@@ -243,8 +287,7 @@ def calibrate_prior(
         rng = np.random.default_rng(root.spawn(1)[0])
         for rows in show_rows:
             labels[rows] = rng.permutation(counts.doc_in_a[rows])
-        (null_a,) = _group_a_tables(counts.doc_terms, counts.doc_show,
-                                    counts.y_a.shape, labels[None])
+        null_a = _table(cell, weights * labels[doc], counts.y_a.shape)
         null_b = totals - null_a
         for k, candidate in enumerate(candidates):
             _, _, zeta = _zeta_core(null_a, null_b, counts.p, candidate)
@@ -263,7 +306,7 @@ def calibrate_prior(
     return best_c
 
 
-def logodds_report(docs: Sequence[Document], min_count: int = 5,
+def logodds_report(docs: Iterable[Document], min_count: int = 5,
                    c_star: float | None = None, grid: Sequence[float] | None = None,
                    permutations: int = 20, seed: int = 0, top: int = 10) -> dict:
     """The full analysis as a report: C*, its calibration, z per term, top terms.
@@ -273,10 +316,12 @@ def logodds_report(docs: Sequence[Document], min_count: int = 5,
     """
     if top < 0:
         raise StatsError(f"top must be >= 0, got {top}")
-    if not docs:
+    docs = iter(docs)
+    first = next(docs, None)
+    if first is None:
         raise StatsError("no documents with both annotations and transcript text")
     grid = list(DEFAULT_GRID if grid is None else grid)
-    counts = TermCounts.from_documents(docs, min_count=min_count)
+    counts = TermCounts.from_documents(chain([first], docs), min_count=min_count)
     prior = calibrate_prior(counts, grid, permutations, seed) if c_star is None else c_star
     _, _, zeta = weighted_logodds(counts, prior)
     # equal-weight Stouffer per term, most group-a-associated first
@@ -293,7 +338,7 @@ def logodds_report(docs: Sequence[Document], min_count: int = 5,
             "permutation_unit": "document (one utterance's token bag), within show",
             "seed": seed,
         },
-        "n_documents": len(docs),
+        "n_documents": len(counts.doc_show),
         "n_terms": len(counts.terms),
         "shows": list(counts.shows),
         "top_group_a": [[t, z] for t, z in ranked[:top]],

@@ -8,7 +8,7 @@ from convstruct.stats.bootstrap import (
     BootstrapConfig,
     StatsError,
     _draw_blocks,
-    _sign_flip_p,
+    _sign_flip_ps,
     bootstrap_ci,
     bootstrap_ratio_ci,
 )
@@ -176,4 +176,5 @@ class TestSignFlip:
             signs = rng.integers(0, 2, size=(permutations, n)) * 2 - 1
             permuted = np.abs((signs * deltas[None, :]).mean(axis=1))
             extreme = int((permuted >= abs(float(deltas.mean()))).sum())
-            assert _sign_flip_p(deltas, permutations, seed) == (1 + extreme) / (permutations + 1)
+            assert _sign_flip_ps([deltas], permutations, seed) == [
+                (1 + extreme) / (permutations + 1)]

@@ -575,6 +575,13 @@ class TestLogoddsTop:
         assert err.startswith("error:") and "top" in err
 
 
+class TestLogoddsNoDocuments:
+    def test_annotations_without_transcripts_exit_one(self, tmp_path):
+        write_corpus(tmp_path / "corpus", {"c1": GOLD_CLIP, "c2": GOLD_CLIP})
+        assert run(["analyze", "logodds", str(tmp_path / "corpus")]) == (
+            1, "", "error: no documents with both annotations and transcript text\n")
+
+
 class TestLogoddsNonFinitePriors:
     _corpus = TestLogoddsTop._corpus
 
@@ -1207,6 +1214,20 @@ class TestBrokenTranscript:
         reports = [json.loads(out) for _, out, _ in outputs]
         assert reports[0]["report"] == reports[1]["report"]
         assert reports[0]["manifest"]["digests"] != reports[1]["manifest"]["digests"]
+
+    def test_roles_streams_past_a_broken_middle_transcript(self, corpora, tmp_path):
+        good, _, genders, _ = corpora
+        middle = tmp_path / "middle"
+        write_corpus(middle, {c: GOLD_CLIP for c in ("c1", "c2", "c3")},
+                     {c: TRANSCRIPT for c in ("c1", "c3")},
+                     casts={c: {"clip_id": c, "show_id": "showx", "cast": ["ada", "max"]}
+                            for c in ("c1", "c2", "c3")})
+        (middle / "c2.transcript.tsv").write_bytes(b"\xff\xfe\x00 not a transcript")
+        code, out, err = run(["analyze", "roles", str(middle), "--gender-map", genders])
+        assert (code, err) == (0, "")
+        counts = json.loads(out)["report"]["n_observations"]
+        _, sound, _ = run(["analyze", "roles", good, "--gender-map", genders])
+        assert counts == 3 * json.loads(sound)["report"]["n_observations"] // 2
 
     def test_validate_reports_one_parse_line_for_the_clip(self, corpora):
         _, bad, _, message = corpora

@@ -26,6 +26,8 @@ from convstruct.corpus import (
     ValidationError,
     ClipFiles,
     iter_clip_files,
+    iter_corpus,
+    load_corpus,
     lookup_gender,
     normalize_name,
     parse_annotation_json,
@@ -648,6 +650,112 @@ class TestIterClipFiles:
                 else:
                     path.write_text("")
             assert iter_clip_files(root) == _oracle_clip_files(root)
+
+
+
+def _eager_corpus(path, strict):
+    """Every clip parsed up front, each clip's annotation, then transcript,
+    then cast, in clip id order: the oracle for `iter_corpus`."""
+    clips = {}
+    for files in iter_clip_files(path):
+        gold = None
+        if files.annotation is not None:
+            gold = tuple(parse_annotation_json(files.annotation.read_bytes(),
+                                               strict=strict, clip_id=files.clip_id))
+        lines = ()
+        if files.transcript is not None:
+            lines = tuple(parse_transcript_tsv(files.transcript.read_bytes(),
+                                               clip_id=files.clip_id))
+        show_id, cast = "", ()
+        if files.cast is not None:
+            _, show_id, cast = parse_cast_json(files.cast.read_bytes())
+        clips[files.clip_id] = Clip(files.clip_id, show_id, tuple(cast), lines, gold)
+    return clips
+
+
+class TestIterCorpus:
+    """`iter_corpus` yields the clips `load_corpus` returns, one at a time in
+    clip id order, and meets a broken file where the eager load does."""
+
+    ENTRIES = [{"line_idx": 1, "speaker": "sheldon cooper", "addressee": [],
+                "side_participant": [], "reply_to": 1},
+               {"line_idx": 2, "speaker": "stephanie barnett",
+                "addressee": ["sheldon cooper"], "side_participant": [], "reply_to": 1},
+               {"line_idx": 3, "speaker": "leonard hofstadter", "addressee": [],
+                "side_participant": ["sheldon cooper"], "reply_to": 3}]
+    # a broken file of the middle clip: (suffix, bytes, fails only when strict)
+    FAULTS = {
+        "annotation not JSON": (".annotation.json", b"[{", False),
+        "annotation unknown key": (
+            ".annotation.json",
+            json.dumps([dict(e, confidence=0.5, note="") for e in ENTRIES]).encode(),
+            True),
+        "transcript cell": (".transcript.tsv", TSV.replace(b"1.171", b"later"), False),
+        "transcript UTF-8": (".transcript.tsv", b"\xff\xfe not a transcript", False),
+        "cast entry": (".cast.json", b'{"show_id": "s", "cast": ["ok", 7]}', False),
+    }
+
+    def _corpus(self, root, fault=None):
+        root.mkdir()
+        for k, clip_id in enumerate(("c1", "c2", "c3")):
+            (root / f"{clip_id}.annotation.json").write_text(json.dumps(self.ENTRIES))
+            (root / f"{clip_id}.transcript.tsv").write_bytes(TSV)
+            (root / f"{clip_id}.cast.json").write_text(json.dumps(
+                {"clip_id": clip_id, "show_id": f"show{k % 2}",
+                 "cast": ["sheldon cooper", "stephanie barnett", "leonard hofstadter"]}))
+        (root / "c4.transcript.tsv").write_bytes(TSV)  # a clip with no annotation
+        if fault is not None:
+            suffix, data, _ = self.FAULTS[fault]
+            (root / f"c2{suffix}").write_bytes(data)
+        return root
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_load_corpus_is_the_stream_in_clip_order(self, tmp_path, strict):
+        root = self._corpus(tmp_path / "corpus")
+        streamed = list(iter_corpus(root, strict=strict))
+        assert [c.clip_id for c in streamed] == ["c1", "c2", "c3", "c4"]
+        assert load_corpus(root, strict=strict) == {c.clip_id: c for c in streamed}
+        assert load_corpus(root, strict=strict) == _eager_corpus(root, strict)
+        assert list(load_corpus(root, strict=strict)) == ["c1", "c2", "c3", "c4"]
+        assert [c.clip_id for c in iter_corpus(root, utterances=False)] == [
+            "c1", "c2", "c3", "c4"]
+
+    def test_single_file_streams_one_clip(self, tmp_path):
+        path = tmp_path / "x.annotation.json"
+        path.write_text(json.dumps(self.ENTRIES))
+        assert list(iter_corpus(path)) == list(load_corpus(path).values())
+        assert [c.clip_id for c in iter_corpus(path)] == ["x"]
+
+    def test_missing_path_raises_at_the_call(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="no such corpus path"):
+            iter_corpus(tmp_path / "missing")
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_broken_middle_clip_raises_as_the_eager_load(self, tmp_path, fault, strict):
+        root = self._corpus(tmp_path / "corpus", fault)
+        if self.FAULTS[fault][2] and not strict:
+            assert load_corpus(root) == _eager_corpus(root, strict)
+            return
+        with pytest.raises(CorpusError) as eager:
+            _eager_corpus(root, strict)
+        with pytest.raises(CorpusError) as loaded:
+            load_corpus(root, strict=strict)
+        stream = iter_corpus(root, strict=strict)
+        # the clip before the broken one arrives before the error
+        sound = self._corpus(tmp_path / "sound")
+        assert next(stream) == _eager_corpus(sound, strict)["c1"]
+        with pytest.raises(CorpusError) as streamed:
+            list(stream)
+        for found in (loaded, streamed):
+            assert (type(found.value), str(found.value)) == (
+                type(eager.value), str(eager.value))
+
+    def test_broken_middle_transcript_is_no_error_without_utterances(self, tmp_path):
+        root = self._corpus(tmp_path / "corpus", "transcript cell")
+        clips = list(iter_corpus(root, utterances=False))
+        assert [c.clip_id for c in clips] == ["c1", "c2", "c3", "c4"]
+        assert all(c.utterances == () for c in clips)
 
 
 def _reference_records(payload, strict, clip_id):

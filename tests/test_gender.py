@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convstruct.corpus import Clip, Utterance
-from convstruct.stats.bootstrap import BootstrapConfig, StatsError
+from convstruct.stats import bootstrap, gender
+from convstruct.stats.bootstrap import BootstrapConfig, StatsError, bootstrap_ratio_ci
 from convstruct.stats.gender import gender_thread_shares, role_distributions, role_report
 from convstruct.stats.logodds import logodds_report, utterance_documents
 
@@ -33,6 +35,9 @@ GENDERS = {
     ("show", "max"): "male",
     ("show", "tom"): "male",
 }
+# every conftest name, alternately female and male, plus the names above
+GENDERS_ALL = {**{("show", name): ("female", "male")[k % 2]
+                  for k, name in enumerate(NAMES)}, **GENDERS}
 
 
 class TestGenderThreadShares:
@@ -139,6 +144,77 @@ class TestGenderThreadShares:
         second = gender_thread_shares([clip], GENDERS, config=CONFIG,
                                       permutations=500)
         assert first == second
+
+
+class TestSharedDraws:
+    """The four intervals and two sign-flip tests share the draws of equal
+    unit count and keep the bits of one `bootstrap_ratio_ci` or sign-flip
+    call per statistic."""
+
+    @staticmethod
+    def separate(clips, config, permutations):
+        """The report with every statistic drawn by its own call."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gender, "_ratio_cis", lambda statistics, config: [
+                bootstrap_ratio_ci(num, den, config) for num, den in statistics])
+            patch.setattr(gender, "_sign_flip_ps", lambda deltas, permutations, seed: [
+                bootstrap._sign_flip_ps([d], permutations, seed)[0] for d in deltas])
+            return gender_thread_shares(clips, GENDERS_ALL, config=config,
+                                        permutations=permutations)
+
+    @staticmethod
+    def draws(clips, config, permutations):
+        """The report, and the (high, n) of every draw it made."""
+        made = []
+        real = bootstrap._draw_blocks
+
+        def counting(high, rows, n, seed):
+            made.append((high, n))
+            return real(high, rows, n, seed)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bootstrap, "_draw_blocks", counting)
+            report = gender_thread_shares(clips, GENDERS_ALL, config=config,
+                                          permutations=permutations)
+        return report, made
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_clips=st.integers(1, 8),
+           resamples=st.integers(1, 1100), permutations=st.integers(1, 1100))
+    def test_equals_separate_calls(self, seed, n_clips, resamples, permutations):
+        rng = random.Random(seed)
+        clips = [random_clip(rng, f"c{k}") for k in range(n_clips)]
+        config = BootstrapConfig(resamples=resamples, seed=seed % 1000)
+        try:
+            expected = self.separate(clips, config, permutations)
+        except StatsError as exc:
+            with pytest.raises(StatsError, match=re.escape(str(exc))):
+                gender_thread_shares(clips, GENDERS_ALL, config=config,
+                                     permutations=permutations)
+            return
+        assert gender_thread_shares(clips, GENDERS_ALL, config=config,
+                                    permutations=permutations) == expected
+
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_equal_and_unequal_unit_counts(self, equal):
+        clips = []
+        for k in range(12):
+            # every clip has gendered mid-clip starts; without `equal`, every
+            # third clip's only replied-to thread is started by a participant
+            # of unknown gender, so that clip has no gendered hold
+            starter = "stranger" if not equal and k % 3 == 0 else "ada"
+            records = [record(1, "max"), record(2, starter, reply_to=2),
+                       record(3, "max", reply_to=2), record(4, "bea", reply_to=4)]
+            clips.append(make_clip(f"c{k:02d}", records, [1.0, 1.5, 1.0, 0.5]))
+        config = BootstrapConfig(resamples=700, seed=3)
+        expected = self.separate(clips, config, 600)
+        found, made = self.draws(clips, config, 600)
+        assert found == expected
+        n_start, n_hold = expected.delta_start.n_clips, expected.delta_hold.n_clips
+        assert (n_start == n_hold) is equal
+        # one unit draw and one sign draw per distinct clip count
+        sizes = {n_start, n_hold}
+        assert sorted(made) == sorted([(n, n) for n in sizes] + [(2, n) for n in sizes])
 
 
 class TestRoleDistributions:

@@ -185,7 +185,7 @@ class TestAnalyses:
              "--permutations", "50"])
 
     def test_utterance_documents_groups(self, corpus):
-        docs = utterance_documents(clips_of(corpus))
+        docs = list(utterance_documents(clips_of(corpus)))
         assert len(docs) == 8
         # line 2 of c1 has a side-participant
         assert [d.group for d in docs[:4]] == ["a", "b", "a", "a"]
@@ -195,8 +195,8 @@ class TestAnalyses:
         clip = Clip(clip_id="c", utterances=(Utterance("c", 1, 0.0, 1.0, "hi"),
                                              Utterance("c", 2, 1.0, 2.0, "yo")),
                     gold=(record(1, "a", monologue=True), record(2, "a", reply_to=1)))
-        assert len(utterance_documents([clip])) == 2
-        assert len(utterance_documents([clip], filter_nondialogic=True)) == 1
+        assert len(list(utterance_documents([clip]))) == 2
+        assert len(list(utterance_documents([clip], filter_nondialogic=True))) == 1
 
     def test_logodds_report_is_the_cli_report(self, corpus):
         docs = utterance_documents(clips_of(corpus))

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -16,8 +18,11 @@ from convstruct.stats.logodds import (
     calibrate_prior,
     logodds_report,
     tokenize,
+    utterance_documents,
     weighted_logodds,
 )
+
+from conftest import random_clip
 
 
 def count_tables(terms, shows, y_a, y_b, p=None):
@@ -217,6 +222,56 @@ class TestTermCountsProperty:
         assert counts.p.tolist() == (kept / kept.sum()).tolist()
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(docs=documents, min_count=st.integers(1, 4))
+    def test_a_generator_counts_as_the_list(self, docs, min_count):
+        try:
+            expected = TermCounts.from_documents(docs, min_count=min_count)
+        except StatsError as exc:
+            with pytest.raises(StatsError, match=re.escape(str(exc))):
+                TermCounts.from_documents((d for d in docs), min_count=min_count)
+            return
+        found = TermCounts.from_documents((d for d in docs), min_count=min_count)
+        assert (found.terms, found.shows) == (expected.terms, expected.shows)
+        for name in ("doc_terms", "doc_show", "doc_in_a", "y_a", "y_b", "p"):
+            assert np.array_equal(getattr(found, name), getattr(expected, name)), name
+
+    def test_no_documents_raises(self):
+        for docs in ([], iter(())):
+            with pytest.raises(StatsError, match="^no documents$"):
+                TermCounts.from_documents(docs)
+
+
+class TestUtteranceDocuments:
+    """Documents come in clip id order: a list is sorted, a one-shot stream
+    must already ascend."""
+
+    @staticmethod
+    def clips():
+        return [random_clip(random.Random(k), f"c{k}", show_id=f"show{k % 2}")
+                for k in range(4)]
+
+    def test_a_list_in_any_order_is_sorted(self):
+        clips = self.clips()
+        expected = list(utterance_documents(clips))
+        assert list(utterance_documents(clips[::-1])) == expected
+        assert list(utterance_documents(iter(clips))) == expected
+
+    def test_a_stream_out_of_clip_order_raises_at_the_late_clip(self):
+        c0, c1, c2, c3 = self.clips()
+        docs = utterance_documents(iter([c0, c2, c1, c3]))
+        # the documents of c0 and c2 come before the order is found broken
+        head = list(utterance_documents([c0, c2]))
+        assert [next(docs) for _ in head] == head
+        with pytest.raises(StatsError, match="clip 'c1' comes after clip 'c2'"):
+            next(docs)
+
+    def test_a_stream_may_repeat_a_clip_id(self):
+        c0, c1, _, _ = self.clips()
+        twice = [c0, c1, dataclasses.replace(c1, show_id="other")]
+        assert list(utterance_documents(iter(twice))) == list(utterance_documents(twice))
+
+
 def null_documents(rng, n_shows=4, docs_per_show=60, vocab=30, doc_len=15):
     """Both groups drawn from one multinomial: no real group signal."""
     weights = np.arange(1, vocab + 1, dtype=float)[::-1]
@@ -399,8 +454,13 @@ def oracle_calibration(counts, grid, permutations, seed):
         rng = np.random.default_rng(child)
         for rows in show_rows:
             row[rows] = rng.permutation(counts.doc_in_a[rows])
-    null_a = logodds._group_a_tables(counts.doc_terms, counts.doc_show,
-                                     counts.y_a.shape, labels)
+    # every permutation's group-a table at once, by unbuffered adds of the
+    # labelled document-term entries into a (k, S, T) stack
+    doc, term, count = counts.doc_terms
+    rows, entries = np.nonzero(labels[:, doc])
+    null_a = np.zeros((permutations, *counts.y_a.shape))
+    np.add.at(null_a, (rows, counts.doc_show[doc[entries]], term[entries]),
+              count[entries])
     totals = counts.y_a + counts.y_b
     best_c, best_gap, gaps = None, None, {}
     for candidate in sorted(float(c) for c in grid):
