@@ -232,7 +232,7 @@ def cmd_threads(args, reads: _Reads) -> int:
     from .stats import BootstrapConfig, gender_thread_shares
 
     return _emit_analysis(args, gender_thread_shares(
-        load_corpus(args.corpus, read=reads.read).values(),
+        iter_corpus(args.corpus, read=reads.read),
         _gender_map(args.gender_map, reads),
         include_nondialogic=args.include_nondialogic,
         config=BootstrapConfig(resamples=args.bootstrap, level=args.level,

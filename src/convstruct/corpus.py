@@ -218,14 +218,14 @@ class Diagnostic:
 
 def _tsv_rows(data: bytes, what: str, header: tuple[str, ...]
               ) -> Iterator[tuple[int, list[str]]]:
-    """Yield (row, cells) for every data line of a tab-separated file.
+    """Yield (row, cells) per data line of a tab-separated file; a BOM is dropped.
 
     The first line must be `header`. A line that is empty but for a trailing
     carriage return is skipped but counted, so row N is always line N+1 of the
     file; any other line, whitespace-only included, needs one cell per column.
     """
     try:
-        lines = data.decode("utf-8").split("\n")
+        lines = data.decode("utf-8-sig").split("\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
     found = tuple(lines[0].rstrip("\r").split("\t"))
@@ -776,11 +776,24 @@ def iter_corpus(path: str | Path, strict: bool = False,
     return clips(iter_clip_files(path))
 
 
+def _in_clip_order(clips: Iterable[Clip]) -> Iterator[Clip]:
+    """`clips` by clip id, so that no analysis's draws depend on their order: a
+    re-iterable is sorted, and a one-shot iterator (`iter_corpus`, say) is
+    read as it comes and must ascend; a descending id is a StatsError."""
+    clips = clips if iter(clips) is clips else sorted(clips, key=lambda c: c.clip_id)
+    previous = ""
+    for clip in clips:
+        if clip.clip_id < previous:  # equal ids pass, as a stable sort keeps them
+            raise StatsError(f"clip {clip.clip_id!r} comes after clip {previous!r}: "
+                             f"a clip stream must ascend by clip id")
+        previous = clip.clip_id
+        yield clip
+
+
 def load_corpus(path: str | Path, strict: bool = False,
-                read: Callable[[Path], bytes] = Path.read_bytes,
-                utterances: bool = True) -> dict[str, Clip]:
+                read: Callable[[Path], bytes] = Path.read_bytes) -> dict[str, Clip]:
     """Every clip of `iter_corpus`, keyed and ordered by clip id."""
-    return {clip.clip_id: clip for clip in iter_corpus(path, strict, read, utterances)}
+    return {clip.clip_id: clip for clip in iter_corpus(path, strict, read)}
 
 
 def validate_paths(paths: Iterable[str | Path], strict: bool = False

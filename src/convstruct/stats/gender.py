@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..corpus import Clip, lookup_gender
+from ..corpus import Clip, _in_clip_order, lookup_gender
 from ..threads import thread_events
 from .bootstrap import BootstrapConfig, StatsError, _ratio_cis, _sign_flip_ps
 from .regression import LogitResult, multinomial_logit
@@ -80,8 +79,7 @@ def gender_thread_shares(
     female share of that clip's events minus the female share of its speaking
     time; clips without any gendered event are skipped for the respective
     delta, and clips without gendered speaking time are skipped entirely.
-    Clips are taken in clip id order, so the bootstrap and sign-flip draws
-    do not depend on the order of `clips`.
+    The draws take the clips in clip id order (`corpus._in_clip_order`).
     """
     if permutations < 1:
         raise StatsError(f"permutations must be >= 1, got {permutations}")
@@ -93,7 +91,7 @@ def gender_thread_shares(
     # female share of gendered speaking time (NaN without any)
     clip_ids: list[str] = []
     rows: list[tuple[float, ...]] = []
-    for clip in sorted(clips, key=attrgetter("clip_id")):
+    for clip in _in_clip_order(clips):
         if clip.gold is None:
             continue
         events = thread_events(clip.gold, include_nondialogic=include_nondialogic)

@@ -22,13 +22,11 @@ import re
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..corpus import Clip
-from .bootstrap import StatsError
+from ..corpus import Clip, StatsError, _in_clip_order
 
 GROUP_A = "a"
 GROUP_B = "b"
@@ -60,18 +58,9 @@ class Document:
 def utterance_documents(clips: Iterable[Clip], filter_nondialogic: bool = False
                         ) -> Iterator[Document]:
     """Yield one document per annotated transcript line: group a without
-    side-participants, group b with them. Documents come in clip id order,
-    then line order, so calibration does not depend on the order of `clips`:
-    a re-iterable `clips` (a list, say) is sorted by clip id, and a one-shot
-    iterator such as `iter_corpus` is read as it comes and must ascend."""
-    if iter(clips) is not clips:
-        clips = sorted(clips, key=attrgetter("clip_id"))
-    previous = None
-    for clip in clips:
-        if previous is not None and clip.clip_id < previous:
-            raise StatsError(f"clip {clip.clip_id!r} comes after clip {previous!r}: "
-                             f"a clip stream must ascend by clip id")
-        previous = clip.clip_id
+    side-participants, group b with them. Documents come in clip id order
+    (`corpus._in_clip_order`), then line order."""
+    for clip in _in_clip_order(clips):
         records = {r.line_idx: r for r in clip.gold or ()}
         for u in sorted(clip.utterances, key=lambda u: u.line_idx):
             record = records.get(u.line_idx)

@@ -360,6 +360,23 @@ class TestAnalyze:
         assert report["start"]["female_share"] == 1.0
         assert -1.0 <= report["delta_start"]["mean"] <= 1.0
 
+    def test_threads_checks_its_flags_before_it_parses_a_clip(self, tmp_path):
+        # the clips are parsed as the analysis reaches them, after the gender
+        # map is read and the bootstrap flags are checked
+        clips = ("c1", "c2", "c3")
+        write_corpus(tmp_path / "corpus", {c: GOLD_CLIP for c in clips},
+                     {c: TRANSCRIPT for c in clips},
+                     casts={c: {"clip_id": c, "show_id": "showx", "cast": ["ada", "max"]}
+                            for c in clips})
+        (tmp_path / "corpus" / "c2.annotation.json").write_text("[")
+        argv = ["analyze", "threads", str(tmp_path / "corpus"),
+                "--gender-map", str(self._gender_map(tmp_path)), "--permutations", "20"]
+        assert run([*argv, "--bootstrap", "20"]) == (
+            1, "", "error: annotation JSON is unreadable: Expecting value: "
+                   "line 1 column 2 (char 1)\n")
+        assert run([*argv, "--bootstrap", "0"]) == (
+            1, "", "error: resamples must be >= 1, got 0\n")
+
     @pytest.mark.parametrize("permutations", ["0", "-3"])
     def test_threads_permutations_below_one_exit_one(self, tmp_path, permutations):
         corpus = self._corpus_with_cast(tmp_path)

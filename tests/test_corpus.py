@@ -439,6 +439,11 @@ class TestTsvRows:
         with pytest.raises(ParseError, match=message):
             parse(blob)
 
+    def test_a_leading_byte_order_mark_is_dropped(self, tsv):
+        parse, _, header, good = tsv
+        blob = f"{header}\n{good}\n".encode()
+        assert parse(b"\xef\xbb\xbf" + blob) == parse(blob)
+
     def test_invalid_utf8(self, tsv):
         _, what, header, good = tsv
         self._raises(tsv, f"{header}\n{good}\n".encode() + b"\xff\n",

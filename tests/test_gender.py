@@ -1,6 +1,8 @@
+import gc
 import json
 import random
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -300,4 +302,40 @@ class TestAnalysesIgnoreClipOrder:
                                          permutations=3),
         ]
         for analysis in analyses:
-            assert report(analysis, shuffled) == report(analysis, clips)
+            expected = report(analysis, clips)
+            assert report(analysis, shuffled) == expected
+            # a one-shot stream in clip id order, as `iter_corpus` yields
+            assert report(analysis, iter(clips)) == expected
+
+
+class TestThreadSharesStream:
+    """`gender_thread_shares` reads a one-shot stream as it comes: it checks
+    the clip order and holds no clip it has counted."""
+
+    @staticmethod
+    def clips(n):
+        rng = random.Random(7)
+        return (random_clip(rng, f"c{k}") for k in range(1, n + 1))
+
+    def test_a_descending_stream_raises_naming_both_clips(self):
+        c1, c2 = self.clips(2)
+        with pytest.raises(StatsError, match="clip 'c1' comes after clip 'c2'"):
+            gender_thread_shares(iter([c2, c1]), GENDERS_ALL, config=CONFIG,
+                                 permutations=20)
+
+    def test_a_clip_two_back_is_freed_before_the_next_is_read(self):
+        counted, held = [], []
+
+        def stream():
+            for clip in self.clips(6):
+                gc.collect()
+                # only the clip yielded last may still be alive
+                held.extend(k for k, ref in enumerate(counted[:-1]) if ref())
+                counted.append(weakref.ref(clip))
+                yield clip
+
+        report = gender_thread_shares(stream(), GENDERS_ALL, config=CONFIG,
+                                      permutations=20)
+        assert len(counted) == 6 and held == []
+        assert report == gender_thread_shares(list(self.clips(6)), GENDERS_ALL,
+                                              config=CONFIG, permutations=20)
