@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .corpus import (
     _decode_json,
     _file_name,
     _id_field,
+    _in_clip_order,
     _number,
     _tsv_rows,
 )
@@ -251,20 +252,27 @@ def _side_file(base: str | None, clip_id: str, suffix: str, what: str, parse, re
 
 
 def run_corpus_baseline(
-    clips: Mapping[str, Clip], faces: str | None = None, words: str | None = None,
+    clips: Iterable[Clip], faces: str | None = None, words: str | None = None,
     read: Callable[[Path], bytes] = Path.read_bytes,
 ) -> dict[str, list[StructureRecord]]:
-    """The baseline's records for each clip, by clip id. `faces` and `words`
-    each name one file (a one-clip corpus) or a directory of `<clip>.faces.json`
-    or `<clip>.words.tsv`; with no `faces` it is the reply-only baseline."""
+    """The baseline's records for each clip, by clip id, taking the clips in
+    clip id order (`corpus._in_clip_order`) so a stream is run as it comes.
+    `faces` and `words` each name one file (a one-clip corpus) or a directory
+    of `<clip>.faces.json` or `<clip>.words.tsv`; with no `faces` it is the
+    reply-only baseline."""
+    one_file = []
     for flag, path in (("--faces", faces), ("--words", words)):
         if path is not None and not Path(path).exists():
             raise FileNotFoundError(f"{flag} not found: {Path(path)}")
-        if path is not None and Path(path).is_file() and len(clips) > 1:
-            raise CorpusError(f"{flag} {path} is one file but the corpus has "
-                              f"{len(clips)} clips; give a directory")
+        if path is not None and Path(path).is_file():
+            one_file.append((flag, path))
     predictions = {}
-    for clip_id, clip in sorted(clips.items()):
+    for clip in _in_clip_order(clips):
+        if predictions and one_file:
+            flag, path = one_file[0]
+            raise CorpusError(f"{flag} {path} is one file but the corpus has more "
+                              f"than one clip; give a directory")
+        clip_id = clip.clip_id
         if not clip.utterances:
             raise CorpusError(f"clip {clip_id!r} has no transcript; baseline needs one")
         predictions[clip_id] = run_baseline(clip, _side_file(

@@ -30,7 +30,6 @@ from .corpus import (
     StatsError,
     _sorted_files,
     iter_corpus,
-    load_corpus,
     load_structures,
     parse_gender_map_tsv,
     serialize_annotation_json,
@@ -187,10 +186,12 @@ def cmd_agree(args, reads: _Reads) -> int:
 def cmd_baseline(args, reads: _Reads) -> int:
     from .baseline import run_corpus_baseline
 
-    clips = load_corpus(args.corpus, strict=args.strict, read=reads.read)
-    if not clips:
+    # each clip is run as it is parsed, in clip id order
+    predictions = run_corpus_baseline(
+        iter_corpus(args.corpus, strict=args.strict, read=reads.read),
+        args.faces, args.words, reads.read)
+    if not predictions:
         raise CorpusError(f"no clips found under {args.corpus}")
-    predictions = run_corpus_baseline(clips, args.faces, args.words, reads.read)
     out_root = Path(args.out)
     single_file = out_root.suffix == ".json" and len(predictions) == 1
     targets = [out_root if single_file else out_root / f"{clip_id}.annotation.json"
@@ -287,7 +288,7 @@ def _flatten_table(report: dict, prefix: str = "") -> list[str]:
         elif isinstance(value, list) and value and all(
                 isinstance(v, dict) for v in value):
             lines.append(f"{label}:")
-            columns = list(value[0].keys())
+            columns = list(dict.fromkeys(c for row in value for c in row))
             widths = {
                 c: max(len(c), *(len(_format_cell(row.get(c, ""))) for row in value))
                 for c in columns

@@ -777,7 +777,7 @@ def iter_corpus(path: str | Path, strict: bool = False,
 
 
 def _in_clip_order(clips: Iterable[Clip]) -> Iterator[Clip]:
-    """`clips` by clip id, so that no analysis's draws depend on their order: a
+    """`clips` by clip id, so that no report depends on their order: a
     re-iterable is sorted, and a one-shot iterator (`iter_corpus`, say) is
     read as it comes and must ascend; a descending id is a StatsError."""
     clips = clips if iter(clips) is clips else sorted(clips, key=lambda c: c.clip_id)

@@ -8,8 +8,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..corpus import _number
-from .bootstrap import StatsError
+from ..corpus import StatsError, _number
 
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bootstrap import StatsError
+from ..corpus import StatsError
 
 INTERCEPT = "intercept"
 FEMALE = "female"

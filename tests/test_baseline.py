@@ -1,6 +1,9 @@
 import contextlib
+import gc
 import io
 import json
+import random
+import weakref
 
 import pytest
 from hypothesis import example, given
@@ -17,12 +20,13 @@ from convstruct.baseline import (
 )
 from convstruct.cli import main
 from convstruct.corpus import (
-    Clip, CorpusError, ParseError, Utterance, load_corpus, normalize_name, validate_clip,
+    Clip, CorpusError, ParseError, StatsError, Utterance, load_corpus, normalize_name,
+    validate_clip,
 )
 from convstruct.metrics import exact_match, link_f1
 from convstruct.threads import derive_threads, link_set
 
-from conftest import record, table4_records
+from conftest import random_clip, record, table4_records
 
 
 def face(name, *spans):
@@ -290,15 +294,53 @@ class TestRunCorpusBaseline:
                 "line_idx\tword\tstart\tend\n1\thi\t0.0\t0.4\n2\tyo\t1.1\t1.5\n")
         clips = load_corpus(corpus)
         read = []
-        got = run_corpus_baseline(clips, str(corpus), str(corpus),
+        got = run_corpus_baseline(clips.values(), str(corpus), str(corpus),
                                   read=lambda path: read.append(path.name) or path.read_bytes())
         assert got == {c: run_baseline(
             clips[c], parse_face_tracks_json((corpus / f"{c}.faces.json").read_bytes()),
             parse_word_tokens_tsv((corpus / f"{c}.words.tsv").read_bytes())) for c in clips}
         assert got["c2"][0].speaker == normalize_name("bo")
         assert read == ["c1.faces.json", "c1.words.tsv", "c2.faces.json", "c2.words.tsv"]
-        assert run_corpus_baseline(clips) == {c: run_baseline(clips[c], (), ())
-                                              for c in clips}
+        assert run_corpus_baseline(clips.values()) == {c: run_baseline(clips[c], (), ())
+                                                       for c in clips}
+
+
+class TestCorpusBaselineStream:
+    """`run_corpus_baseline` reads a one-shot stream as it comes: it checks
+    the clip order and holds no clip it has run."""
+
+    @staticmethod
+    def clips(n):
+        rng = random.Random(7)
+        return (random_clip(rng, f"c{k}") for k in range(1, n + 1))
+
+    def test_a_descending_stream_raises_naming_both_clips(self):
+        c1, c2 = self.clips(2)
+        with pytest.raises(StatsError, match="clip 'c1' comes after clip 'c2'"):
+            run_corpus_baseline(iter([c2, c1]))
+
+    def test_a_clip_two_back_is_freed_before_the_next_is_read(self):
+        run, held = [], []
+
+        def stream():
+            for clip in self.clips(6):
+                gc.collect()
+                # only the clip yielded last may still be alive
+                held.extend(k for k, ref in enumerate(run[:-1]) if ref())
+                run.append(weakref.ref(clip))
+                yield clip
+
+        predictions = run_corpus_baseline(stream())
+        assert len(run) == 6 and held == []
+        assert predictions == run_corpus_baseline(list(self.clips(6)))
+
+    def test_a_list_in_any_order_gives_the_same_predictions(self):
+        clips = list(self.clips(5))
+        expected = {c.clip_id: run_baseline(c, (), ()) for c in clips}
+        for order in (clips, clips[::-1], random.Random(3).sample(clips, len(clips))):
+            got = run_corpus_baseline(order)
+            assert got == expected
+            assert list(got) == [f"c{k}" for k in range(1, 6)]
 
 
 class TestBaselineCommandRejects:

@@ -836,7 +836,7 @@ class TestBaselineSideFilesMatchTheClip:
         paths = {"--faces": corpus, "--words": corpus, flag: files[flag]}
         code, _, err = self._baseline(tmp_path, paths["--faces"], paths["--words"])
         self._assert_error(code, err, f"{flag} {files[flag]} is one file but the "
-                                      f"corpus has 2 clips")
+                                      f"corpus has more than one clip; give a directory")
         assert not list((tmp_path / "pred").glob("*.json"))
 
     @pytest.mark.parametrize("flag", ["--faces", "--words"])
@@ -1011,6 +1011,27 @@ class TestTableFormat:
         with pytest.raises(ValueError):
             json.loads(out)
         assert run(argv) == (code, out, err)
+
+    @pytest.mark.parametrize("header", ["clip_id,bad,n_lines,f1_speaker",
+                                        "clip_id,n_lines,bad,f1_speaker"],
+                             ids=["error-first", "error-last"])
+    def test_a_row_keeps_the_keys_the_first_row_lacks(self, tmp_path, header):
+        columns = header.split(",")
+        rows = [{"clip_id": f"c{k}", "bad": "x" if k == 1 else k, "n_lines": k,
+                 "f1_speaker": k * k} for k in range(5)]
+        (tmp_path / "features.csv").write_text(header + "\n" + "".join(
+            ",".join(str(row[c]) for c in columns) + "\n" for row in rows))
+        code, out, err = run(["analyze", "correlate", "--features",
+                              str(tmp_path / "features.csv"), "--format", "table"])
+        assert code == 0, err
+        table = out.splitlines()[out.splitlines().index("correlations:") + 1:]
+        assert table[0].split() == ["target", "feature", *(
+            ["error", "rho", "p_value", "signed_r2", "significant"]
+            if columns[1] == "bad" else
+            ["rho", "p_value", "signed_r2", "significant", "error"])]
+        by_feature = {line.split()[1]: line for line in table[1:]}
+        assert "column 'bad' is not numeric: 'x'" in by_feature["bad"]
+        assert by_feature["n_lines"].split()[2:] == ["1.0000", "0.0000", "100.0000", "True"]
 
     @pytest.mark.parametrize("argv", [
         ["evaluate", "{root}/corpus", "{root}/corpus"],

@@ -4,8 +4,9 @@
 the numpy-free `corpus` and `threads` modules; numpy loads when a command or
 library name that needs it is used, and scipy only for `analyze correlate`.
 Of the analyses in `convstruct.stats`, `evaluate` and `agree` load
-`bootstrap` alone. Each check runs in a fresh interpreter, since this process
-has loaded everything already.
+`bootstrap` alone, and `analyze correlate` loads `correlation` alone. Each
+check runs in a fresh interpreter, since this process has loaded everything
+already.
 """
 
 import json
@@ -109,6 +110,15 @@ class TestScoringLoadsNoOtherAnalysis:
                 "agree": ["agree", str(corpus / "annotators.json")]}[name]
         loaded = loaded_after(cli_run(argv), ("convstruct.stats",))
         assert loaded == {"convstruct.stats", "convstruct.stats.bootstrap"}
+
+
+class TestCorrelateLoadsNoOtherAnalysis:
+    def test_only_the_correlation_stats_module(self, tmp_path):
+        (tmp_path / "features.csv").write_text(
+            "clip_id,n,f1_speaker\n" + "".join(f"c{k},{k},{k * k}\n" for k in range(5)))
+        argv = ["analyze", "correlate", "--features", str(tmp_path / "features.csv")]
+        loaded = loaded_after(cli_run(argv), ("convstruct.stats",))
+        assert loaded == {"convstruct.stats", "convstruct.stats.correlation"}
 
 
 class TestPublicNames:
