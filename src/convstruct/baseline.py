@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter, le
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,12 +26,14 @@ from .corpus import (
     ParseError,
     Participant,
     StructureRecord,
+    _BadCell,
     _decode_json,
     _file_name,
+    _first_false,
     _id_field,
     _in_clip_order,
-    _number,
-    _tsv_rows,
+    _numbers,
+    _tsv_columns,
 )
 
 UNKNOWN_SPEAKER = Participant("unknown", UNKNOWN)
@@ -58,9 +62,10 @@ class FaceTrack:
         return self.spans[0][0] if self.spans else float("inf")
 
 
-@dataclass(frozen=True)
-class WordToken:
-    """One word with timestamps, belonging to a transcript line."""
+class WordToken(NamedTuple):
+    """One word with timestamps, belonging to a transcript line. A named
+    tuple, like `corpus.Utterance`: it equals, hashes and orders as the plain
+    tuple of its fields."""
 
     line_idx: int
     word: str
@@ -114,24 +119,31 @@ def parse_face_tracks_json(data: bytes) -> list[FaceTrack]:
 
 
 def parse_word_tokens_tsv(data: bytes) -> list[WordToken]:
-    """Parse word tokens TSV: `line_idx word start end`."""
-    tokens = []
-    for row, cells in _tsv_rows(data, "word token", ("line_idx", "word", "start", "end")):
-        try:
-            token = WordToken(_number(cells[0], int), cells[1], _number(cells[2]),
-                              _number(cells[3]))
-        except ValueError:
-            raise ParseError(f"word token row {row}: bad numeric field") from None
-        if token.line_idx < 1:
-            raise ParseError(f"word token row {row}: line_idx must be >= 1, "
-                             f"got {token.line_idx}")
-        if not (math.isfinite(token.start_s) and math.isfinite(token.end_s)):
-            raise ParseError(f"word token row {row}: times must be finite")
-        if token.start_s > token.end_s:
-            raise ParseError(
-                f"word token row {row}: start {token.start_s} is after end {token.end_s}")
-        tokens.append(token)
-    tokens.sort(key=lambda t: (t.line_idx, t.start_s, t.end_s))
+    """Parse word tokens TSV: `line_idx word start end`, sorted by line, then
+    start, then end. Checks run column by column, each naming its first bad
+    row: the numbers (line_idx, start, end), then finite times (start, end),
+    then start <= end, then line_idx >= 1."""
+    rows, (line_cells, words, start_cells, end_cells) = _tsv_columns(
+        data, "word token", ("line_idx", "word", "start", "end"))
+    try:
+        lines, starts, ends = (_numbers(line_cells, int), _numbers(start_cells),
+                               _numbers(end_cells))
+    except _BadCell as bad:
+        raise ParseError(f"word token row {rows[bad.index]}: bad numeric field") from None
+    for times in (starts, ends):
+        k = _first_false(map(math.isfinite, times))
+        if k is not None:
+            raise ParseError(f"word token row {rows[k]}: times must be finite")
+    k = _first_false(map(le, starts, ends))
+    if k is not None:
+        raise ParseError(
+            f"word token row {rows[k]}: start {starts[k]} is after end {ends[k]}")
+    k = _first_false(map(le, repeat(1), lines))
+    if k is not None:
+        raise ParseError(f"word token row {rows[k]}: line_idx must be >= 1, "
+                         f"got {lines[k]}")
+    tokens = list(map(tuple.__new__, repeat(WordToken), zip(lines, words, starts, ends)))
+    tokens.sort(key=itemgetter(0, 2, 3))
     return tokens
 
 

@@ -120,7 +120,7 @@ def _metric_table(report_dict: dict) -> list[str]:
     for name in METRIC_FIELDS:
         bounds = ci.get(name)
         span = f"[{bounds[0]:.2f}, {bounds[1]:.2f}]" if bounds else ""
-        lines.append(f"{METRIC_LABELS[name]:<22}{report_dict[name]:>8.2f}  {span}")
+        lines.append(f"{METRIC_LABELS[name]:<22}{report_dict[name]:>8.2f}  {span}".rstrip())
     lines.append(
         f"n_utterances={report_dict['n_utterances']} n_clips={report_dict['n_clips']}"
     )
@@ -293,10 +293,12 @@ def _flatten_table(report: dict, prefix: str = "") -> list[str]:
                 c: max(len(c), *(len(_format_cell(row.get(c, ""))) for row in value))
                 for c in columns
             }
-            lines.append(prefix + "  " + "  ".join(c.ljust(widths[c]) for c in columns))
+            # each cell is padded to its column's width, but no line ends in spaces
+            lines.append((prefix + "  " + "  ".join(
+                c.ljust(widths[c]) for c in columns)).rstrip())
             for row in value:
-                lines.append(prefix + "  " + "  ".join(
-                    _format_cell(row.get(c, "")).ljust(widths[c]) for c in columns))
+                lines.append((prefix + "  " + "  ".join(
+                    _format_cell(row.get(c, "")).ljust(widths[c]) for c in columns)).rstrip())
         elif isinstance(value, list):
             rendered = ", ".join(_format_cell(v) for v in value)
             lines.append(f"{label:<32} [{rendered}]")

@@ -16,6 +16,10 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress, islice, repeat
+from json.encoder import encode_basestring
+from operator import le
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -216,30 +220,38 @@ class Diagnostic:
         }
 
 
-def _tsv_rows(data: bytes, what: str, header: tuple[str, ...]
-              ) -> Iterator[tuple[int, list[str]]]:
-    """Yield (row, cells) per data line of a tab-separated file; a BOM is dropped.
+def _tsv_columns(data: bytes, what: str, header: tuple[str, ...]
+                 ) -> tuple[list[int], list[list[str]]]:
+    """(row numbers, columns) of a tab-separated file; a BOM is dropped.
 
-    The first line must be `header`. A line that is empty but for a trailing
-    carriage return is skipped but counted, so row N is always line N+1 of the
-    file; any other line, whitespace-only included, needs one cell per column.
+    The first line must be `header`. A line that is empty once trailing
+    carriage returns are removed is skipped but counted, so row N is always
+    line N+1 of the file; any other line, whitespace-only included, needs one
+    cell per column, and the first that has not is named. Column k holds the
+    k-th cell of each row, in file order.
     """
     try:
         lines = data.decode("utf-8-sig").split("\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
-    found = tuple(lines[0].rstrip("\r").split("\t"))
+    if b"\r" in data:  # UTF-8 has no other byte 0x0D
+        lines = list(map(str.rstrip, lines, repeat("\r")))
+    found = tuple(lines[0].split("\t"))
     if found != header:
         raise ParseError(f"bad {what} header {found!r}, expected {header!r}")
-    for row, line in enumerate(lines[1:], start=1):
-        line = line.rstrip("\r")
-        if not line:
-            continue
-        cells = line.split("\t")
-        if len(cells) != len(header):
-            raise ParseError(f"{what} row {row}: expected {len(header)} columns, "
-                             f"found {len(cells)}")
-        yield row, cells
+    rows = list(compress(range(len(lines)), lines))[1:]
+    lines = list(filter(None, islice(lines, 1, None)))
+    tabs = len(header) - 1
+    if set(map(str.count, lines, repeat("\t"))) - {tabs}:
+        k = next(k for k, line in enumerate(lines) if line.count("\t") != tabs)
+        width = lines[k].count("\t") + 1
+        raise ParseError(f"{what} row {rows[k]}: expected {len(header)} columns, "
+                         f"found {width}")
+    # one split of the whole body, then a slice per column: no list per row,
+    # and the lines are freed before the columns are built
+    cells = "\t".join(lines).split("\t") if lines else []
+    del lines
+    return rows, [cells[k::len(header)] for k in range(len(header))]
 
 
 TRANSCRIPT_HEADER = ("start", "end", "speaker", "text")
@@ -250,6 +262,11 @@ TRANSCRIPT_HEADER = ("start", "end", "speaker", "text")
 _DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?"
                       r"|[+-]?(?:nan|inf|infinity)", re.ASCII | re.IGNORECASE)
 _INTEGER = re.compile(r"[+-]?[0-9]+", re.ASCII)
+# The start of the first line that is not one whole number, in a column
+# joined by "\n". A lookahead at each line start rather than a repeated group
+# over the lines, which would keep backtracking state for every cell.
+_BAD_CELL = {kind: re.compile(rf"^(?!(?:{pattern.pattern})$)", pattern.flags | re.M)
+             for kind, pattern in ((float, _DECIMAL), (int, _INTEGER))}
 
 
 def _number(cell: str, kind: type = float):
@@ -259,15 +276,38 @@ def _number(cell: str, kind: type = float):
     return kind(cell)
 
 
-def _parse_seconds(cell: str, row: int, col: str) -> float:
+class _BadCell(ValueError):
+    """The cell at `index` of a column is not a number `_numbers` reads."""
+
+    def __init__(self, index: int):
+        super().__init__(index)
+        self.index = index
+
+
+def _numbers(column: list[str], kind: type = float) -> list:
+    """`_number(cell, kind)` of every cell of a TSV column: one pattern search
+    over the whole column, then one conversion pass. A cell it refuses (or
+    that `int` refuses, past its digit limit) raises `_BadCell`, the first."""
+    if column:
+        joined = "\n".join(column)
+        bad = _BAD_CELL[kind].search(joined)
+        if bad is not None:
+            raise _BadCell(joined.count("\n", 0, bad.start()))
     try:
-        value = _number(cell)
+        return list(map(kind, column))
     except ValueError:
-        raise ParseError(f"row {row}: non-numeric {col} timestamp {cell!r}") from None
-    if not math.isfinite(value):
-        raise ParseError(f"row {row}: non-finite {col} timestamp {cell!r}")
-    # millisecond precision, stored exactly; keeps golden files bit-stable
-    return round(value, 3)
+        for k, cell in enumerate(column):
+            try:
+                kind(cell)
+            except ValueError:
+                raise _BadCell(k) from None
+        raise
+
+
+def _first_false(flags: Iterable[bool]) -> int | None:
+    """The index of the first false flag, or None if all are true."""
+    flags = list(flags)
+    return flags.index(False) if False in flags else None
 
 
 def parse_transcript_tsv(data: bytes, clip_id: str = "") -> list[Utterance]:
@@ -275,25 +315,30 @@ def parse_transcript_tsv(data: bytes, clip_id: str = "") -> list[Utterance]:
 
     Returns utterances in file order with line_idx assigned 1..n. The speaker
     column is kept verbatim as a provisional hint; gold speakers come from
-    annotations, not from here.
+    annotations, not from here. Checks run column by column: each names its
+    first bad row, the start column before the end column.
     """
-    utterances = []
-    for row, cells in _tsv_rows(data, "transcript", TRANSCRIPT_HEADER):
-        start_s = _parse_seconds(cells[0], row, "start")
-        end_s = _parse_seconds(cells[1], row, "end")
-        if start_s > end_s:
-            raise ParseError(f"row {row}: start {start_s} is after end {end_s}")
-        utterances.append(
-            Utterance(
-                clip_id=clip_id,
-                line_idx=len(utterances) + 1,
-                start_s=start_s,
-                end_s=end_s,
-                text=cells[3],
-                speaker_hint=cells[2] or None,
-            )
-        )
-    return utterances
+    rows, (start_cells, end_cells, speakers, texts) = _tsv_columns(
+        data, "transcript", TRANSCRIPT_HEADER)
+    times = []
+    for col, cells in (("start", start_cells), ("end", end_cells)):
+        try:
+            times.append(_numbers(cells))
+        except _BadCell as bad:
+            raise ParseError(f"row {rows[bad.index]}: non-numeric {col} timestamp "
+                             f"{cells[bad.index]!r}") from None
+    for col, cells, values in zip(("start", "end"), (start_cells, end_cells), times):
+        k = _first_false(map(math.isfinite, values))
+        if k is not None:
+            raise ParseError(f"row {rows[k]}: non-finite {col} timestamp {cells[k]!r}")
+    # millisecond precision, stored exactly; keeps golden files bit-stable
+    starts, ends = (list(map(round, values, repeat(3))) for values in times)
+    k = _first_false(map(le, starts, ends))
+    if k is not None:
+        raise ParseError(f"row {rows[k]}: start {starts[k]} is after end {ends[k]}")
+    hints = [speaker or None for speaker in speakers]
+    return list(map(tuple.__new__, repeat(Utterance), zip(
+        repeat(clip_id), range(1, len(rows) + 1), starts, ends, texts, hints)))
 
 
 _REQUIRED_KEYS = ("line_idx", "speaker", "addressee", "side_participant", "reply_to")
@@ -338,6 +383,8 @@ def _read_records(
         raise ParseError("annotation JSON must be an array of objects")
     diags: list[Diagnostic] = []
     records: list[StructureRecord] = []
+    append = records.append
+    record = partial(tuple.__new__, StructureRecord)
     names = _Names()
     role_sets: dict[tuple, frozenset[Participant] | str] = {}  # see role_set
 
@@ -391,27 +438,30 @@ def _read_records(
         side = role_set(side)
         extra_diegetic = obj.get("extra_diegetic", False)
         monologue = obj.get("monologue", False)
-        mistyped = len(diags)
-        if type(speaker) is not str:
-            bad(BAD_TYPE, "speaker must be a string", line_idx)
-        if addressees is None:
-            bad(BAD_TYPE, "addressee must be an array of strings", line_idx)
-        if side is None:
-            bad(BAD_TYPE, "side_participant must be an array of strings", line_idx)
-        if type(extra_diegetic) is not bool:
-            bad(BAD_TYPE, "extra_diegetic must be true or false", line_idx)
-        if type(monologue) is not bool:
-            bad(BAD_TYPE, "monologue must be true or false", line_idx)
-        if len(diags) > mistyped:
+        if not (type(speaker) is str and addressees is not None and side is not None
+                and type(extra_diegetic) is bool and type(monologue) is bool):
+            if type(speaker) is not str:
+                bad(BAD_TYPE, "speaker must be a string", line_idx)
+            if addressees is None:
+                bad(BAD_TYPE, "addressee must be an array of strings", line_idx)
+            if side is None:
+                bad(BAD_TYPE, "side_participant must be an array of strings", line_idx)
+            if type(extra_diegetic) is not bool:
+                bad(BAD_TYPE, "extra_diegetic must be true or false", line_idx)
+            if type(monologue) is not bool:
+                bad(BAD_TYPE, "monologue must be true or false", line_idx)
             continue
         speaker = names[speaker]
-        for found in (speaker, addressees, side):
-            if type(found) is str:  # the message of the first bad name
-                bad(BAD_NAME, found, line_idx)
-                break
+        # a name lookup that fails gives the message of the first bad name
+        if type(speaker) is str:
+            bad(BAD_NAME, speaker, line_idx)
+        elif type(addressees) is str:
+            bad(BAD_NAME, addressees, line_idx)
+        elif type(side) is str:
+            bad(BAD_NAME, side, line_idx)
         else:
-            records.append(StructureRecord(line_idx, speaker, addressees, side,
-                                           reply_to, extra_diegetic, monologue))
+            append(record((line_idx, speaker, addressees, side, reply_to,
+                           extra_diegetic, monologue)))
     return records, diags
 
 
@@ -482,27 +532,51 @@ def parse_annotation_json(
     return annotation_records(_decode_json(data, "annotation"), strict, clip_id)
 
 
+class _Memo(dict):
+    """A dict that stores `make(key)` for each key it is asked for and lacks."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        found = self[key] = self.make(key)
+        return found
+
+
+def _json_role_array(roles: frozenset[Participant]) -> str:
+    """A role set as an entry's JSON array: tokens sorted, one per line."""
+    if not roles:
+        return "[]"
+    tokens = map(encode_basestring, sorted(p.token for p in roles))
+    return "[\n      " + ",\n      ".join(tokens) + "\n    ]"
+
+
 def serialize_annotation_json(records: Iterable[StructureRecord]) -> bytes:
     """Serialize records to annotation JSON; inverse of parse_annotation_json.
 
     Role sets are emitted sorted by token so output is deterministic; optional
-    flags are emitted only when set, matching the parse-time defaults.
+    flags are emitted only when set, matching the parse-time defaults. The
+    bytes are those of `json.dumps(entries, indent=2, ensure_ascii=False)`
+    plus a newline, laid out here with `json`'s own string encoder; each
+    participant and role set is encoded once.
     """
-    out = []
-    for r in records:
-        obj: dict = {
-            "line_idx": r.line_idx,
-            "speaker": r.speaker.token,
-            "addressee": sorted(p.token for p in r.addressees),
-            "side_participant": sorted(p.token for p in r.side_participants),
-            "reply_to": r.reply_to,
-        }
-        if r.extra_diegetic:
-            obj["extra_diegetic"] = True
-        if r.monologue:
-            obj["monologue"] = True
-        out.append(obj)
-    return (json.dumps(out, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    tokens = _Memo(lambda participant: encode_basestring(participant.token))
+    arrays = _Memo(_json_role_array)
+    entries = []
+    for line_idx, speaker, addressees, side, reply_to, extra_diegetic, monologue in records:
+        entry = (f'  {{\n    "line_idx": {line_idx},\n    "speaker": {tokens[speaker]},'
+                 f'\n    "addressee": {arrays[addressees]},'
+                 f'\n    "side_participant": {arrays[side]},'
+                 f'\n    "reply_to": {reply_to}')
+        if extra_diegetic:
+            entry += ',\n    "extra_diegetic": true'
+        if monologue:
+            entry += ',\n    "monologue": true'
+        entries.append(entry + "\n  }")
+    if not entries:
+        return b"[]\n"
+    return ("[\n" + ",\n".join(entries) + "\n]\n").encode("utf-8")
 
 
 def _id_field(payload: dict, key: str, what: str) -> str:
@@ -534,14 +608,15 @@ def parse_gender_map_tsv(data: bytes) -> dict[tuple[str, str], str]:
     header = ("canonical_name", "gender", "show_id")
     table: dict[tuple[str, str], str] = {}
     rows: dict[tuple[str, str], int] = {}
-    for row, cells in _tsv_rows(data, "gender map", header):
-        name = _file_name(cells[0], f"gender map row {row}").canonical_name
-        gender = cells[1].strip().lower()
+    numbers, columns = _tsv_columns(data, "gender map", header)
+    for row, raw_name, raw_gender, show_id in zip(numbers, *columns):
+        name = _file_name(raw_name, f"gender map row {row}").canonical_name
+        gender = raw_gender.strip().lower()
         if gender not in GENDERS:
             raise ParseError(
-                f"gender map row {row}: gender must be one of {GENDERS}, got {cells[1]!r}"
+                f"gender map row {row}: gender must be one of {GENDERS}, got {raw_gender!r}"
             )
-        key = (cells[2].strip(), name)
+        key = (show_id.strip(), name)
         if key in rows:
             raise ParseError(f"gender map rows {rows[key]} and {row} both list "
                              f"{name!r} for show {key[0]!r}")

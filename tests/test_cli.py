@@ -1010,6 +1010,7 @@ class TestTableFormat:
         assert out.strip()
         with pytest.raises(ValueError):
             json.loads(out)
+        assert [line for line in out.splitlines() if line != line.rstrip()] == []
         assert run(argv) == (code, out, err)
 
     @pytest.mark.parametrize("header", ["clip_id,bad,n_lines,f1_speaker",

@@ -12,15 +12,18 @@ from convstruct.corpus import (
     CROWD,
     ERROR,
     FORWARD_LINK,
+    GENDERS,
     GOLD_COVERAGE,
     OFF_SCREEN,
     OVERLAP,
     REGULAR,
+    UNKNOWN,
     WARNING,
     Clip,
     CorpusError,
     Diagnostic,
     ParseError,
+    Participant,
     StructureRecord,
     Utterance,
     ValidationError,
@@ -37,10 +40,11 @@ from convstruct.corpus import (
     scan_annotation_json,
     serialize_annotation_json,
     validate_clip,
+    _number,
     _read_records,
 )
 
-from convstruct.baseline import parse_face_tracks_json, parse_word_tokens_tsv
+from convstruct.baseline import WordToken, parse_face_tracks_json, parse_word_tokens_tsv
 
 from conftest import NAMES, record, table4_records
 
@@ -160,6 +164,17 @@ class TestRecordSemantics:
         assert line == ("c", 1, 0.5, 2.0, "hi", None) and line.speaker_hint is None
         assert line._replace(end_s=3.5).duration_s == 3.0 and line.duration_s == 1.5
 
+    def test_word_token_is_the_tuple_of_its_fields(self):
+        word = WordToken(2, "hi", 0.5, 0.75)
+        assert word == (2, "hi", 0.5, 0.75) and hash(word) == hash((2, "hi", 0.5, 0.75))
+        assert len({word, (2, "hi", 0.5, 0.75)}) == 1
+        assert sorted([word, WordToken(1, "yo", 3.0, 3.5), WordToken(2, "a", 0.5, 0.6)]) == [
+            (1, "yo", 3.0, 3.5), (2, "a", 0.5, 0.6), (2, "hi", 0.5, 0.75)]
+        line_idx, text, start_s, end_s = word
+        assert (line_idx, text, start_s, end_s) == (2, "hi", 0.5, 0.75)
+        with pytest.raises(AttributeError):
+            word.line_idx = 3
+
 
 ANNOTATION = json.dumps([
     {"line_idx": 1, "speaker": "sheldon cooper",
@@ -277,6 +292,41 @@ class TestRoundTripProperty:
         parsed = parse_annotation_json(blob, strict=strict)
         assert parsed == records
         assert serialize_annotation_json(parsed) == blob
+
+
+# any text: quotes, backslashes, control and non-BMP characters included
+_ANY_PARTICIPANTS = st.builds(Participant, st.text(max_size=6),
+                              st.sampled_from([REGULAR, OFF_SCREEN, CROWD, UNKNOWN]))
+_ANY_RECORDS = st.lists(st.builds(
+    StructureRecord, st.integers(), _ANY_PARTICIPANTS,
+    st.frozensets(_ANY_PARTICIPANTS, max_size=4), st.frozensets(_ANY_PARTICIPANTS, max_size=4),
+    st.integers(), st.booleans(), st.booleans()), max_size=6)
+
+
+def _json_dumps_bytes(records) -> bytes:
+    """The annotation bytes as `json.dumps` lays them out."""
+    entries = []
+    for r in records:
+        entry = {"line_idx": r.line_idx, "speaker": r.speaker.token,
+                 "addressee": sorted(p.token for p in r.addressees),
+                 "side_participant": sorted(p.token for p in r.side_participants),
+                 "reply_to": r.reply_to}
+        entry.update({flag: True for flag in ("extra_diegetic", "monologue")
+                      if getattr(r, flag)})
+        entries.append(entry)
+    return (json.dumps(entries, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+class TestSerializedBytes:
+    @settings(deadline=None)
+    @given(records=_ANY_RECORDS)
+    @example(records=[])
+    @example(records=[StructureRecord(
+        1, Participant('a"b\\c\x00\x1f\u2028\U0001f600', OFF_SCREEN),
+        frozenset({Participant('"'), Participant("#"), Participant("\\")}),
+        frozenset(), 1, True, True)])
+    def test_bytes_are_json_dumps_with_indent_2(self, records):
+        assert serialize_annotation_json(records) == _json_dumps_bytes(records)
 
 
 class TestValidateClip:
@@ -427,6 +477,169 @@ TSV_FORMATS = {
 }
 
 
+# The per-row TSV rules the column reader must keep: a line at a time, each
+# cell through `_number`, the first failing check raising.
+def _reference_rows(data, what, header):
+    try:
+        lines = data.decode("utf-8-sig").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
+    found = tuple(lines[0].rstrip("\r").split("\t"))
+    if found != header:
+        raise ParseError(f"bad {what} header {found!r}, expected {header!r}")
+    for row, line in enumerate(lines[1:], start=1):
+        line = line.rstrip("\r")
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) != len(header):
+            raise ParseError(f"{what} row {row}: expected {len(header)} columns, "
+                             f"found {len(cells)}")
+        yield row, cells
+
+
+def _reference_transcript(data):
+    utterances = []
+    for row, cells in _reference_rows(data, "transcript", ("start", "end", "speaker", "text")):
+        times = []
+        for cell, col in zip(cells, ("start", "end")):
+            try:
+                value = _number(cell)
+            except ValueError:
+                raise ParseError(f"row {row}: non-numeric {col} timestamp {cell!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(f"row {row}: non-finite {col} timestamp {cell!r}")
+            times.append(round(value, 3))
+        if times[0] > times[1]:
+            raise ParseError(f"row {row}: start {times[0]} is after end {times[1]}")
+        utterances.append(Utterance("", len(utterances) + 1, *times, cells[3],
+                                    cells[2] or None))
+    return utterances
+
+
+def _reference_word_tokens(data):
+    tokens = []
+    for row, cells in _reference_rows(data, "word token", ("line_idx", "word", "start", "end")):
+        try:
+            line_idx, start, end = _number(cells[0], int), _number(cells[2]), _number(cells[3])
+        except ValueError:
+            raise ParseError(f"word token row {row}: bad numeric field") from None
+        if line_idx < 1:
+            raise ParseError(f"word token row {row}: line_idx must be >= 1, got {line_idx}")
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ParseError(f"word token row {row}: times must be finite")
+        if start > end:
+            raise ParseError(f"word token row {row}: start {start} is after end {end}")
+        tokens.append((line_idx, cells[1], start, end))
+    return sorted(tokens, key=lambda t: (t[0], t[2], t[3]))
+
+
+def _reference_gender_map(data):
+    table, rows = {}, {}
+    for row, cells in _reference_rows(data, "gender map", ("canonical_name", "gender", "show_id")):
+        try:
+            name = normalize_name(cells[0]).canonical_name
+        except CorpusError as exc:
+            raise ParseError(f"gender map row {row}: {exc}") from None
+        gender = cells[1].strip().lower()
+        if gender not in ("female", "male", "unspecified"):
+            raise ParseError(f"gender map row {row}: gender must be one of "
+                             f"('female', 'male', 'unspecified'), got {cells[1]!r}")
+        key = (cells[2].strip(), name)
+        if key in rows:
+            raise ParseError(f"gender map rows {rows[key]} and {row} both list "
+                             f"{name!r} for show {key[0]!r}")
+        rows[key] = row
+        table[key] = gender
+    return table
+
+
+_REFERENCES = {"transcript": _reference_transcript, "word tokens": _reference_word_tokens,
+               "gender map": _reference_gender_map}
+
+
+def _outcome(parse, blob):
+    """What `parse(blob)` returns, or the message of the ParseError it raises."""
+    try:
+        return "returns", parse(blob)
+    except ParseError as exc:
+        return "raises", str(exc)
+
+
+_TEXT_CELLS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+                      max_size=6)
+_SPELLINGS = [lambda ms: f"{ms / 1000:.3f}", lambda ms: f"{ms / 1000}",
+              lambda ms: f"{ms / 1000:E}", lambda ms: f"+{ms / 1000:.4f}",
+              lambda ms: f"{ms / 1000:.3f}".lstrip("0") or "0", lambda ms: f"{ms // 1000}.",
+              lambda ms: f"{ms / 1000:.3f}5", lambda ms: f"{ms / 1000:.3f}51"]
+_TIMES = st.tuples(st.integers(0, 10 ** 6), st.integers(0, 5000),
+                   st.sampled_from(_SPELLINGS)).map(
+    lambda t: (t[2](t[0]), t[2](t[0] + t[1])))
+_GENDER_NAMES = ["ada", "bo", "max", "zoe", "penny", "the narrator"]
+
+
+@st.composite
+def _valid_tsv_rows(draw, fmt):
+    """Cells of well-formed data rows of one TSV format."""
+    if fmt == "transcript":
+        return draw(st.lists(st.tuples(_TIMES, _TEXT_CELLS, _TEXT_CELLS).map(
+            lambda t: [*t[0], t[1], t[2]]), max_size=8))
+    if fmt == "word tokens":
+        line = st.integers(1, 40).map(str) | st.sampled_from(["+2", "007"])
+        return draw(st.lists(st.tuples(line, _TEXT_CELLS, _TIMES).map(
+            lambda t: [t[0], t[1], *t[2]]), max_size=8))
+    keys = draw(st.lists(st.tuples(st.sampled_from(_GENDER_NAMES),
+                                   st.sampled_from(["", "bbt", "friends"])),
+                         unique=True, max_size=8))
+    decorate = st.sampled_from([str, str.upper, lambda n: f" {n}  ", str.title])
+    return [[draw(decorate)(name), draw(decorate)(draw(st.sampled_from(GENDERS))), show]
+            for name, show in keys]
+
+
+_NOT_DECIMALS = ["1_0", " 1.0", "1.0 ", "١", "１.5", "0x1", "1e", "+", ".",
+                 "", " ", "abc", "1.2.3", "1,5"]
+_NOT_FINITE = ["nan", "-inf", "Infinity", "NaN", "1e400"]
+# (format, column, cells that are a fault there); "order" swaps start and end
+_FAULTS = {
+    "transcript": [(0, _NOT_DECIMALS + _NOT_FINITE), (1, _NOT_DECIMALS + _NOT_FINITE),
+                   ("order", None)],
+    "word tokens": [(0, _NOT_DECIMALS + ["1.0", "1e3", "9" * 4301, "0", "-3", "-0"]),
+                    (2, _NOT_DECIMALS + _NOT_FINITE), (3, _NOT_DECIMALS + _NOT_FINITE),
+                    ("order", None)],
+    "gender map": [(0, [" ", "_OS", "x_os"]), (1, ["f", "", "males"]), ("repeat", None)],
+}
+
+
+@st.composite
+def _single_fault_tsv(draw, fmt):
+    """A TSV file of one format with at most one fault, in one row: a cell
+    that breaks its column's rule, a row with a cell too few or too many,
+    swapped times or a repeated gender map key. Blank lines, CRLF endings and
+    a BOM may appear too."""
+    rows = draw(_valid_tsv_rows(fmt))
+    if rows and draw(st.booleans()):
+        k = draw(st.integers(0, len(rows) - 1))
+        column, cells = draw(st.sampled_from(_FAULTS[fmt] + [("width", None)]))
+        row = rows[k]
+        if column == "width":
+            rows[k] = row[:-1] if draw(st.booleans()) else [*row, ""]
+        elif column == "order":
+            start, end = (0, 1) if fmt == "transcript" else (2, 3)
+            if float(row[start]) < float(row[end]) - 0.002:
+                row[start], row[end] = row[end], row[start]
+        elif column == "repeat":
+            if k:
+                row[0], row[2] = f" {rows[k - 1][0].upper()}", rows[k - 1][2]
+        else:
+            row[column] = draw(st.sampled_from(cells))
+    lines = ["\t".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "\r"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "﻿"]))
+    return (bom + end.join([TSV_FORMATS[fmt][2], *lines, ""])).encode("utf-8")
+
+
 class TestTsvRows:
     """The three TSV formats share one reader and so one set of rules."""
 
@@ -483,6 +696,83 @@ class TestTsvRows:
         with pytest.raises(ParseError, match="^row 3: non-numeric start timestamp ''"):
             parse_transcript_tsv(b"start\tend\tspeaker\ttext\n0.0\t1.0\tada\thi\n"
                                  b"\n\t\t\t\n")
+
+    @pytest.mark.parametrize("fmt", sorted(TSV_FORMATS))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_single_fault_files_read_as_the_per_row_reference(self, fmt, data):
+        blob = data.draw(_single_fault_tsv(fmt))
+        assert _outcome(TSV_FORMATS[fmt][0], blob) == _outcome(_REFERENCES[fmt], blob)
+
+    @pytest.mark.parametrize("fmt", sorted(TSV_FORMATS))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_any_file_reads_as_the_reference_or_both_raise(self, fmt, data):
+        """Several faults may be named differently, but never let through."""
+        cells = st.sampled_from(_NOT_DECIMALS + _NOT_FINITE + [
+            "0", "1", "-1", "0.5", "2.25", "ada", "_OS", "female", "bbt", "9" * 4301])
+        rows = data.draw(st.lists(st.lists(cells, min_size=2, max_size=5), max_size=5))
+        blob = "\n".join([TSV_FORMATS[fmt][2], *map("\t".join, rows)]).encode()
+        found, expected = _outcome(TSV_FORMATS[fmt][0], blob), _outcome(_REFERENCES[fmt], blob)
+        assert found[0] == expected[0]
+        if found[0] == "returns":
+            assert found == expected
+
+    def test_line_idx_past_the_int_digit_limit(self):
+        cell = "9" * 4301
+        blob = f"line_idx\tword\tstart\tend\n1\ta\t0\t1\n{cell}\tb\t0\t1\n".encode()
+        try:
+            int(cell)
+        except ValueError:  # Python 3.11 and later refuse it
+            with pytest.raises(ParseError, match="^word token row 2: bad numeric field$"):
+                parse_word_tokens_tsv(blob)
+        else:
+            assert parse_word_tokens_tsv(blob)[1].line_idx == int(cell)
+
+    @pytest.mark.parametrize("cell, transcript, words", [
+        ("nan", "non-finite start timestamp 'nan'", "times must be finite"),
+        ("-inf", "non-finite start timestamp '-inf'", "times must be finite"),
+        ("1_0", "non-numeric start timestamp '1_0'", "bad numeric field"),
+        ("\u0663", "non-numeric start timestamp '\u0663'", "bad numeric field"),
+        (" ", "non-numeric start timestamp ' '", "bad numeric field"),
+    ])
+    def test_cell_that_is_not_a_finite_ascii_decimal(self, cell, transcript, words):
+        with pytest.raises(ParseError, match=f"^{re.escape(f'row 2: {transcript}')}$"):
+            parse_transcript_tsv(
+                f"start\tend\tspeaker\ttext\n0\t1\tx\thi\n{cell}\t2.0\tx\thi\n".encode())
+        with pytest.raises(ParseError, match=f"^word token row 2: {words}$"):
+            parse_word_tokens_tsv(
+                f"line_idx\tword\tstart\tend\n1\ta\t0\t1\n1\tb\t{cell}\t2.0\n".encode())
+
+    def test_crlf_bom_and_blank_lines_keep_the_row_numbers(self, tsv):
+        parse, what, header, good = tsv
+        plain = f"{header}\n{good}\n".encode()
+        assert parse(f"\ufeff{header}\r\n\r\n{good}\r\n\r\n".encode()) == parse(plain)
+        self._raises(tsv, f"\ufeff{header}\r\n{good}\r\n\r\nx\r\n".encode(),
+                     f"^{what} row 3: expected")
+
+    def test_several_faults_are_named_check_by_check(self):
+        """Width first, then the numeric columns in header order, then finite
+        times, then start <= end, then (word tokens) line_idx >= 1: each check
+        names its first bad row, so removing the named row names the next."""
+        transcript = ["0.9\t0.1\tx\thi", "0\tinf\tx\thi", "nan\t1\tx\thi",
+                      "0\tx\tx\thi", "x\t0\tx\thi", "0\t1\tx"]
+        named = ["row 6: expected 4 columns, found 3", "row 5: non-numeric start",
+                 "row 4: non-numeric end", "row 3: non-finite start",
+                 "row 2: non-finite end", "row 1: start 0.9 is after end 0.1"]
+        for n, message in zip(range(len(transcript), 0, -1), named):
+            blob = "\n".join(["start\tend\tspeaker\ttext", *transcript[:n]]).encode()
+            with pytest.raises(ParseError, match=f"^(transcript )?{message}"):
+                parse_transcript_tsv(blob)
+        words = ["0\ta\t0.5\t0.7", "1\tb\t0.9\t0.1", "1\tc\tnan\t1.0",
+                 "1\td\t0.1\tx", "1\te\t0.1"]
+        named = ["row 5: expected 4 columns, found 3", "row 4: bad numeric field",
+                 "row 3: times must be finite", "row 2: start 0.9 is after end 0.1",
+                 "row 1: line_idx must be >= 1, got 0"]
+        for n, message in zip(range(len(words), 0, -1), named):
+            blob = "\n".join(["line_idx\tword\tstart\tend", *words[:n]]).encode()
+            with pytest.raises(ParseError, match=f"^word token {message}$"):
+                parse_word_tokens_tsv(blob)
 
 
 class TestBadNamesInFiles:
