@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter, le
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -266,11 +266,12 @@ def _side_file(base: str | None, clip_id: str, suffix: str, what: str, parse, re
 def run_corpus_baseline(
     clips: Iterable[Clip], faces: str | None = None, words: str | None = None,
     read: Callable[[Path], bytes] = Path.read_bytes,
-) -> dict[str, list[StructureRecord]]:
-    """The baseline's records for each clip, by clip id, taking the clips in
-    clip id order (`corpus._in_clip_order`) so a stream is run as it comes.
-    `faces` and `words` each name one file (a one-clip corpus) or a directory
-    of `<clip>.faces.json` or `<clip>.words.tsv`; with no `faces` it is the
+) -> Iterator[tuple[str, list[StructureRecord]]]:
+    """Yield `(clip_id, records)`, the baseline's records for each clip, taking
+    the clips in clip id order (`corpus._in_clip_order`) so a stream is run as
+    it comes; no clip's records are held once yielded. `faces` and `words`
+    each name one file (a one-clip corpus) or a directory of
+    `<clip>.faces.json` or `<clip>.words.tsv`; with no `faces` it is the
     reply-only baseline."""
     one_file = []
     for flag, path in (("--faces", faces), ("--words", words)):
@@ -278,17 +279,15 @@ def run_corpus_baseline(
             raise FileNotFoundError(f"{flag} not found: {Path(path)}")
         if path is not None and Path(path).is_file():
             one_file.append((flag, path))
-    predictions = {}
-    for clip in _in_clip_order(clips):
-        if predictions and one_file:
+    for n, clip in enumerate(_in_clip_order(clips)):
+        if n and one_file:
             flag, path = one_file[0]
             raise CorpusError(f"{flag} {path} is one file but the corpus has more "
                               f"than one clip; give a directory")
         clip_id = clip.clip_id
         if not clip.utterances:
             raise CorpusError(f"clip {clip_id!r} has no transcript; baseline needs one")
-        predictions[clip_id] = run_baseline(clip, _side_file(
+        yield clip_id, run_baseline(clip, _side_file(
             faces, clip_id, ".faces.json", "face tracks", parse_face_tracks_json, read),
             _side_file(words, clip_id, ".words.tsv", "word timings",
                        parse_word_tokens_tsv, read))
-    return predictions

@@ -186,10 +186,12 @@ def cmd_agree(args, reads: _Reads) -> int:
 def cmd_baseline(args, reads: _Reads) -> int:
     from .baseline import run_corpus_baseline
 
-    # each clip is run as it is parsed, in clip id order
-    predictions = run_corpus_baseline(
-        iter_corpus(args.corpus, strict=args.strict, read=reads.read),
-        args.faces, args.words, reads.read)
+    # each clip is run as it is parsed, in clip id order, and only its written
+    # bytes are kept: no file is written before every prediction exists
+    predictions = {clip_id: serialize_annotation_json(records)
+                   for clip_id, records in run_corpus_baseline(
+                       iter_corpus(args.corpus, strict=args.strict, read=reads.read),
+                       args.faces, args.words, reads.read)}
     if not predictions:
         raise CorpusError(f"no clips found under {args.corpus}")
     out_root = Path(args.out)
@@ -204,8 +206,8 @@ def cmd_baseline(args, reads: _Reads) -> int:
                "written": [str(target) for target in targets]}
     if not single_file:
         out_root.mkdir(parents=True, exist_ok=True)
-    for target, records in zip(targets, predictions.values()):
-        target.write_bytes(serialize_annotation_json(records))
+    for target, data in zip(targets, predictions.values()):
+        target.write_bytes(data)
     _emit(payload, args.format,
           lambda: ["written:"] + [f"  {w}" for w in payload["written"]])
     return 0
@@ -273,8 +275,11 @@ def cmd_correlate(args, reads: _Reads) -> int:
 
 
 def _format_cell(value) -> str:
+    """A float to 4 decimals, a list as its formatted cells in brackets."""
     if isinstance(value, float):
         return f"{value:.4f}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_format_cell, value)) + "]"
     return str(value)
 
 
@@ -300,8 +305,7 @@ def _flatten_table(report: dict, prefix: str = "") -> list[str]:
                 lines.append((prefix + "  " + "  ".join(
                     _format_cell(row.get(c, "")).ljust(widths[c]) for c in columns)).rstrip())
         elif isinstance(value, list):
-            rendered = ", ".join(_format_cell(v) for v in value)
-            lines.append(f"{label:<32} [{rendered}]")
+            lines.append(f"{label:<32} {_format_cell(value)}")
         elif isinstance(value, float):
             lines.append(f"{label:<32} {value:>12.4f}")
         else:

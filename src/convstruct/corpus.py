@@ -355,16 +355,25 @@ def _decode_json(data: bytes, what: str):
         raise ParseError(f"{what} JSON is unreadable: {exc}") from None
 
 
-class _Names(dict):
-    """Raw name -> its participant, or the message saying why it names none;
-    each name is normalized on first lookup."""
+class _Memo(dict):
+    """A dict that stores `make(key)` for each key it is asked for and lacks."""
 
-    def __missing__(self, raw: str) -> Participant | str:
-        try:
-            found = self[raw] = normalize_name(raw)
-        except CorpusError as exc:
-            found = self[raw] = str(exc)
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        found = self[key] = self.make(key)
         return found
+
+
+def _participant_or_message(raw: str) -> Participant | str:
+    """The participant a raw name normalizes to, or the message saying why it
+    names none."""
+    try:
+        return normalize_name(raw)
+    except CorpusError as exc:
+        return str(exc)
 
 
 def _read_records(
@@ -385,7 +394,7 @@ def _read_records(
     records: list[StructureRecord] = []
     append = records.append
     record = partial(tuple.__new__, StructureRecord)
-    names = _Names()
+    names = _Memo(_participant_or_message)  # each name normalized once
     role_sets: dict[tuple, frozenset[Participant] | str] = {}  # see role_set
 
     def bad(code, message, line_idx=None):
@@ -530,18 +539,6 @@ def parse_annotation_json(
 ) -> list[StructureRecord]:
     """Strict annotation parse: raises ValidationError listing every violation."""
     return annotation_records(_decode_json(data, "annotation"), strict, clip_id)
-
-
-class _Memo(dict):
-    """A dict that stores `make(key)` for each key it is asked for and lacks."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        found = self[key] = self.make(key)
-        return found
 
 
 def _json_role_array(roles: frozenset[Participant]) -> str:

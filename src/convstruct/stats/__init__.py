@@ -11,9 +11,8 @@ _LAZY = {
                      "bootstrap_ratio_ci"), "bootstrap"),
     **dict.fromkeys(("feature_correlations", "read_features_csv", "signed_rank_variance",
                      "spearman"), "correlation"),
-    **dict.fromkeys(("Document", "TermCounts", "calibrate_prior", "logodds_report",
-                     "tokenize", "utterance_documents", "weighted_logodds"),
-                    "logodds"),
+    **dict.fromkeys(("TermCounts", "calibrate_prior", "logodds_report", "tokenize",
+                     "utterance_documents", "weighted_logodds"), "logodds"),
     **dict.fromkeys(("LogitResult", "OutcomeEstimate", "multinomial_logit"), "regression"),
     **dict.fromkeys(("RoleDistributions", "ThreadShareReport", "gender_thread_shares",
                      "role_counts", "role_distributions", "role_report"), "gender"),

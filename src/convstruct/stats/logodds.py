@@ -42,23 +42,11 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower().translate(_APOSTROPHES))
 
 
-@dataclass(frozen=True)
-class Document:
-    """One resampling/permutation unit: a bag of tokens with show and group."""
-
-    show_id: str
-    group: str
-    tokens: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.group not in (GROUP_A, GROUP_B):
-            raise StatsError(f"group must be '{GROUP_A}' or '{GROUP_B}', got {self.group!r}")
-
-
 def utterance_documents(clips: Iterable[Clip], filter_nondialogic: bool = False
-                        ) -> Iterator[Document]:
-    """Yield one document per annotated transcript line: group a without
-    side-participants, group b with them. Documents come in clip id order
+                        ) -> Iterator[tuple[str, str, list[str]]]:
+    """Yield one `(show_id, group, tokens)` document per annotated transcript
+    line: group `GROUP_A` without side-participants, `GROUP_B` with them, and
+    `tokens` as `tokenize` gives them. Documents come in clip id order
     (`corpus._in_clip_order`), then line order."""
     for clip in _in_clip_order(clips):
         records = {r.line_idx: r for r in clip.gold or ()}
@@ -67,8 +55,7 @@ def utterance_documents(clips: Iterable[Clip], filter_nondialogic: bool = False
             if record is None or (filter_nondialogic and record.is_nondialogic):
                 continue
             group = GROUP_A if not record.side_participants else GROUP_B
-            yield Document(show_id=clip.show_id, group=group,
-                           tokens=tuple(tokenize(u.text)))
+            yield clip.show_id, group, tokenize(u.text)
 
 
 class _Ids(dict):
@@ -94,9 +81,9 @@ def _table(cells: np.ndarray, weights: np.ndarray, shape: tuple[int, int]) -> np
 class TermCounts:
     """Term counts per (show, group) plus pooled background frequencies.
 
-    Rows are shows, columns the kept vocabulary. When built from documents the
-    nonzero document-term entries are retained so group labels can be
-    permuted for prior calibration.
+    Rows are shows, columns the kept vocabulary. The nonzero document-term
+    entries are kept with each document's show and group, so that group
+    labels can be permuted for prior calibration.
     """
 
     terms: tuple[str, ...]
@@ -104,13 +91,15 @@ class TermCounts:
     y_a: np.ndarray  # (S, T) counts in group a
     y_b: np.ndarray  # (S, T) counts in group b
     p: np.ndarray    # (T,) background frequencies, sums to 1
-    doc_terms: np.ndarray | None = None    # (3, N) document row, term column, count
-    doc_show: np.ndarray | None = None     # (D,) show row index
-    doc_in_a: np.ndarray | None = None     # (D,) True where the document is group a
+    doc_terms: np.ndarray  # (3, N) document row, term column, count
+    doc_show: np.ndarray   # (D,) show row index
+    doc_in_a: np.ndarray   # (D,) True where the document is group a
 
     @classmethod
-    def from_documents(cls, docs: Iterable[Document], min_count: int = 5) -> "TermCounts":
-        """Build counts from documents, dropping terms rarer than min_count pooled.
+    def from_documents(cls, docs: Iterable[tuple[str, str, Sequence[str]]],
+                       min_count: int = 5) -> "TermCounts":
+        """Build counts from `(show_id, group, tokens)` documents, such as
+        `utterance_documents` yields, dropping terms rarer than min_count pooled.
 
         `docs` is read once, and no document is held after its turn: each
         token becomes the int id of a growing vocabulary, and the kept terms
@@ -118,11 +107,11 @@ class TermCounts:
         vocabulary, show_ids = _Ids(), _Ids()
         token_ids, lengths = array("i"), array("q")
         doc_show, doc_in_a = array("q"), array("b")
-        for d in docs:
-            token_ids.extend(map(vocabulary.__getitem__, d.tokens))
-            lengths.append(len(d.tokens))
-            doc_show.append(show_ids[d.show_id])
-            doc_in_a.append(d.group == GROUP_A)
+        for show_id, group, tokens in docs:
+            token_ids.extend(map(vocabulary.__getitem__, tokens))
+            lengths.append(len(tokens))
+            doc_show.append(show_ids[show_id])
+            doc_in_a.append(group == GROUP_A)
         if not lengths:
             raise StatsError("no documents")
         pooled = np.bincount(np.asarray(token_ids), minlength=len(vocabulary))
@@ -251,10 +240,6 @@ def calibrate_prior(
         raise StatsError(f"permutations must be >= 1, got {permutations}")
     if seed < 0:
         raise StatsError(f"seed must be >= 0, got {seed}")
-    if counts.doc_terms is None or counts.doc_show is None or counts.doc_in_a is None:
-        raise StatsError(
-            "calibration permutes document labels: build TermCounts.from_documents"
-        )
     show_rows = [np.flatnonzero(counts.doc_show == s) for s in range(len(counts.shows))]
     if not any(len(rows) >= 2 for rows in show_rows):
         raise StatsError(
@@ -295,7 +280,7 @@ def calibrate_prior(
     return best_c
 
 
-def logodds_report(docs: Iterable[Document], min_count: int = 5,
+def logodds_report(docs: Iterable[tuple[str, str, Sequence[str]]], min_count: int = 5,
                    c_star: float | None = None, grid: Sequence[float] | None = None,
                    permutations: int = 20, seed: int = 0, top: int = 10) -> dict:
     """The full analysis as a report: C*, its calibration, z per term, top terms.

@@ -31,7 +31,6 @@ from convstruct.metrics import (
 )
 from convstruct.stats.bootstrap import BootstrapConfig, bootstrap_ratio_ci
 from convstruct.stats.logodds import (
-    Document,
     TermCounts,
     calibrate_prior,
     weighted_logodds,
@@ -182,8 +181,7 @@ def test_criterion_7_logodds_calibration():
             tokens = []
             for term, count in zip(terms, draws):
                 tokens.extend([term] * int(count))
-            docs.append(Document(f"show{s}", "a" if d % 2 == 0 else "b",
-                                 tuple(tokens)))
+            docs.append((f"show{s}", "a" if d % 2 == 0 else "b", tokens))
     counts = TermCounts.from_documents(docs, min_count=5)
     c_star = calibrate_prior(counts, np.logspace(0, 4, 9), permutations=20, seed=7)
     _, _, zeta = weighted_logodds(counts, c_star)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from convstruct import baseline
 from convstruct.baseline import (
     FaceTrack,
     WordToken,
@@ -294,20 +295,22 @@ class TestRunCorpusBaseline:
                 "line_idx\tword\tstart\tend\n1\thi\t0.0\t0.4\n2\tyo\t1.1\t1.5\n")
         clips = load_corpus(corpus)
         read = []
-        got = run_corpus_baseline(clips.values(), str(corpus), str(corpus),
-                                  read=lambda path: read.append(path.name) or path.read_bytes())
+        got = dict(run_corpus_baseline(
+            clips.values(), str(corpus), str(corpus),
+            read=lambda path: read.append(path.name) or path.read_bytes()))
         assert got == {c: run_baseline(
             clips[c], parse_face_tracks_json((corpus / f"{c}.faces.json").read_bytes()),
             parse_word_tokens_tsv((corpus / f"{c}.words.tsv").read_bytes())) for c in clips}
         assert got["c2"][0].speaker == normalize_name("bo")
         assert read == ["c1.faces.json", "c1.words.tsv", "c2.faces.json", "c2.words.tsv"]
-        assert run_corpus_baseline(clips.values()) == {c: run_baseline(clips[c], (), ())
-                                                       for c in clips}
+        assert dict(run_corpus_baseline(clips.values())) == {
+            c: run_baseline(clips[c], (), ()) for c in clips}
 
 
 class TestCorpusBaselineStream:
     """`run_corpus_baseline` reads a one-shot stream as it comes: it checks
-    the clip order and holds no clip it has run."""
+    the clip order and holds no clip it has run, nor any records it has
+    yielded."""
 
     @staticmethod
     def clips(n):
@@ -316,8 +319,11 @@ class TestCorpusBaselineStream:
 
     def test_a_descending_stream_raises_naming_both_clips(self):
         c1, c2 = self.clips(2)
+        predictions = run_corpus_baseline(iter([c2, c1]))
+        # c2's records come before the order is found broken
+        assert next(predictions) == ("c2", run_baseline(c2, (), ()))
         with pytest.raises(StatsError, match="clip 'c1' comes after clip 'c2'"):
-            run_corpus_baseline(iter([c2, c1]))
+            next(predictions)
 
     def test_a_clip_two_back_is_freed_before_the_next_is_read(self):
         run, held = [], []
@@ -330,15 +336,29 @@ class TestCorpusBaselineStream:
                 run.append(weakref.ref(clip))
                 yield clip
 
-        predictions = run_corpus_baseline(stream())
+        predictions = dict(run_corpus_baseline(stream()))
         assert len(run) == 6 and held == []
-        assert predictions == run_corpus_baseline(list(self.clips(6)))
+        assert predictions == dict(run_corpus_baseline(list(self.clips(6))))
+
+    def test_records_the_consumer_dropped_are_freed(self, monkeypatch):
+        class Records(list):  # unlike a list, it can be weakly referenced
+            pass
+
+        run = baseline.run_baseline
+        monkeypatch.setattr(baseline, "run_baseline", lambda *args: Records(run(*args)))
+        yielded, held = [], []
+        for clip_id, records in run_corpus_baseline(self.clips(6)):
+            gc.collect()
+            # only the records bound to `records` now may still be alive
+            held.extend(k for k, ref in enumerate(yielded) if ref())
+            yielded.append(weakref.ref(records))
+        assert len(yielded) == 6 and held == []
 
     def test_a_list_in_any_order_gives_the_same_predictions(self):
         clips = list(self.clips(5))
         expected = {c.clip_id: run_baseline(c, (), ()) for c in clips}
         for order in (clips, clips[::-1], random.Random(3).sample(clips, len(clips))):
-            got = run_corpus_baseline(order)
+            got = dict(run_corpus_baseline(order))
             assert got == expected
             assert list(got) == [f"c{k}" for k in range(1, 6)]
 

@@ -1011,6 +1011,9 @@ class TestTableFormat:
         with pytest.raises(ValueError):
             json.loads(out)
         assert [line for line in out.splitlines() if line != line.rstrip()] == []
+        # a list's items are cells too: no Python repr, no unrounded float
+        assert [line for line in out.splitlines() if "['" in line] == []
+        assert [line for line in out.splitlines() if re.search(r"\d\.\d{5}", line)] == []
         assert run(argv) == (code, out, err)
 
     @pytest.mark.parametrize("header", ["clip_id,bad,n_lines,f1_speaker",

@@ -188,8 +188,8 @@ class TestAnalyses:
         docs = list(utterance_documents(clips_of(corpus)))
         assert len(docs) == 8
         # line 2 of c1 has a side-participant
-        assert [d.group for d in docs[:4]] == ["a", "b", "a", "a"]
-        assert docs[0].tokens == ("hello", "there")
+        assert [group for _, group, _ in docs[:4]] == ["a", "b", "a", "a"]
+        assert docs[0][2] == ["hello", "there"]
 
     def test_nondialogic_lines_can_be_filtered(self):
         clip = Clip(clip_id="c", utterances=(Utterance("c", 1, 0.0, 1.0, "hi"),

@@ -13,7 +13,6 @@ from convstruct.stats import logodds
 from convstruct.stats.bootstrap import StatsError
 from convstruct.stats.logodds import (
     DEFAULT_GRID,
-    Document,
     TermCounts,
     calibrate_prior,
     logodds_report,
@@ -26,11 +25,14 @@ from conftest import random_clip
 
 
 def count_tables(terms, shows, y_a, y_b, p=None):
-    """TermCounts from explicit (show, term) tables; the background defaults to
-    the pooled term frequency."""
+    """TermCounts from explicit (show, term) tables, with no document entries;
+    the background defaults to the pooled term frequency."""
     if p is None:
         p = (y_a.sum(axis=0) + y_b.sum(axis=0)) / (y_a.sum() + y_b.sum())
-    return TermCounts(tuple(terms), tuple(shows), y_a, y_b, p)
+    return TermCounts(tuple(terms), tuple(shows), y_a, y_b, p,
+                      doc_terms=np.empty((3, 0), dtype=np.int64),
+                      doc_show=np.empty(0, dtype=np.int64),
+                      doc_in_a=np.empty(0, dtype=bool))
 
 
 def toy_counts():
@@ -171,10 +173,10 @@ class TestZetaCore:
 class TestTermCounts:
     def test_from_documents_counts_and_background(self):
         docs = [
-            Document("s1", "a", tuple("aabb")),
-            Document("s1", "b", tuple("abbb")),
-            Document("s2", "a", tuple("aaab")),
-            Document("s2", "b", tuple("bbbb")),
+            ("s1", "a", tuple("aabb")),
+            ("s1", "b", tuple("abbb")),
+            ("s2", "a", tuple("aaab")),
+            ("s2", "b", tuple("bbbb")),
         ]
         counts = TermCounts.from_documents(docs, min_count=1)
         assert counts.terms == ("a", "b")
@@ -185,8 +187,8 @@ class TestTermCounts:
         assert float(counts.p.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_min_count_filters_rare_terms(self):
-        docs = [Document("s", "a", ("common",) * 6 + ("rare",)),
-                Document("s", "b", ("common",) * 6)]
+        docs = [("s", "a", ("common",) * 6 + ("rare",)),
+                ("s", "b", ("common",) * 6)]
         counts = TermCounts.from_documents(docs, min_count=5)
         assert counts.terms == ("common",)
         # totals follow the kept vocabulary so counts still sum to totals
@@ -194,8 +196,8 @@ class TestTermCounts:
 
 
 documents = st.lists(
-    st.builds(Document, st.sampled_from(["s1", "s2", "s3"]), st.sampled_from("ab"),
-              st.lists(st.sampled_from(["x", "y", "z", "w", "v"]), max_size=8).map(tuple)),
+    st.tuples(st.sampled_from(["s1", "s2", "s3"]), st.sampled_from("ab"),
+              st.lists(st.sampled_from(["x", "y", "z", "w", "v"]), max_size=8)),
     min_size=1, max_size=25)
 
 
@@ -203,16 +205,16 @@ class TestTermCountsProperty:
     @settings(max_examples=80, deadline=None)
     @given(docs=documents, min_count=st.integers(1, 4))
     def test_tables_equal_brute_force_counts(self, docs, min_count):
-        pooled = Counter(t for d in docs for t in d.tokens)
+        pooled = Counter(t for _, _, tokens in docs for t in tokens)
         terms = sorted(t for t, c in pooled.items() if c >= min_count)
         if not terms:
             with pytest.raises(StatsError, match="minimum pooled count"):
                 TermCounts.from_documents(docs, min_count=min_count)
             return
-        shows = sorted({d.show_id for d in docs})
+        shows = sorted({show for show, _, _ in docs})
         cells = {(s, g): Counter() for s in shows for g in "ab"}
-        for d in docs:
-            cells[d.show_id, d.group].update(d.tokens)
+        for show, group, tokens in docs:
+            cells[show, group].update(tokens)
         counts = TermCounts.from_documents(docs, min_count=min_count)
         assert counts.terms == tuple(terms) and counts.shows == tuple(shows)
         for group, table in (("a", counts.y_a), ("b", counts.y_b)):
@@ -236,6 +238,11 @@ class TestTermCountsProperty:
         for name in ("doc_terms", "doc_show", "doc_in_a", "y_a", "y_b", "p"):
             assert np.array_equal(getattr(found, name), getattr(expected, name)), name
 
+    def test_document_entries_are_required(self):
+        table = np.ones((1, 1))
+        with pytest.raises(TypeError, match="doc_terms"):
+            TermCounts(("t",), ("s",), table, table, np.ones(1))
+
     def test_no_documents_raises(self):
         for docs in ([], iter(())):
             with pytest.raises(StatsError, match="^no documents$"):
@@ -250,6 +257,15 @@ class TestUtteranceDocuments:
     def clips():
         return [random_clip(random.Random(k), f"c{k}", show_id=f"show{k % 2}")
                 for k in range(4)]
+
+    def test_yields_plain_tuples_of_show_group_and_tokens(self):
+        clips = self.clips()
+        expected = [(c.show_id, "a" if not r.side_participants else "b", tokenize(u.text))
+                    for c in clips for u, r in zip(c.utterances, c.gold)]
+        docs = list(utterance_documents(clips))
+        assert docs == expected
+        assert {type(d) for d in docs} == {tuple}
+        assert {type(tokens) for _, _, tokens in docs} == {list}
 
     def test_a_list_in_any_order_is_sorted(self):
         clips = self.clips()
@@ -284,8 +300,7 @@ def null_documents(rng, n_shows=4, docs_per_show=60, vocab=30, doc_len=15):
             tokens = []
             for t, c in zip(terms, counts):
                 tokens.extend([t] * int(c))
-            docs.append(Document(f"show{s}", "a" if d % 2 == 0 else "b",
-                                 tuple(tokens)))
+            docs.append((f"show{s}", "a" if d % 2 == 0 else "b", tokens))
     return docs
 
 
@@ -294,9 +309,10 @@ def reference_null_tables(docs, counts, permutations, seed):
     the draws calibrate_prior makes: one child generator per permutation, one
     rng.permutation of a show's group labels per show, in show order."""
     column = {t: i for i, t in enumerate(counts.terms)}
-    bags = [Counter(t for t in d.tokens if t in column) for d in docs]
-    in_a = np.array([d.group == "a" for d in docs])
-    show_rows = [[i for i, d in enumerate(docs) if d.show_id == s] for s in counts.shows]
+    bags = [Counter(t for t in tokens if t in column) for _, _, tokens in docs]
+    in_a = np.array([group == "a" for _, group, _ in docs])
+    show_rows = [[i for i, (show, _, _) in enumerate(docs) if show == s]
+                 for s in counts.shows]
     tables = []
     for child in np.random.SeedSequence(seed).spawn(permutations):
         rng = np.random.default_rng(child)
@@ -331,7 +347,7 @@ class TestCalibratePrior:
     def test_matches_counter_reference(self, monkeypatch, seed, grid, permutations):
         rng = np.random.default_rng(seed)
         docs = null_documents(rng, n_shows=3, docs_per_show=21, vocab=12, doc_len=6)
-        docs.append(Document("solo", "b", ("t0", "t1", "t1")))  # a one-document show
+        docs.append(("solo", "b", ("t0", "t1", "t1")))  # a one-document show
         counts = TermCounts.from_documents(docs, min_count=2)
         tables = reference_null_tables(docs, counts, permutations, seed)
         expected = reference_c_star(tables, counts.p, grid)
@@ -376,12 +392,8 @@ class TestCalibratePrior:
         sd = float(np.std(zeta[np.isfinite(zeta)], ddof=1))
         assert 0.85 <= sd <= 1.15
 
-    def test_requires_documents(self):
-        with pytest.raises(StatsError, match="from_documents"):
-            calibrate_prior(toy_counts(), [1.0], permutations=2)
-
     def test_degenerate_corpus_raises(self):
-        docs = [Document("s1", "a", ("word",) * 6), Document("s2", "b", ("word",) * 6)]
+        docs = [("s1", "a", ("word",) * 6), ("s2", "b", ("word",) * 6)]
         counts = TermCounts.from_documents(docs, min_count=1)
         with pytest.raises(StatsError, match="degenerate"):
             calibrate_prior(counts, [1.0], permutations=2)
@@ -408,10 +420,10 @@ class TestCalibratePrior:
 
 class TestAnalysisPipeline:
     def test_aggregates_with_stouffer(self):
-        docs = [Document("s1", "a", ("alpha",) * 8 + ("beta",) * 2 + ("gamma",) * 3),
-                Document("s1", "b", ("alpha",) * 2 + ("beta",) * 8 + ("gamma",) * 3),
-                Document("s2", "a", ("alpha",) * 6 + ("beta",) * 3 + ("gamma",) * 2),
-                Document("s2", "b", ("alpha",) * 1 + ("beta",) * 5 + ("gamma",) * 2)]
+        docs = [("s1", "a", ("alpha",) * 8 + ("beta",) * 2 + ("gamma",) * 3),
+                ("s1", "b", ("alpha",) * 2 + ("beta",) * 8 + ("gamma",) * 3),
+                ("s2", "a", ("alpha",) * 6 + ("beta",) * 3 + ("gamma",) * 2),
+                ("s2", "b", ("alpha",) * 1 + ("beta",) * 5 + ("gamma",) * 2)]
         report = logodds_report(docs, min_count=1, c_star=2.0)
         _, _, zeta = weighted_logodds(TermCounts.from_documents(docs, min_count=1), 2.0)
         assert report["shows"] == ["s1", "s2"]
@@ -423,8 +435,8 @@ class TestAnalysisPipeline:
 
 
 class TestLogoddsReportTop:
-    DOCS = [Document("s1", "a", ("alpha", "alpha", "beta", "gamma")),
-            Document("s1", "b", ("beta", "beta", "alpha", "gamma"))]
+    DOCS = [("s1", "a", ("alpha", "alpha", "beta", "gamma")),
+            ("s1", "b", ("beta", "beta", "alpha", "gamma"))]
 
     def test_top_zero_lists_no_terms(self):
         report = logodds_report(self.DOCS, min_count=1, c_star=2.0, top=0)
@@ -536,8 +548,8 @@ class TestBlockedCalibration:
 
         rng = np.random.default_rng(5)
         vocab = [f"t{k}" for k in range(3000)]
-        docs = [Document(f"show{s}", "ab"[d % 2],
-                         tuple(vocab[k] for k in rng.integers(0, len(vocab), 400)))
+        docs = [(f"show{s}", "ab"[d % 2],
+                 [vocab[k] for k in rng.integers(0, len(vocab), 400)])
                 for s in range(40) for d in range(10)]
         counts = TermCounts.from_documents(docs, min_count=1)
         assert counts.y_a.shape == (40, 3000)
