@@ -201,7 +201,8 @@ def run_baseline(
     are `CorpusError`s.
     """
     if not clip.utterances:
-        raise CorpusError(f"clip {clip.clip_id!r} has no utterances")
+        raise CorpusError(f"clip {clip.clip_id!r} has no utterances "
+                          f"(no transcript, or one with no lines)")
     for track in tracks:
         if track.clip_id and track.clip_id != clip.clip_id:
             raise CorpusError(f"face tracks are for clip {track.clip_id!r}, "
@@ -285,8 +286,6 @@ def run_corpus_baseline(
             raise CorpusError(f"{flag} {path} is one file but the corpus has more "
                               f"than one clip; give a directory")
         clip_id = clip.clip_id
-        if not clip.utterances:
-            raise CorpusError(f"clip {clip_id!r} has no transcript; baseline needs one")
         yield clip_id, run_baseline(clip, _side_file(
             faces, clip_id, ".faces.json", "face tracks", parse_face_tracks_json, read),
             _side_file(words, clip_id, ".words.tsv", "word timings",

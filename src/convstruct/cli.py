@@ -251,7 +251,7 @@ def cmd_roles(args, reads: _Reads) -> int:
     # still digests them. Each clip is counted as it is parsed.
     return _emit_analysis(args, role_report(
         iter_corpus(args.corpus, read=reads.read, utterances=False),
-        _gender_map(args.gender_map, reads)).as_dict(), reads)
+        _gender_map(args.gender_map, reads)), reads)
 
 
 def cmd_logodds(args, reads: _Reads) -> int:

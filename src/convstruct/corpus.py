@@ -4,9 +4,9 @@ structure annotations.
 A clip is an ordered list of utterances plus an optional per-line structure
 annotation (speaker, addressees, side-participants, reply-to). Everything here
 is immutable after construction and safe to share across workers. Parsing is
-strict by default; `scan_annotation_json` is the lenient variant that returns
-diagnostics instead of raising, and `validate_paths` runs every check over a
-corpus path, which is what the `validate` command prints.
+strict by default; `validate_paths` is the lenient reader, which runs every
+check over a corpus path and returns diagnostics instead of raising: it is what
+the `validate` command prints.
 """
 
 from __future__ import annotations
@@ -476,9 +476,8 @@ def _read_records(
 
 def check_records(records: Iterable[StructureRecord], clip_id: str = ""
                   ) -> list[Diagnostic]:
-    """The record invariants, for `scan_annotation_json`, the strict parsers
-    and `validate_clip` alike: unique lines, links back to an annotated line,
-    disjoint roles."""
+    """The record invariants, for the strict parsers and `validate_clip`
+    alike: unique lines, links back to an annotated line, disjoint roles."""
     diags: list[Diagnostic] = []
 
     def add(code, message, line_idx):
@@ -508,19 +507,6 @@ def check_records(records: Iterable[StructureRecord], clip_id: str = ""
             add(SPEAKER_IN_ROLES, f"speaker {r.speaker.token!r} appears in a role set",
                 r.line_idx)
     return diags
-
-
-def scan_annotation_json(
-    data: bytes, strict: bool = False, clip_id: str = ""
-) -> tuple[list[StructureRecord], list[Diagnostic]]:
-    """Lenient annotation parse: returns (records, diagnostics).
-
-    Records are constructed even when they violate invariants (forward link,
-    role overlap, ...) so that validation can report every problem; records
-    whose fields cannot be read at all are dropped with a diagnostic.
-    """
-    records, diags = _read_records(_decode_json(data, "annotation"), strict, clip_id)
-    return records, diags + check_records(records, clip_id)
 
 
 def annotation_records(
@@ -645,7 +631,14 @@ def validate_clip(clip: Clip) -> list[Diagnostic]:
 
     Timestamp overlap between consecutive utterances is a warning, not an
     error: real ASR output overlaps and the metrics only consume durations.
+    Gold must cover the utterances exactly if the clip has any.
     """
+    return _check_clip(clip, transcribed=bool(clip.utterances))
+
+
+def _check_clip(clip: Clip, transcribed: bool) -> list[Diagnostic]:
+    """`validate_clip`, checking gold coverage iff `transcribed`: a clip read
+    from disk has a transcript when its file exists, even one with no lines."""
     diags: list[Diagnostic] = []
 
     def add(code, message, line_idx=None, severity=ERROR):
@@ -678,7 +671,7 @@ def validate_clip(clip: Clip) -> list[Diagnostic]:
                     add(UNRESOLVED_NAME,
                         f"{p.token!r} is not in the cast list or a reserved token",
                         r.line_idx)
-    if clip.utterances:
+    if transcribed:
         expected = {u.line_idx for u in clip.utterances}
         annotated = {r.line_idx for r in clip.gold}
         if expected != annotated:
@@ -886,7 +879,8 @@ def validate_paths(paths: Iterable[str | Path], strict: bool = False
                         strict, files.clip_id)
                     diags += read_diags
                     gold = tuple(records)
-                diags += validate_clip(_clip(files, gold))
+                diags += _check_clip(_clip(files, gold),
+                                     transcribed=files.transcript is not None)
             except ParseError as exc:
                 diags.append(Diagnostic("PARSE", ERROR, str(exc), files.clip_id))
     return sorted(diags, key=lambda d: (d.clip_id, d.line_idx or 0, d.code))

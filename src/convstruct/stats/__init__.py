@@ -14,8 +14,8 @@ _LAZY = {
     **dict.fromkeys(("TermCounts", "calibrate_prior", "logodds_report", "tokenize",
                      "utterance_documents", "weighted_logodds"), "logodds"),
     **dict.fromkeys(("LogitResult", "OutcomeEstimate", "multinomial_logit"), "regression"),
-    **dict.fromkeys(("RoleDistributions", "ThreadShareReport", "gender_thread_shares",
-                     "role_counts", "role_distributions", "role_report"), "gender"),
+    **dict.fromkeys(("ThreadShareReport", "gender_thread_shares", "role_counts",
+                     "role_distributions", "role_report"), "gender"),
 }
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from ..corpus import Clip, _in_clip_order, lookup_gender
 from ..threads import thread_events
 from .bootstrap import BootstrapConfig, StatsError, _ratio_cis, _sign_flip_ps
-from .regression import LogitResult, multinomial_logit
+from .regression import multinomial_logit
 
 
 @dataclass(frozen=True)
@@ -155,16 +155,11 @@ def gender_thread_shares(
     return ThreadShareReport(*raw, *normalized)
 
 
-@dataclass(frozen=True)
-class RoleDistributions:
-    """Empirical P(gender | role) and P(role | gender) tables."""
-
-    p_gender_given_role: dict[str, dict[str, float]]
-    p_role_given_gender: dict[str, dict[str, float]]
-
-
-def role_distributions(observations: Iterable[tuple[str, str]]) -> RoleDistributions:
-    """Conditional frequency tables over (role, gender) observations.
+def role_distributions(observations: Iterable[tuple[str, str]]
+                       ) -> dict[str, dict[str, dict[str, float]]]:
+    """Empirical P(gender | role) and P(role | gender) tables over (role,
+    gender) observations, under the keys `p_gender_given_role` and
+    `p_role_given_gender`.
 
     The observations are counted with `Counter`, so a mapping of each
     (role, gender) to its count works as well. Only observed roles and
@@ -177,12 +172,12 @@ def role_distributions(observations: Iterable[tuple[str, str]]) -> RoleDistribut
     genders = sorted({g for _, g in cells})
     role_totals = {role: sum(cells[role, g] for g in genders) for role in roles}
     gender_totals = {g: sum(cells[role, g] for role in roles) for g in genders}
-    return RoleDistributions(
-        p_gender_given_role={role: {g: cells[role, g] / role_totals[role] for g in genders}
-                             for role in roles},
-        p_role_given_gender={g: {role: cells[role, g] / gender_totals[g] for role in roles}
-                             for g in genders},
-    )
+    return {
+        "p_gender_given_role": {role: {g: cells[role, g] / role_totals[role]
+                                       for g in genders} for role in roles},
+        "p_role_given_gender": {g: {role: cells[role, g] / gender_totals[g]
+                                    for role in roles} for g in genders},
+    }
 
 
 def role_counts(
@@ -203,39 +198,11 @@ def role_counts(
     return counts
 
 
-@dataclass(frozen=True)
-class RoleReport:
-    """Role distributions by gender plus the multinomial logit on them."""
-
-    distributions: RoleDistributions
-    fit: LogitResult
-
-    def as_dict(self) -> dict:
-        fit = self.fit
-        outcomes = {}
-        for outcome in sorted(fit.outcomes):
-            est = fit.outcomes[outcome]
-            outcomes[outcome] = {"odds_ratio_female": est.odds_ratio,
-                                 "coef": dict(sorted(est.coef.items())),
-                                 "se": dict(sorted(est.se.items())),
-                                 "p": dict(sorted(est.p.items()))}
-        return {
-            "n_observations": fit.n_obs,
-            "p_gender_given_role": self.distributions.p_gender_given_role,
-            "p_role_given_gender": self.distributions.p_role_given_gender,
-            "regression": {
-                "reference": fit.reference,
-                "outcomes": outcomes,
-                "log_likelihood": fit.log_likelihood,
-                "n_iter": fit.n_iter,
-            },
-        }
-
-
 def role_report(
     clips: Iterable[Clip], gender_map: Mapping[tuple[str, str], str]
-) -> RoleReport:
-    """Who holds which role, by gender: distributions and the female odds ratios."""
+) -> dict:
+    """The `analyze roles` report: who holds which role, by gender, as
+    distributions and as the female odds ratios of a multinomial logit."""
     table = role_counts(clips, gender_map)
     if not table:
         raise StatsError("no gendered role observations in the corpus")
@@ -243,8 +210,20 @@ def role_report(
     for (role, gender, _), count in table.items():
         by_gender[role, gender] += count
     # lookup_gender gives only "female" or "male", so no two keys merge here
-    return RoleReport(
-        distributions=role_distributions(by_gender),
-        fit=multinomial_logit({(role, gender == "female", show): count
-                               for (role, gender, show), count in table.items()}),
-    )
+    fit = multinomial_logit({(role, gender == "female", show): count
+                             for (role, gender, show), count in table.items()})
+    outcomes = {outcome: {"odds_ratio_female": est.odds_ratio,
+                          "coef": dict(sorted(est.coef.items())),
+                          "se": dict(sorted(est.se.items())),
+                          "p": dict(sorted(est.p.items()))}
+                for outcome, est in sorted(fit.outcomes.items())}
+    return {
+        "n_observations": fit.n_obs,
+        **role_distributions(by_gender),
+        "regression": {
+            "reference": fit.reference,
+            "outcomes": outcomes,
+            "log_likelihood": fit.log_likelihood,
+            "n_iter": fit.n_iter,
+        },
+    }

@@ -1284,3 +1284,41 @@ class TestBrokenTranscript:
         _, bad, genders, message = corpora
         flags = ["--gender-map", genders, "--bootstrap", "20"] if analysis == "threads" else []
         assert run(["analyze", analysis, bad, *flags]) == (1, "", message)
+
+
+class TestHeaderOnlyTranscript:
+    """A transcript with only its header line exists but has no lines: the
+    baseline names both causes of a clip with no lines, and `validate`
+    reports every annotated line as one that the transcript lacks."""
+
+    HEADER = TRANSCRIPT.splitlines(keepends=True)[0]
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        write_corpus(tmp_path / "corpus", {"c1": GOLD_CLIP[:1]}, {"c1": self.HEADER})
+        return tmp_path / "corpus"
+
+    def test_baseline_names_a_clip_with_no_lines(self, corpus, tmp_path):
+        out_dir = tmp_path / "pred"
+        code, out, err = run(["baseline", str(corpus), "--mode", "reply-only",
+                              "--out", str(out_dir)])
+        assert (code, out) == (1, "")
+        assert err == ("error: clip 'c1' has no utterances "
+                       "(no transcript, or one with no lines)\n")
+        assert not out_dir.exists()
+
+    def test_full_baseline_reads_the_faces_file_first(self, corpus, tmp_path):
+        out_dir = tmp_path / "pred"
+        assert run(["baseline", str(corpus), "--mode", "full", "--faces", str(corpus),
+                    "--out", str(out_dir)]) == (
+            1, "", "error: no face tracks for clip 'c1'\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    def test_validate_reports_the_uncovered_annotation(self, corpus, strict):
+        code, out, _ = run(["validate", *strict, str(corpus)])
+        assert code == 1
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"clip_id": "c1", "line_idx": None, "code": "GOLD_COVERAGE",
+             "severity": "error",
+             "message": "gold does not cover utterances exactly (missing [], extra [1])"}]

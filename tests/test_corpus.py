@@ -28,6 +28,7 @@ from convstruct.corpus import (
     Utterance,
     ValidationError,
     ClipFiles,
+    check_records,
     iter_clip_files,
     iter_corpus,
     load_corpus,
@@ -37,9 +38,10 @@ from convstruct.corpus import (
     parse_cast_json,
     parse_gender_map_tsv,
     parse_transcript_tsv,
-    scan_annotation_json,
     serialize_annotation_json,
     validate_clip,
+    validate_paths,
+    _decode_json,
     _number,
     _read_records,
 )
@@ -239,14 +241,16 @@ class TestAnnotationJson:
         with pytest.raises(ValidationError, match="UNKNOWN_KEY"):
             parse_annotation_json(payload, strict=True)
 
-    def test_scan_returns_records_despite_violations(self):
+    def test_lenient_read_keeps_records_despite_violations(self, tmp_path):
         bad = json.dumps([{
             "line_idx": 2, "speaker": "a", "addressee": [],
             "side_participant": [], "reply_to": 5,
         }]).encode()
-        records, diags = scan_annotation_json(bad)
-        assert len(records) == 1
-        assert diags[0].code == FORWARD_LINK
+        records, diags = _read_records(json.loads(bad), False, "c")
+        assert len(records) == 1 and diags == []
+        path = tmp_path / "c.annotation.json"
+        path.write_bytes(bad)
+        assert [d.code for d in validate_paths([path])] == [FORWARD_LINK]
 
     def test_round_trip_identity(self):
         records = table4_records()
@@ -813,7 +817,7 @@ class TestFieldTypes:
         ({"speaker": 7}, "speaker"),
     ])
     def test_mistyped_field_is_bad_type(self, fields, key):
-        records, diags = scan_annotation_json(one_entry(**fields))
+        records, diags = _read_records(json.loads(one_entry(**fields)), False, "")
         assert records == []
         assert [d.code for d in diags] == ["BAD_TYPE"]
         assert key in diags[0].message
@@ -838,9 +842,12 @@ class TestDanglingReplyTo:
         with pytest.raises(ValidationError, match="BAD_REPLY_TO"):
             parse_annotation_json(self.BLOB)
 
-    def test_scan_reports_once(self):
-        records, diags = scan_annotation_json(self.BLOB)
+    def test_validate_paths_reports_once(self, tmp_path):
+        records, _ = _read_records(json.loads(self.BLOB), False, "c")
         assert len(records) == 2
+        path = tmp_path / "c.annotation.json"
+        path.write_bytes(self.BLOB)
+        diags = validate_paths([path])
         assert [(d.code, d.line_idx) for d in diags] == [("BAD_REPLY_TO", 3)]
 
     def test_validate_clip_reports_once(self):
@@ -871,7 +878,7 @@ class TestNameNormalizationPerParse:
     def test_bad_name_is_reported_for_every_line(self):
         entries = [{"line_idx": i, "speaker": "  ", "addressee": [],
                     "side_participant": [], "reply_to": 1} for i in (1, 2)]
-        _, diags = scan_annotation_json(json.dumps(entries).encode("utf-8"))
+        _, diags = _read_records(entries, False, "")
         assert [(d.code, d.line_idx) for d in diags] == [("BAD_NAME", 1), ("BAD_NAME", 2)]
 
 
@@ -1190,8 +1197,10 @@ class TestReadRecordsProperties:
                           st.binary(max_size=20)),
            strict=st.booleans())
     def test_any_json_yields_records_or_a_corpus_error(self, blob, strict):
+        # the lenient read of `validate_paths`: decode, read, check invariants
         try:
-            scanned = scan_annotation_json(blob, strict=strict, clip_id="c")
+            records, diags = _read_records(_decode_json(blob, "annotation"), strict, "c")
+            scanned = records, diags + check_records(records, "c")
         except ParseError:
             scanned = None
         try:

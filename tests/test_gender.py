@@ -228,9 +228,9 @@ class TestRoleDistributions:
             for _ in range(10)
         ]
         dists = role_distributions(observations)
-        for row in dists.p_gender_given_role.values():
+        for row in dists["p_gender_given_role"].values():
             assert row["female"] == pytest.approx(0.5)
-        for row in dists.p_role_given_gender.values():
+        for row in dists["p_role_given_gender"].values():
             for value in row.values():
                 assert value == pytest.approx(1 / 3)
 
@@ -241,10 +241,10 @@ class TestRoleDistributions:
             + [("side-participant", "male")] * 1 + [("side-participant", "female")] * 1
         )
         dists = role_distributions(observations)
-        assert dists.p_gender_given_role["speaker"]["male"] == pytest.approx(4 / 6)
-        assert dists.p_gender_given_role["addressee"]["female"] == pytest.approx(3 / 4)
-        assert dists.p_role_given_gender["male"]["speaker"] == pytest.approx(4 / 6)
-        assert dists.p_role_given_gender["female"]["addressee"] == pytest.approx(3 / 6)
+        assert dists["p_gender_given_role"]["speaker"]["male"] == pytest.approx(4 / 6)
+        assert dists["p_gender_given_role"]["addressee"]["female"] == pytest.approx(3 / 4)
+        assert dists["p_role_given_gender"]["male"]["speaker"] == pytest.approx(4 / 6)
+        assert dists["p_role_given_gender"]["female"]["addressee"] == pytest.approx(3 / 6)
 
     def test_rows_sum_to_one(self):
         rng = random.Random(3)
@@ -254,9 +254,9 @@ class TestRoleDistributions:
             for _ in range(500)
         ]
         dists = role_distributions(observations)
-        for row in dists.p_role_given_gender.values():
+        for row in dists["p_role_given_gender"].values():
             assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
-        for row in dists.p_gender_given_role.values():
+        for row in dists["p_gender_given_role"].values():
             assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_observations_raise(self):
@@ -295,7 +295,7 @@ class TestAnalysesIgnoreClipOrder:
             lambda clips: gender_thread_shares(
                 clips, genders, config=BootstrapConfig(resamples=50, seed=3),
                 permutations=50).as_dict(),
-            lambda clips: role_report(clips, genders).as_dict(),
+            lambda clips: role_report(clips, genders),
             # a fine grid, so that a small move of the null SD moves C*
             lambda clips: logodds_report(utterance_documents(clips), min_count=1,
                                          grid=np.logspace(0, 3, 61).tolist(),
